@@ -33,7 +33,7 @@ from .patterns import (
     contains_1_23adj,
     is_avoider,
 )
-from .recurrence import VTable, bessel, binomial, v_compute, v_table
+from .recurrence import VTable, bessel, v_compute, v_table
 from .stats import StatPair, aux_r, aux_s, stat_pair, stat_x, stat_y
 from .verify import (
     ALL_CHECKS,
@@ -73,7 +73,6 @@ __all__ = [
     "aux_s",
     "avoider_last_entry_distribution",
     "bessel",
-    "binomial",
     "check_avoiders_match_v",
     "check_equidistribution",
     "check_involution",

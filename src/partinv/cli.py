@@ -24,9 +24,8 @@ from .partitions import (
     parse,
     span,
 )
-from .patterns import DEFAULT_MAX_N as PATTERN_MAX_N
-from .patterns import avoider_last_entry_distribution
-from .recurrence import v_table
+from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
+from .recurrence import TRIANGLE_MAX_N, v_table
 from .stats import aux_r, aux_s, stat_x, stat_y
 from .verify import run_all
 
@@ -124,7 +123,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = v_table(args.n_max)
+    max_n = args.max_n if args.max_n is not None else TRIANGLE_MAX_N
+    table = v_table(args.n_max, max_n=max_n)
     sums = table.row_sums()
     if args.format == "json":
         _emit_json({
@@ -178,7 +178,7 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_avoiders(args) -> int:
-    max_n = args.max_n if args.max_n is not None else PATTERN_MAX_N
+    max_n = args.max_n if args.max_n is not None else AVOIDER_MAX_N
     dist = avoider_last_entry_distribution(args.n, max_n=max_n)
     total = sum(dist.values())
     if args.format == "json":
@@ -244,7 +244,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="the v-triangle and its row sums")
     p.add_argument("n_max", type=int)
-    common(p)
+    common(p, max_n_help=f"triangle guard override (default {TRIANGLE_MAX_N})")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("distribution", help="X/Y/joint statistic counts over partitions of [n]")
@@ -257,7 +257,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("avoiders", help="pattern-avoider count and last-entry distribution")
     p.add_argument("n", type=int)
-    common(p, max_n_help=f"factorial guard override (default {PATTERN_MAX_N})")
+    common(p, max_n_help=f"factorial guard override (default {AVOIDER_MAX_N})")
     p.set_defaults(func=cmd_avoiders)
 
     p = sub.add_parser("verify", help="run every exhaustive check")

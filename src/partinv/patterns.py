@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import BoundError
 
 #: 9! = 362880 hosts; the n! * n scan stays interactive up to here.
-DEFAULT_MAX_N = 9
+AVOIDER_MAX_N = 9
 
 
 def is_permutation(values: Sequence[int]) -> bool:
@@ -62,7 +62,7 @@ def is_avoider(p: Sequence[int]) -> bool:
     return not contains_12adj_3(p) and not contains_1_23adj(p)
 
 
-def avoider_last_entry_distribution(n: int, max_n: int = DEFAULT_MAX_N) -> dict[int, int]:
+def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[int, int]:
     """Count avoiders of [n] by final value; keys are all of 1..n.
 
     Scans the n! permutations in lexicographic order.

@@ -148,10 +148,6 @@ def check_nonoverlapping(n_max: int = DEFAULT_LIMITS["nonoverlapping"],
     return _report("nonoverlapping", n_max, t0)
 
 
-def _joint_counts(partitions) -> Counter:
-    return Counter((stat_x(p), stat_y(p)) for p in partitions)
-
-
 def _joint_violation(joint: Counter, scope: str, n: int):
     """Symmetry of the joint (X, Y) counts; implies equal marginals, which
     are still compared explicitly."""

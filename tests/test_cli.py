@@ -132,6 +132,24 @@ class TestTable:
         assert code == 1
         assert "error" in err
 
+    def test_guard(self, capsys):
+        code, out, err = run(capsys, "table", "100000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("partinv: error:")
+        assert "guard" in err
+
+    def test_guard_override(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TRIANGLE_MAX_N", 5)
+        code, _, err = run(capsys, "table", "6")
+        assert code == 1
+        assert err.startswith("partinv: error:")
+        code, payload = run_json(capsys, "table", "6", "--max-n", "6", "--format", "json")
+        assert code == 0
+        assert payload["row_sums"][-1] == "143"
+        code, _, _ = run(capsys, "table", "6", "--max-n", "5")
+        assert code == 1
+
 
 class TestDistribution:
     def test_joint_symmetric(self, capsys):

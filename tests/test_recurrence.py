@@ -1,17 +1,27 @@
-"""The v-triangle, row sums, and exact big-integer arithmetic."""
+"""The v-triangle, row sums, exact big-integer arithmetic, the guard on
+the rows built, and the shared table that grows on demand."""
+
+import ast
+import inspect
+import sys
+import threading
+import time
 
 import pytest
 
+import partinv.recurrence as recurrence
 from partinv import (
+    BoundError,
     DomainError,
+    PartinvError,
     VTable,
     bessel,
-    binomial,
     enumerate_nonoverlapping,
     v_compute,
     v_table,
 )
-from oracles import pascal_binomial, v_alt_table
+from partinv.recurrence import TRIANGLE_MAX_N
+from oracles import v_alt_table
 
 # Rows n = 1..7 as they appear in print; frozen after confirming every
 # entry against the recurrence by hand (row 4) and the avoider brute
@@ -32,16 +42,23 @@ TRIANGLE_7 = [
 BESSEL_12 = [1, 2, 5, 14, 43, 143, 509, 1922, 7651, 31965, 139685, 636712]
 
 
-class TestBinomial:
-    def test_values(self):
-        assert binomial(0, 0) == 1
-        assert binomial(5, 2) == 10
-        assert binomial(2, 3) == 0
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty table for the test; the shared one is restored after."""
+    monkeypatch.setattr(recurrence, "_diag", [])
+    monkeypatch.setattr(recurrence, "_weights", [[]])
 
-    def test_matches_pascal_triangle(self):
-        for a in range(0, 13):
-            for b in range(0, 15):
-                assert binomial(a, b) == pascal_binomial(a, b)
+
+@pytest.fixture(scope="module")
+def alt60():
+    """The O(n^4) oracle to row 60, built once: it takes seconds."""
+    return v_alt_table(60)
+
+
+def assert_matches_oracle(t: VTable, alt: dict) -> None:
+    for n in range(1, t.n_max + 1):
+        for k in range(1, n + 1):
+            assert t.entry(n, k) == alt[(n, k)], (n, k)
 
 
 class TestVCompute:
@@ -125,3 +142,105 @@ def test_large_table_exact_arithmetic():
     for n in range(1, 41):
         for k in range(1, n + 1):
             assert t.entry(n, k) == alt[(n, k)]
+
+
+def test_matches_oracle_cell_for_cell_to_60(alt60):
+    assert_matches_oracle(v_table(60), alt60)
+
+
+def test_build_order_does_not_matter(fresh_table, alt60):
+    assert v_compute(25, 3) == alt60[(25, 3)]
+    assert len(recurrence._diag) == 25
+    t60 = v_table(60)
+    assert_matches_oracle(t60, alt60)
+    assert bessel(45) == sum(alt60[(45, k)] for k in range(1, 46))
+    assert v_table(30).rows == t60.rows[:30]
+    assert len(recurrence._diag) == 60
+
+
+def test_half_written_row_is_rebuilt(fresh_table, alt60):
+    v_table(10)
+    # what an interrupt between two stores of row 11 leaves behind
+    recurrence._diag[0].append(-1)
+    recurrence._diag[1].append(-1)
+    assert_matches_oracle(v_table(20), alt60)
+
+
+def test_concurrent_growth(fresh_table, alt60):
+    results = []
+
+    def worker(sizes):
+        results.extend(v_table(n) for n in sizes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sizes = [range(start, 41, 4) for start in range(1, 5)]
+        sizes += [list(reversed(r)) for r in sizes]
+        threads = [threading.Thread(target=worker, args=(r,)) for r in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 80
+    for table in results:
+        assert_matches_oracle(table, alt60)
+    assert len(recurrence._diag) == 40
+
+
+def test_no_cache_decorator_and_no_recursion():
+    tree = ast.parse(inspect.getsource(recurrence))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "functools" not in imported | modules
+    assert not {"cache", "lru_cache"} & imported
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert fn.name not in called, fn.name
+
+
+class TestGuard:
+    def test_far_out_of_range_is_a_partinv_error_at_once(self):
+        t = time.perf_counter()
+        with pytest.raises(PartinvError):
+            v_compute(1500, 3)
+        assert time.perf_counter() - t < 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: v_compute(TRIANGLE_MAX_N + 1, 1),
+        lambda: v_table(TRIANGLE_MAX_N + 1),
+        lambda: bessel(TRIANGLE_MAX_N + 1),
+        lambda: v_compute(9, 3, max_n=8),
+        lambda: v_table(100000),
+    ])
+    def test_bound(self, call):
+        with pytest.raises(BoundError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: v_compute(0, 0, max_n=0),
+        lambda: v_compute(3, 4),
+        lambda: v_table(-1),
+        lambda: bessel(0, max_n=0),
+    ])
+    def test_domain_checked_first(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_lower_guard_admits_its_own_row(self):
+        assert v_compute(9, 3, max_n=9) == v_table(9, max_n=9).entry(9, 3)
+        assert bessel(9, max_n=9) == 7651
+
+    def test_max_n_lifts_the_guard(self, fresh_table):
+        n = TRIANGLE_MAX_N + 1
+        t = v_table(n, max_n=n)
+        assert t.row(n)[-1] == 1
+        assert bessel(n, max_n=n) == sum(t.row(n)) > bessel(TRIANGLE_MAX_N)
+        assert v_compute(n, 1, max_n=n) == bessel(TRIANGLE_MAX_N)

@@ -34,7 +34,7 @@ from .patterns import (
     is_avoider,
 )
 from .recurrence import VTable, bessel, v_compute, v_table
-from .stats import StatPair, aux_r, aux_s, stat_pair, stat_x, stat_y
+from .stats import aux_r, aux_s, stat_x, stat_y
 from .verify import (
     ALL_CHECKS,
     CheckReport,
@@ -66,7 +66,6 @@ __all__ = [
     "PreconditionError",
     "SetPartition",
     "Span",
-    "StatPair",
     "VTable",
     "ValidationError",
     "aux_r",
@@ -93,7 +92,6 @@ __all__ = [
     "sigma",
     "sigma_inverse",
     "span",
-    "stat_pair",
     "stat_x",
     "stat_y",
     "v_compute",

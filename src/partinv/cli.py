@@ -2,10 +2,9 @@
 
 Subcommands: enumerate, stats, sigma, table, distribution, avoiders,
 verify. Every subcommand takes --format text|json; partition-valued
-output defaults to compact text whenever all entries are <= 9 and falls
-back to the comma form otherwise. Results go to stdout, diagnostics to
-stderr. Exit codes: 0 success, 1 usage or input error, 2 verification
-failure.
+text is compact whenever every entry is <= 9 and in the comma form
+otherwise. Results go to stdout, diagnostics to stderr. Exit codes: 0
+success, 1 usage or input error, 2 verification failure.
 """
 
 import argparse
@@ -46,10 +45,6 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _partition_arg(text: str):
-    return parse(text)
-
-
 def cmd_enumerate(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
@@ -69,7 +64,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    p = _partition_arg(args.partition)
+    p = parse(args.partition)
     try:
         r = aux_r(p)
     except NoNonsingletonBlock:
@@ -106,7 +101,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    p = _partition_arg(args.partition)
+    p = parse(args.partition)
     image = sigma(p)
     orbit = orbit_class(p)
     if args.format == "json":
@@ -218,9 +213,6 @@ def build_parser() -> _Parser:
     def common(p, max_n_help=None):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
-        p.add_argument("--compact", action="store_true",
-                       help="compact partition text when every entry is <= 9 "
-                            "(the default; entries > 9 always use the comma form)")
         if max_n_help:
             p.add_argument("--max-n", type=int, default=None, metavar="N",
                            help=max_n_help)

@@ -75,7 +75,8 @@ def sigma_inverse(q: SetPartition) -> SetPartition:
     singleton {s} undoes the r > s move (pull the entries below s out of
     the block containing 1 and put s back next to 1), a non-singleton with
     first entry r undoes the r <= s move (pull the entries below r out).
-    The pulled entries become initial singleton blocks again.
+    The pulled entries become initial singleton blocks again. Like sigma,
+    it trusts q to be in standard form.
     """
     if stat_x(q) <= stat_y(q):
         raise PreconditionError("sigma_inverse needs X > Y")
@@ -97,7 +98,12 @@ def sigma_inverse(q: SetPartition) -> SetPartition:
 
 def sigma(p: SetPartition) -> SetPartition:
     """Apply the involution: identity on X = Y, the absorb move on X < Y,
-    its inverse on X > Y."""
+    its inverse on X > Y.
+
+    p must be in standard form, as built by parse, from_blocks, normalize
+    or enumeration. Validating it here would cost as much as the map, so a
+    directly constructed SetPartition should be validate()d first.
+    """
     x, y = stat_x(p), stat_y(p)
     if x == y:
         return p

@@ -214,8 +214,8 @@ def _iter_groups(n: int) -> Iterator[list[list[int]]]:
 
 
 def _check_bound(n: int, max_n: int) -> None:
-    if n < 1:
-        raise BoundError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise BoundError(f"n must be an integer >= 1, got {n!r}")
     if n > max_n:
         raise BoundError(f"n={n} exceeds the enumeration guard {max_n} (raise max_n to override)")
 

@@ -22,11 +22,6 @@ from .errors import BoundError
 AVOIDER_MAX_N = 9
 
 
-def is_permutation(values: Sequence[int]) -> bool:
-    """True iff values contains each of 1..len(values) exactly once."""
-    return sorted(values) == list(range(1, len(values) + 1))
-
-
 def contains_12adj_3(p: Sequence[int]) -> bool:
     """Some adjacent ascent is followed, two or more places later, by a
     larger value."""
@@ -67,8 +62,8 @@ def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[
 
     Scans the n! permutations in lexicographic order.
     """
-    if n < 1:
-        raise BoundError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise BoundError(f"n must be an integer >= 1, got {n!r}")
     if n > max_n:
         raise BoundError(f"n={n} exceeds the factorial guard {max_n} (raise max_n to override)")
     counts = Counter()

@@ -82,6 +82,10 @@ def _build(n: int, max_n: int) -> None:
             diag.append([0, new[-1]])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _entry(n: int, k: int) -> int:
     """v[n][k] from a table built to row n."""
     if k == n:
@@ -91,8 +95,8 @@ def _entry(n: int, k: int) -> int:
 
 def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
     """Entry v[n][k] of the triangle."""
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if not (_is_int(n) and _is_int(k) and 1 <= k <= n):
+        raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     _build(n, max_n)
     return _entry(n, k)
 
@@ -120,8 +124,8 @@ class VTable:
 
 def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
     """The full triangle up to row n_max."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if not _is_int(n_max) or n_max < 1:
+        raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
     rows = tuple(tuple(_entry(n, k) for k in range(1, n + 1)) for n in range(1, n_max + 1))
     return VTable(n_max, rows)
@@ -129,7 +133,7 @@ def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
     """Row sum of the triangle: the number of nonoverlapping partitions of [n]."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     _build(n, max_n)
     return _diag[n - 1][1]

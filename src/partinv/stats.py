@@ -12,15 +12,8 @@ When {1} is not a singleton its own block is non-singleton, so both r and
 s exist exactly where Y's second branch needs them.
 """
 
-from typing import NamedTuple
-
 from .errors import NoNonsingletonBlock, OneIsSingleton, ValidationError
 from .partitions import Block, SetPartition
-
-
-class StatPair(NamedTuple):
-    x: int
-    y: int
 
 
 def stat_x(p: SetPartition) -> int:
@@ -53,11 +46,9 @@ def aux_s(p: SetPartition) -> int:
 
 
 def stat_y(p: SetPartition) -> int:
-    """1 when {1} is a singleton block, otherwise min(r, s)."""
+    """1 when {1} is a singleton block, otherwise min(r, s). p must be in
+    standard form, as built by parse, from_blocks, normalize or enumeration.
+    """
     if p.blocks[0] == (1,):
         return 1
     return min(aux_r(p), aux_s(p))
-
-
-def stat_pair(p: SetPartition) -> StatPair:
-    return StatPair(stat_x(p), stat_y(p))

@@ -4,17 +4,26 @@ test, with counterexample reporting.
 Every check scans n = 1..n_max in the deterministic enumeration order and
 reports the first violation it meets, so failures are stable regression
 artifacts. Checks never raise on failure; the CLI turns failures into a
-nonzero exit code. The sigma-dependent checks accept the map under test as
-a parameter so that deliberately broken variants can be shown to trip them.
+nonzero exit code. A depth below 1 or past the enumeration guard raises
+BoundError before any work starts. The sigma-dependent checks accept the
+map under test as a parameter so that deliberately broken variants can be
+shown to trip them.
+
+The four claims over all of P_n are rows of one claim table, checked in
+one sweep that enumerates each partition once for every claim still live;
+a failed claim drops out and the others go on. A report's elapsed time
+runs from the start of its sweep until its claim was settled.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable
 
+from .errors import BoundError
 from .involution import sigma
-from .partitions import SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition, is_nonoverlapping
+from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
+                         is_nonoverlapping)
 from .patterns import avoider_last_entry_distribution
 from .recurrence import v_compute
 from .stats import stat_x, stat_y
@@ -29,6 +38,8 @@ DEFAULT_LIMITS = {
     "avoiders_match_v": 8,
 }
 
+SigmaFn = Callable[[SetPartition], SetPartition]
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -39,17 +50,15 @@ class Counterexample:
     actual: str
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "item": self.item,
-            "claim": self.claim,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class CheckReport:
+    """One check's outcome. elapsed (seconds) runs from the start of the
+    sweep the check ran in until its claim was settled, so a claim that
+    shares a sweep also counts the time of the claims beside it."""
+
     check_name: str
     n_range: tuple[int, int]
     status: str  # "pass" | "fail"
@@ -86,139 +95,171 @@ def _report(name, n_max, t0, counter=None):
     return CheckReport(name, (1, n_max), status, counter, perf_counter() - t0)
 
 
-def check_involution(n_max: int = DEFAULT_LIMITS["involution"],
-                     sigma_fn: Callable[[SetPartition], SetPartition] = sigma) -> CheckReport:
-    """sigma is a self-inverse map swapping X and Y, fixing exactly X = Y."""
-    t0 = perf_counter()
-    for n in range(1, n_max + 1):
-        for p in enumerate_all(n):
-            x, y = stat_x(p), stat_y(p)
-            q = sigma_fn(p)
-            text = format_partition(p)
-            if (stat_x(q), stat_y(q)) != (y, x):
-                c = Counterexample(n, text, "X/Y interchange",
-                                   f"image with X={y}, Y={x}",
-                                   f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
-                return _report("involution", n_max, t0, c)
-            if sigma_fn(q) != p:
-                c = Counterexample(n, text, "sigma(sigma(p)) = p",
-                                   text, format_partition(sigma_fn(q)))
-                return _report("involution", n_max, t0, c)
-            if (q == p) != (x == y):
-                c = Counterexample(n, text, "fixed point iff X = Y",
-                                   f"fixed={x == y}", f"fixed={q == p}")
-                return _report("involution", n_max, t0, c)
-    return _report("involution", n_max, t0)
+def _check_depth(n_max, max_n: int | None = DEFAULT_MAX_N) -> None:
+    """Refuse a depth that would pass vacuously, or past max_n (if any)."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
+        raise BoundError(f"check depth must be an integer >= 1, got {n_max!r}")
+    if max_n is not None and n_max > max_n:
+        raise BoundError(f"check depth {n_max} exceeds the enumeration guard {max_n}")
+
+
+def _involution(sigma_fn: SigmaFn):
+    def item(n, p, x, y, nov, q):
+        if (stat_x(q), stat_y(q)) != (y, x):
+            return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
+                                  f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
+        back = sigma_fn(q)
+        if back != p:
+            return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
+                                  format_partition(p), format_partition(back))
+        if (q == p) != (x == y):
+            return Counterexample(n, format_partition(p), "fixed point iff X = Y",
+                                  f"fixed={x == y}", f"fixed={q == p}")
+        return None
+    return True, item, None
 
 
 def _nonsingleton_spans(p: SetPartition) -> Counter:
     return Counter((b[-1], b[0]) for b in p.blocks if len(b) > 1)
 
 
-def check_spans(n_max: int = DEFAULT_LIMITS["spans"],
-                sigma_fn: Callable[[SetPartition], SetPartition] = sigma) -> CheckReport:
+def _spans(sigma_fn: SigmaFn):
+    def item(n, p, x, y, nov, q):
+        before, after = _nonsingleton_spans(p), _nonsingleton_spans(q)
+        if before != after:
+            return Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
+                                  str(sorted(before.elements())), str(sorted(after.elements())))
+        return None
+    return True, item, None
+
+
+def _nonoverlapping(sigma_fn: SigmaFn):
+    def item(n, p, x, y, nov, q):
+        after = is_nonoverlapping(q)
+        if nov != after:
+            return Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
+                                  f"nonoverlapping={nov}", f"nonoverlapping={after}")
+        return None
+    return True, item, None
+
+
+def _equidistribution(sigma_fn: SigmaFn):
+    """Symmetry of the joint (X, Y) counts, which implies equal X and Y
+    marginals, over all and over nonoverlapping partitions of [n]."""
+    joint_all, joint_nov = Counter(), Counter()
+
+    def item(n, p, x, y, nov, q):
+        joint_all[x, y] += 1
+        if nov:
+            joint_nov[x, y] += 1
+
+    def end(n):
+        for joint, scope in ((joint_all, "all"), (joint_nov, "nonoverlapping")):
+            for (i, j), count in sorted(joint.items()):
+                if count != joint[j, i]:
+                    return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
+                                          f"partitions of [{n}]", "symmetric joint distribution",
+                                          f"{count} = {count}", f"{count} != {joint[j, i]}")
+            joint.clear()
+        return None
+    return False, item, end
+
+
+#: The claim table. Each row builds, for one sweep under sigma_fn, a claim
+#: (uses_image, item, end): item(n, p, x, y, nov, q) checks a partition p of
+#: [n] with x, y = X(p), Y(p), nov = is_nonoverlapping(p) and q = sigma_fn(p)
+#: (None unless uses_image); end(n), if given, checks what item gathered
+#: over P_n. Both return a Counterexample or None.
+_CLAIMS = {
+    "involution": _involution,
+    "spans": _spans,
+    "nonoverlapping": _nonoverlapping,
+    "equidistribution": _equidistribution,
+}
+
+
+def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
+    """Check the named claims, each to its own depth, in one pass over
+    P_1, P_2, ... that stops once every claim is settled."""
+    for n_max in depths.values():
+        _check_depth(n_max)
+    t0 = perf_counter()
+    reports = {}
+    live = {name: _CLAIMS[name](sigma_fn) for name in depths}
+    n = 0
+    while live:
+        n += 1
+        claims = []
+        for p in enumerate_all(n):
+            if len(claims) != len(live):
+                if not live:
+                    break
+                claims = list(live.items())
+                image = any(uses_image for uses_image, _, _ in live.values())
+            x, y, nov = stat_x(p), stat_y(p), is_nonoverlapping(p)
+            q = sigma_fn(p) if image else None
+            for name, (_, item, _) in claims:
+                c = item(n, p, x, y, nov, q)
+                if c is not None:
+                    reports[name] = _report(name, depths[name], t0, c)
+                    del live[name]
+        for name, (_, _, end) in list(live.items()):
+            c = end(n) if end else None
+            if c is not None or n == depths[name]:
+                reports[name] = _report(name, depths[name], t0, c)
+                del live[name]
+    return reports
+
+
+def check_involution(n_max: int = DEFAULT_LIMITS["involution"], sigma_fn: SigmaFn = sigma) -> CheckReport:
+    """sigma is a self-inverse map swapping X and Y, fixing exactly X = Y."""
+    return _sweep({"involution": n_max}, sigma_fn)["involution"]
+
+
+def check_spans(n_max: int = DEFAULT_LIMITS["spans"], sigma_fn: SigmaFn = sigma) -> CheckReport:
     """sigma preserves the multiset of non-singleton block spans."""
-    t0 = perf_counter()
-    for n in range(1, n_max + 1):
-        for p in enumerate_all(n):
-            before = _nonsingleton_spans(p)
-            after = _nonsingleton_spans(sigma_fn(p))
-            if before != after:
-                c = Counterexample(n, format_partition(p),
-                                   "non-singleton span multiset preserved",
-                                   str(sorted(before.elements())),
-                                   str(sorted(after.elements())))
-                return _report("spans", n_max, t0, c)
-    return _report("spans", n_max, t0)
+    return _sweep({"spans": n_max}, sigma_fn)["spans"]
 
 
-def check_nonoverlapping(n_max: int = DEFAULT_LIMITS["nonoverlapping"],
-                         sigma_fn: Callable[[SetPartition], SetPartition] = sigma) -> CheckReport:
+def check_nonoverlapping(n_max: int = DEFAULT_LIMITS["nonoverlapping"], sigma_fn: SigmaFn = sigma) -> CheckReport:
     """sigma maps nonoverlapping partitions to nonoverlapping partitions."""
-    t0 = perf_counter()
-    for n in range(1, n_max + 1):
-        for p in enumerate_all(n):
-            before = is_nonoverlapping(p)
-            after = is_nonoverlapping(sigma_fn(p))
-            if before != after:
-                c = Counterexample(n, format_partition(p),
-                                   "nonoverlapping predicate preserved",
-                                   f"nonoverlapping={before}", f"nonoverlapping={after}")
-                return _report("nonoverlapping", n_max, t0, c)
-    return _report("nonoverlapping", n_max, t0)
-
-
-def _joint_violation(joint: Counter, scope: str, n: int):
-    """Symmetry of the joint (X, Y) counts; implies equal marginals, which
-    are still compared explicitly."""
-    for (i, j), count in sorted(joint.items()):
-        mirror = joint.get((j, i), 0)
-        if count != mirror:
-            return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope}",
-                                  "symmetric joint distribution",
-                                  f"{count} = {count}", f"{count} != {mirror}")
-    x_marg = Counter()
-    y_marg = Counter()
-    for (i, j), count in joint.items():
-        x_marg[i] += count
-        y_marg[j] += count
-    for k in sorted(set(x_marg) | set(y_marg)):
-        if x_marg[k] != y_marg[k]:
-            return Counterexample(n, f"value {k} over {scope}",
-                                  "X-distribution equals Y-distribution",
-                                  f"#X={x_marg[k]}", f"#Y={y_marg[k]}")
-    return None
+    return _sweep({"nonoverlapping": n_max}, sigma_fn)["nonoverlapping"]
 
 
 def check_equidistribution(n_max: int = DEFAULT_LIMITS["equidistribution"]) -> CheckReport:
     """X and Y are equidistributed, jointly symmetric, over all partitions
     and over nonoverlapping ones."""
+    return _sweep({"equidistribution": n_max})["equidistribution"]
+
+
+def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> CheckReport:
+    """distribution(n), a dict k -> count, equals row n of the v-triangle
+    for n = 1..n_max; item names the offending cell by n and k."""
     t0 = perf_counter()
     for n in range(1, n_max + 1):
-        joint_all = Counter()
-        joint_nov = Counter()
-        for p in enumerate_all(n):
-            key = (stat_x(p), stat_y(p))
-            joint_all[key] += 1
-            if is_nonoverlapping(p):
-                joint_nov[key] += 1
-        for joint, scope in ((joint_all, f"all partitions of [{n}]"),
-                             (joint_nov, f"nonoverlapping partitions of [{n}]")):
-            c = _joint_violation(joint, scope, n)
-            if c is not None:
-                return _report("equidistribution", n_max, t0, c)
-    return _report("equidistribution", n_max, t0)
+        dist = distribution(n)
+        for k in range(1, n + 1):
+            expected = v_compute(n, k)
+            if dist.get(k, 0) != expected:
+                c = Counterexample(n, item.format(n=n, k=k), claim, str(expected), str(dist.get(k, 0)))
+                return _report(name, n_max, t0, c)
+    return _report(name, n_max, t0)
 
 
 def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
     """Y on nonoverlapping partitions of [n] has distribution v[n][k]."""
-    t0 = perf_counter()
-    for n in range(1, n_max + 1):
-        counts = Counter(stat_y(p) for p in enumerate_nonoverlapping(n))
-        for k in range(1, n + 1):
-            expected = v_compute(n, k)
-            if counts.get(k, 0) != expected:
-                c = Counterexample(n, f"Y={k} over nonoverlapping partitions of [{n}]",
-                                   "Y-distribution matches the v-triangle",
-                                   str(expected), str(counts.get(k, 0)))
-                return _report("y_matches_v", n_max, t0, c)
-    return _report("y_matches_v", n_max, t0)
+    _check_depth(n_max)
+    return _matches_v("y_matches_v", n_max, lambda n: Counter(stat_y(p) for p in enumerate_nonoverlapping(n)),
+                      "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
 
 
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
     """The avoiders' last-entry distribution matches the v-triangle."""
-    t0 = perf_counter()
-    for n in range(1, n_max + 1):
-        # the caller picked the depth, so it overrides the factorial guard
-        dist = avoider_last_entry_distribution(n, max_n=n)
-        for k in range(1, n + 1):
-            expected = v_compute(n, k)
-            if dist[k] != expected:
-                c = Counterexample(n, f"last entry {k} over avoiders of [{n}]",
-                                   "avoider last-entry distribution matches the v-triangle",
-                                   str(expected), str(dist[k]))
-                return _report("avoiders_match_v", n_max, t0, c)
-    return _report("avoiders_match_v", n_max, t0)
+    # the caller picked the depth, so it overrides the factorial guard
+    _check_depth(n_max, max_n=None)
+    return _matches_v("avoiders_match_v", n_max, lambda n: avoider_last_entry_distribution(n, max_n=n),
+                      "last entry {k} over avoiders of [{n}]",
+                      "avoider last-entry distribution matches the v-triangle")
 
 
 ALL_CHECKS = (
@@ -232,9 +273,8 @@ ALL_CHECKS = (
 
 
 def run_all(n_max_override: int | None = None) -> list[CheckReport]:
-    """Run every check at its default depth, or all at the given depth."""
-    reports = []
-    for name, fn in ALL_CHECKS:
-        n_max = DEFAULT_LIMITS[name] if n_max_override is None else n_max_override
-        reports.append(fn(n_max))
-    return reports
+    """Run every check at its default depth, or all at the given depth;
+    the four claims over all of P_n share one sweep, which runs first."""
+    depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
+    swept = _sweep({name: depths[name] for name in _CLAIMS})
+    return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]

@@ -2,6 +2,7 @@
 and the exit-code contract (0 ok, 1 usage/input error, 2 failed check)."""
 
 import json
+import time
 
 import pytest
 
@@ -208,6 +209,15 @@ class TestVerify:
             "equidistribution", "y_matches_v", "avoiders_match_v",
         ]
 
+    @pytest.mark.parametrize("depth", ["-3", "0", "15"])
+    def test_bad_depth_exits_one_at_once(self, capsys, depth):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max-n", depth)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("partinv: error:")
+
     def test_failure_exits_two(self, capsys, monkeypatch):
         broken = CheckReport(
             check_name="involution",
@@ -233,6 +243,11 @@ class TestErrorPaths:
         code, _, err = run(capsys, "nosuch")
         assert code == 1
         assert "error" in err
+
+    def test_compact_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "enumerate", "3", "--compact")
+        assert code == 1
+        assert "unrecognized arguments: --compact" in err
 
     def test_bad_flag_value(self, capsys):
         code, _, err = run(capsys, "enumerate", "3", "--format", "xml")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from partinv import (
     OrbitClass,
     PreconditionError,
+    SetPartition,
+    ValidationError,
     aux_r,
     aux_s,
     enumerate_all,
@@ -54,6 +56,15 @@ class TestExamples:
             sigma_inverse(parse("2/431"))   # X < Y
         with pytest.raises(PreconditionError):
             sigma_inverse(parse("21"))      # X = Y
+
+    def test_malformed_input_is_caught_by_validation_not_by_sigma(self):
+        # sigma trusts standard form; the checking constructors and
+        # validate() are where a malformed partition is refused
+        bad = SetPartition(3, ((1,), (1,)))
+        with pytest.raises(ValidationError):
+            bad.validate()
+        with pytest.raises(ValidationError):
+            SetPartition.from_blocks(bad.blocks)
 
     def test_orbit_class(self):
         assert orbit_class(parse("21")) is OrbitClass.FIXED

@@ -5,11 +5,14 @@ import pytest
 
 from partinv import (
     BoundError,
+    DomainError,
     FormatError,
     ParseError,
     SetPartition,
     Span,
     ValidationError,
+    avoider_last_entry_distribution,
+    bessel,
     enumerate_all,
     enumerate_nonoverlapping,
     format_partition,
@@ -17,6 +20,8 @@ from partinv import (
     normalize,
     parse,
     span,
+    v_compute,
+    v_table,
 )
 from oracles import (
     as_set_of_sets,
@@ -218,3 +223,19 @@ class TestEnumeration:
             next(enumerate_nonoverlapping(15))
         # the guard is adjustable, not a hard ceiling
         assert sum(1 for _ in enumerate_all(3, max_n=3)) == 5
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: enumerate_all(2.5), BoundError),
+    (lambda: enumerate_all(True), BoundError),
+    (lambda: enumerate_nonoverlapping(3.0), BoundError),
+    (lambda: v_compute(3.0, 1), DomainError),
+    (lambda: v_compute(3, True), DomainError),
+    (lambda: v_table(2.5), DomainError),
+    (lambda: bessel(True), DomainError),
+    (lambda: avoider_last_entry_distribution(3.0), BoundError),
+], ids=["enumerate_all-float", "enumerate_all-bool", "enumerate_nonoverlapping", "v_compute-n",
+        "v_compute-k", "v_table", "bessel", "avoider_last_entry_distribution"])
+def test_sizes_must_be_integers(call, error):
+    with pytest.raises(error):
+        call()

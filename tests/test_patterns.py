@@ -14,7 +14,6 @@ from partinv import (
     v_compute,
 )
 from oracles import naive_contains_1_23adj, naive_contains_12adj_3
-from partinv.patterns import is_permutation
 
 
 class TestPredicates:
@@ -37,11 +36,6 @@ class TestPredicates:
         # all three letters adjacent still counts for either pattern
         assert contains_12adj_3((1, 2, 3))
         assert contains_1_23adj((1, 2, 3))
-
-    def test_is_permutation(self):
-        assert is_permutation((2, 3, 1))
-        assert not is_permutation((1, 1, 2))
-        assert not is_permutation((2, 3))
 
     def test_agree_with_all_pairs_scan(self):
         for n in range(1, 8):

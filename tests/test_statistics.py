@@ -5,12 +5,10 @@ import pytest
 from partinv import (
     NoNonsingletonBlock,
     OneIsSingleton,
-    StatPair,
     aux_r,
     aux_s,
     enumerate_all,
     parse,
-    stat_pair,
     stat_x,
     stat_y,
 )
@@ -44,10 +42,6 @@ class TestExamples:
     def test_aux_s_undefined_when_one_is_singleton(self):
         with pytest.raises(OneIsSingleton):
             aux_s(parse("1/32"))
-
-    def test_stat_pair(self):
-        pair = stat_pair(parse("3/4/7/852/961"))
-        assert pair == StatPair(x=3, y=6)
 
     def test_y_reaches_one_without_r(self):
         # every block a singleton: the first branch must fire, min(r, s)

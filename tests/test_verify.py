@@ -1,11 +1,17 @@
 """The verification harness: passing runs, report shape, determinism, and
-sensitivity to deliberately broken involutions."""
+sensitivity to deliberately broken involutions, and the shared sweep
+that the four claims over all of P_n run in."""
+
+import ast
+import inspect
 
 import pytest
 
 import partinv.verify as verify
 from partinv import (
     ALL_CHECKS,
+    BoundError,
+    SetPartition,
     check_avoiders_match_v,
     check_equidistribution,
     check_involution,
@@ -13,7 +19,9 @@ from partinv import (
     check_spans,
     check_y_matches_v,
     run_all,
+    sigma,
 )
+from partinv.verify import Counterexample
 from oracles import skip_transfer_mutant
 
 
@@ -104,3 +112,115 @@ class TestMutationSensitivity:
         assert payload["counterexample"]["n"] == report.counterexample.n
         assert "FAIL" in report.summary()
         assert "counterexample" in report.summary()
+
+
+SWEPT = ("involution", "spans", "nonoverlapping", "equidistribution")
+STANDALONE = dict(ALL_CHECKS)
+
+
+def all_singletons(p):
+    return SetPartition(p.n, tuple((i,) for i in range(1, p.n + 1)))
+
+
+#: The first counterexample of each claim at depth 6, frozen from the
+#: checks as they stood when each ran its own loop over P_n; a claim not
+#: listed passes.
+FROZEN = {
+    "sigma": {},
+    "identity": {
+        "involution": Counterexample(3, "321", "X/Y interchange", "image with X=2, Y=3", "321 with X=3, Y=2"),
+    },
+    "skip_transfer": {
+        "involution": Counterexample(4, "3/421", "sigma(sigma(p)) = p", "3/421", "4321"),
+    },
+    "all_singletons": {
+        "involution": Counterexample(2, "21", "X/Y interchange", "image with X=2, Y=2", "1/2 with X=1, Y=1"),
+        "spans": Counterexample(2, "21", "non-singleton span multiset preserved", "[(1, 2)]", "[]"),
+        "nonoverlapping": Counterexample(4, "31/42", "nonoverlapping predicate preserved",
+                                         "nonoverlapping=False", "nonoverlapping=True"),
+    },
+}
+MAPS = {"sigma": sigma, "identity": lambda p: p, "skip_transfer": skip_transfer_mutant,
+        "all_singletons": all_singletons}
+
+
+def standalone(name, n_max, sigma_fn):
+    fn = STANDALONE[name]
+    return fn(n_max, sigma_fn=sigma_fn) if "sigma_fn" in inspect.signature(fn).parameters else fn(n_max)
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize("map_name", FROZEN)
+    def test_same_reports_as_the_standalone_checks(self, map_name):
+        sigma_fn = MAPS[map_name]
+        swept = verify._sweep(dict.fromkeys(SWEPT, 6), sigma_fn)
+        assert set(swept) == set(SWEPT)
+        for name in SWEPT:
+            alone = standalone(name, 6, sigma_fn)
+            expected = FROZEN[map_name].get(name)
+            assert (swept[name].status, swept[name].counterexample) == (alone.status, alone.counterexample)
+            assert alone.counterexample == expected
+            assert swept[name].n_range == (1, 6)
+
+    def test_broken_y_trips_equidistribution(self, monkeypatch):
+        monkeypatch.setattr(verify, "stat_y", lambda p: 1)
+        swept = verify._sweep(dict.fromkeys(SWEPT, 6))
+        assert swept["equidistribution"].counterexample == Counterexample(
+            2, "joint cells (X=2, Y=1) vs (X=1, Y=2) over all partitions of [2]",
+            "symmetric joint distribution", "1 = 1", "1 != 0")
+        assert swept["involution"].counterexample == Counterexample(
+            2, "21", "X/Y interchange", "image with X=1, Y=2", "21 with X=2, Y=1")
+        assert swept["spans"].ok and swept["nonoverlapping"].ok
+        for name in SWEPT:
+            assert swept[name].counterexample == standalone(name, 6, sigma).counterexample
+
+    def test_failed_claim_does_not_stop_the_others(self):
+        swept = verify._sweep({"involution": 6, "spans": 5, "nonoverlapping": 6}, lambda p: p)
+        assert swept["involution"].counterexample.n == 3
+        assert swept["spans"].ok and swept["spans"].n_range == (1, 5)
+        assert swept["nonoverlapping"].ok and swept["nonoverlapping"].n_range == (1, 6)
+        assert swept["involution"].elapsed <= swept["spans"].elapsed <= swept["nonoverlapping"].elapsed
+
+    @pytest.mark.parametrize("run, per_partition", [
+        (lambda fn: [check_involution(6, sigma_fn=fn)], 2),
+        (lambda fn: [check_spans(6, sigma_fn=fn)], 1),
+        (lambda fn: [check_nonoverlapping(6, sigma_fn=fn)], 1),
+        (lambda fn: verify._sweep({"equidistribution": 6}, fn).values(), 0),
+        (lambda fn: verify._sweep(dict.fromkeys(SWEPT, 6), fn).values(), 2),
+    ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
+    def test_sigma_call_counts(self, run, per_partition):
+        calls = 0
+
+        def counting(p):
+            nonlocal calls
+            calls += 1
+            return sigma(p)
+
+        assert all(r.ok for r in run(counting))
+        assert calls == per_partition * (1 + 2 + 5 + 15 + 52 + 203)
+
+    def test_one_enumeration_site(self):
+        tree = ast.parse(inspect.getsource(verify))
+        sites = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "enumerate_all"]
+        assert len(sites) == 1
+
+
+class TestDepthGuard:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the depth was checked")
+        for name in ("enumerate_all", "enumerate_nonoverlapping", "avoider_last_entry_distribution"):
+            monkeypatch.setattr(verify, name, refuse)
+
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5, True, "5"])
+    @pytest.mark.parametrize("check", [run_all] + ALL_AT_SIX)
+    def test_bad_depth_is_refused_up_front(self, no_work, check, n_max):
+        with pytest.raises(BoundError):
+            check(n_max)
+
+    @pytest.mark.parametrize("check", [run_all] + ALL_AT_SIX[:5])
+    def test_depth_past_the_enumeration_guard_is_refused_up_front(self, no_work, check):
+        with pytest.raises(BoundError, match="guard"):
+            check(15)

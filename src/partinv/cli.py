@@ -253,7 +253,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_avoiders)
 
     p = sub.add_parser("verify", help="run every exhaustive check")
-    common(p, max_n_help="run all checks to this depth instead of their defaults")
+    common(p, max_n_help=f"run all checks to this depth (at most {AVOIDER_MAX_N}) instead of their defaults")
     p.set_defaults(func=cmd_verify)
 
     return parser

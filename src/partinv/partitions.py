@@ -55,7 +55,7 @@ class SetPartition:
 
     def validate(self) -> "SetPartition":
         """Raise ValidationError naming the first violated invariant."""
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValidationError("n must be a positive integer")
         if not self.blocks:
             raise ValidationError("partition has no blocks")
@@ -158,11 +158,14 @@ def span(block: Iterable[int]) -> Span:
     return Span(min(block), max(block))
 
 
-def _spans_laminar(spans: list[tuple[int, int]]) -> bool:
-    """True iff every pair of intervals is disjoint or nested.
+def is_nonoverlapping(p: SetPartition) -> bool:
+    """True iff all block spans are pairwise disjoint or nested.
 
-    Block minima are distinct elements, so the lo endpoints never tie.
+    Singleton spans are single points, so only non-singleton blocks are
+    checked. Block minima are distinct elements, so the lo endpoints never
+    tie.
     """
+    spans = [(b[-1], b[0]) for b in p.blocks if len(b) > 1]
     spans.sort()
     for i, (lo1, hi1) in enumerate(spans):
         for lo2, hi2 in spans[i + 1:]:
@@ -171,15 +174,6 @@ def _spans_laminar(spans: list[tuple[int, int]]) -> bool:
             if hi2 > hi1:
                 return False  # lo1 < lo2 <= hi1 < hi2: proper crossing
     return True
-
-
-def is_nonoverlapping(p: SetPartition) -> bool:
-    """True iff all block spans are pairwise disjoint or nested.
-
-    Singleton spans are single points, so only non-singleton blocks are
-    checked.
-    """
-    return _spans_laminar([(b[-1], b[0]) for b in p.blocks if len(b) > 1])
 
 
 def _iter_groups(n: int) -> Iterator[list[list[int]]]:
@@ -232,13 +226,94 @@ def _gen_all(n: int) -> Iterator[SetPartition]:
 
 
 def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
-    """enumerate_all filtered to nonoverlapping partitions."""
+    """Every nonoverlapping partition of [n] exactly once, in standard form,
+    in the RGS-lex order of enumerate_all; the other partitions of [n] are
+    never built."""
     _check_bound(n, max_n)
     return _gen_nonoverlapping(n)
 
 
 def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
-    laminar = _spans_laminar
-    for groups in _iter_groups(n):
-        if laminar([(g[0], g[-1]) for g in groups if len(g) > 1]):
-            yield SetPartition(n, tuple(tuple(reversed(g)) for g in groups))
+    """RGS odometer over the prefixes 1..e that some nonoverlapping
+    partition of [n] extends; no other prefix is entered.
+
+    Labels number the blocks by their minima, as in the RGS. need is the
+    bitmask of blocks that must take an element after e. When e joins
+    block k, k's need is met; every earlier block whose largest element so
+    far reaches min(k) must end after e, to enclose k; and k must go on if
+    a later block in need does, to enclose it. Opening a block changes
+    nothing. A prefix extends iff need has at most n - e members. Element n
+    is placed outside the odometer: with need = {j} it joins j, and with
+    need empty it opens a block or joins any block whose minimum lies past
+    every earlier block.
+    """
+    if n == 1:
+        yield SetPartition(1, ((1,),))
+        return
+    label = [0] * n      # label[i]: block of element i + 1
+    need = [0] * n       # need[i]: the need mask after element i + 1
+    nblocks = [1] * n    # nblocks[i]: blocks among 1..i + 1
+    blocks = [(1,)] * n  # blocks[k]: block k so far, decreasing
+    i, k = 1, 0          # place element i + 1, trying labels from k up
+    while True:
+        if i < n - 1:
+            e = i + 1
+            f = need[i - 1]
+            m = nblocks[i - 1]
+            room = n - e
+            for k in range(k, m + 1):
+                g = f
+                if k < m:
+                    lo = blocks[k][-1]
+                    g &= ~(1 << k)
+                    for b in range(k):
+                        if blocks[b][0] >= lo:
+                            g |= 1 << b
+                    if f >> (k + 1):
+                        g |= 1 << k
+                if g.bit_count() <= room:
+                    break
+            else:
+                k = -1
+            if k >= 0:
+                label[i] = k
+                need[i] = g
+                if k < m:
+                    nblocks[i] = m
+                    blocks[k] = (e,) + blocks[k]
+                else:
+                    nblocks[i] = m + 1
+                    blocks[m] = (e,)
+                i += 1
+                k = 0
+                continue
+        else:
+            # Block maxima are distinct, so sorting the blocks as tuples
+            # orders them by first entry, as standard form lists them.
+            f = need[i - 1]
+            m = nblocks[i - 1]
+            if f:
+                k = f.bit_length() - 1
+                block = blocks[k]
+                blocks[k] = (n,) + block
+                yield SetPartition(n, tuple(sorted(blocks[:m])))
+                blocks[k] = block
+            else:
+                reach = 0
+                for k in range(m):
+                    block = blocks[k]
+                    if block[-1] > reach:
+                        blocks[k] = (n,) + block
+                        yield SetPartition(n, tuple(sorted(blocks[:m])))
+                        blocks[k] = block
+                    reach = max(reach, block[0])
+                blocks[m] = (n,)
+                yield SetPartition(n, tuple(sorted(blocks[:m + 1])))
+        # back up: undo element i and try its next label
+        i -= 1
+        if i == 0:
+            return
+        k = label[i]
+        if k < nblocks[i - 1]:
+            blocks[k] = blocks[k][1:]
+        k += 1

@@ -24,7 +24,7 @@ from .errors import BoundError
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          is_nonoverlapping)
-from .patterns import avoider_last_entry_distribution
+from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
 from .recurrence import v_compute
 from .stats import stat_x, stat_y
 
@@ -95,11 +95,11 @@ def _report(name, n_max, t0, counter=None):
     return CheckReport(name, (1, n_max), status, counter, perf_counter() - t0)
 
 
-def _check_depth(n_max, max_n: int | None = DEFAULT_MAX_N) -> None:
-    """Refuse a depth that would pass vacuously, or past max_n (if any)."""
+def _check_depth(n_max, max_n: int = DEFAULT_MAX_N) -> None:
+    """Refuse a depth that would pass vacuously, or past the guard max_n."""
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise BoundError(f"check depth must be an integer >= 1, got {n_max!r}")
-    if max_n is not None and n_max > max_n:
+    if n_max > max_n:
         raise BoundError(f"check depth {n_max} exceeds the enumeration guard {max_n}")
 
 
@@ -254,10 +254,10 @@ def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport
 
 
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
-    """The avoiders' last-entry distribution matches the v-triangle."""
-    # the caller picked the depth, so it overrides the factorial guard
-    _check_depth(n_max, max_n=None)
-    return _matches_v("avoiders_match_v", n_max, lambda n: avoider_last_entry_distribution(n, max_n=n),
+    """The avoiders' last-entry distribution matches the v-triangle, to at
+    most patterns.AVOIDER_MAX_N: the scan takes n! * n steps."""
+    _check_depth(n_max, AVOIDER_MAX_N)
+    return _matches_v("avoiders_match_v", n_max, avoider_last_entry_distribution,
                       "last entry {k} over avoiders of [{n}]",
                       "avoider last-entry distribution matches the v-triangle")
 
@@ -276,5 +276,7 @@ def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     """Run every check at its default depth, or all at the given depth;
     the four claims over all of P_n share one sweep, which runs first."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
+    # the tightest guard, checked before the sweep starts its work
+    _check_depth(depths["avoiders_match_v"], AVOIDER_MAX_N)
     swept = _sweep({name: depths[name] for name in _CLAIMS})
     return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]

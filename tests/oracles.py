@@ -15,6 +15,7 @@ from partinv import (
     aux_r,
     aux_s,
     enumerate_all,
+    is_nonoverlapping,
     normalize,
     sigma,
     stat_x,
@@ -62,6 +63,12 @@ def naive_nonoverlapping(p: SetPartition) -> bool:
             if not (disjoint or nested):
                 return False
     return True
+
+
+def nonoverlapping_by_filter(n: int) -> list[SetPartition]:
+    """The nonoverlapping partitions of [n] the slow way: every partition
+    of [n], in enumeration order, kept when its spans are laminar."""
+    return [p for p in enumerate_all(n) if is_nonoverlapping(p)]
 
 
 def pascal_binomial(a: int, b: int) -> int:

@@ -1,6 +1,7 @@
 """The command-line surface: output of every subcommand, both formats,
 and the exit-code contract (0 ok, 1 usage/input error, 2 failed check)."""
 
+import hashlib
 import json
 import time
 
@@ -9,6 +10,8 @@ import pytest
 import partinv.cli as cli
 from partinv import SetPartition, parse, v_table
 from partinv.verify import CheckReport, Counterexample
+
+NONOVERLAPPING_9_SHA256 = "3f6a6ec5035a50fdca76a4fbbffc6bef840914967c6d195807780947404bf2c2"
 
 
 def run(capsys, *argv):
@@ -33,6 +36,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "4", "--nonoverlapping")
         assert code == 0
         assert len(out.splitlines()) == 14
+
+    def test_nonoverlapping_nine_is_frozen(self, capsys):
+        # sha256 of the stdout the filtering enumerator printed, frozen to
+        # pin every line and the RGS-lex order
+        code, out, _ = run(capsys, "enumerate", "9", "--nonoverlapping")
+        assert code == 0
+        assert out.count("\n") == 7651
+        assert hashlib.sha256(out.encode()).hexdigest() == NONOVERLAPPING_9_SHA256
 
     def test_json_round_trips(self, capsys):
         code, payload = run_json(capsys, "enumerate", "3", "--format", "json")
@@ -209,7 +220,7 @@ class TestVerify:
             "equidistribution", "y_matches_v", "avoiders_match_v",
         ]
 
-    @pytest.mark.parametrize("depth", ["-3", "0", "15"])
+    @pytest.mark.parametrize("depth", ["-3", "0", "10", "12", "15"])
     def test_bad_depth_exits_one_at_once(self, capsys, depth):
         t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", "--max-n", depth)

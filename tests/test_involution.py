@@ -65,6 +65,8 @@ class TestExamples:
             bad.validate()
         with pytest.raises(ValidationError):
             SetPartition.from_blocks(bad.blocks)
+        with pytest.raises(ValidationError, match="positive integer"):
+            SetPartition(True, ((1,),)).validate()
 
     def test_orbit_class(self):
         assert orbit_class(parse("21")) is OrbitClass.FIXED

@@ -1,8 +1,12 @@
 """Data model, serialization, spans, the nonoverlapping predicate, and
 enumeration."""
 
+import ast
+import inspect
+
 import pytest
 
+import partinv.partitions as partitions
 from partinv import (
     BoundError,
     DomainError,
@@ -27,6 +31,7 @@ from oracles import (
     as_set_of_sets,
     bell_numbers,
     naive_nonoverlapping,
+    nonoverlapping_by_filter,
     partitions_recursive,
 )
 
@@ -203,14 +208,15 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_nonoverlapping(7)) == 509
 
     def test_nonoverlapping_agrees_with_filtered_oracle(self):
-        for n in range(1, 8):
-            ours = {as_set_of_sets(p) for p in enumerate_nonoverlapping(n)}
-            naive = {
-                as_set_of_sets(p)
-                for p in enumerate_all(n)
-                if naive_nonoverlapping(p)
-            }
-            assert ours == naive
+        # same partitions in the same order, so CLI output and verify
+        # counterexamples cannot move
+        for n in range(1, 12):
+            assert list(enumerate_nonoverlapping(n)) == nonoverlapping_by_filter(n), n
+
+    def test_nonoverlapping_generator_does_not_filter(self):
+        tree = ast.parse(inspect.getsource(partitions._gen_nonoverlapping))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"is_nonoverlapping", "_iter_groups", "_gen_all", "enumerate_all"}
 
     def test_guard(self):
         with pytest.raises(BoundError):

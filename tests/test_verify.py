@@ -224,3 +224,10 @@ class TestDepthGuard:
     def test_depth_past_the_enumeration_guard_is_refused_up_front(self, no_work, check):
         with pytest.raises(BoundError, match="guard"):
             check(15)
+
+    @pytest.mark.parametrize("n_max", [10, 12, 14])
+    @pytest.mark.parametrize("check", [run_all, check_avoiders_match_v])
+    def test_depth_past_the_factorial_guard_is_refused_up_front(self, no_work, check, n_max):
+        # the avoider scan takes n! * n steps: about 15 minutes at 12
+        with pytest.raises(BoundError, match="guard 9"):
+            check(n_max)

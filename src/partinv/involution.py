@@ -10,9 +10,9 @@ block, so it preserves the nonoverlapping property.
 
 import enum
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ValidationError
 from .partitions import SetPartition
-from .stats import aux_r, aux_s, block_with_one, stat_x, stat_y
+from .stats import stat_x, stat_y
 
 
 class OrbitClass(enum.Enum):
@@ -28,14 +28,22 @@ def orbit_class(p: SetPartition) -> OrbitClass:
     return OrbitClass.LOWER if x < y else OrbitClass.UPPER
 
 
-def _assemble(n: int, blocks: list) -> SetPartition:
-    """Restore standard form: blocks are decreasing, order them by first entry."""
-    blocks.sort(key=lambda b: b[0])
-    return SetPartition(n, tuple(blocks))
+def _scan(blocks: tuple) -> tuple[int, int]:
+    """(lead, j) for standard-form blocks that do not start with {1}: the
+    number of leading singleton blocks, and the index of the block holding
+    1, which is a non-singleton and so not among them."""
+    lead = 0
+    while len(blocks[lead]) == 1:
+        lead += 1
+    j = lead
+    while blocks[j][-1] != 1:
+        j += 1
+    return lead, j
 
 
-def _absorb(p: SetPartition) -> SetPartition:
-    """Forward move for X < Y.
+def _absorb(blocks: tuple, lead: int, j: int, r: int, s: int) -> tuple:
+    """Forward move for X < Y, on the blocks of p with lead, j as _scan
+    gives them and r, s as the statistics define them.
 
     X < Y forces the first block to be a singleton, {1} to live in a
     non-singleton block, and at least one non-singleton block to exist, so
@@ -48,52 +56,52 @@ def _absorb(p: SetPartition) -> SetPartition:
 
     r <= s: move every initial singleton (all smaller than r) into the
     block containing 1. The image starts with a non-singleton block.
+
+    Either way the block containing 1 keeps its maximum and the entries
+    moved into it lie between 1 and s, so the image is built in standard
+    form, with {s}, when expelled, first.
     """
-    r, s = aux_r(p), aux_s(p)
-    one = block_with_one(p)
-    lead = 0
-    while len(p.blocks[lead]) == 1:
-        lead += 1
+    one = blocks[j]
     if r > s:
-        moved = [b[0] for b in p.blocks[:lead] if b[0] < s]
-        new_one = tuple(sorted((set(one) | set(moved)) - {s}, reverse=True))
-        extra = [(s,)]
-        kept_lead = [b for b in p.blocks[:lead] if b[0] > s]
+        t = 0
+        while blocks[t][0] < s:
+            t += 1
+        head, kept = ((s,),), one[:-2]
     else:
-        moved = [b[0] for b in p.blocks[:lead]]
-        new_one = tuple(sorted(set(one) | set(moved), reverse=True))
-        extra = []
-        kept_lead = []
-    rest = [b for b in p.blocks[lead:] if b is not one]
-    return _assemble(p.n, kept_lead + rest + [new_one] + extra)
+        t, head, kept = lead, (), one[:-1]
+    moved = tuple([b[0] for b in reversed(blocks[:t])])
+    return head + blocks[t:j] + (kept + moved + (1,),) + blocks[j + 1:]
 
 
-def sigma_inverse(q: SetPartition) -> SetPartition:
-    """The unique p with X(p) < Y(p) and sigma(p) = q, for X(q) > Y(q).
+def _restore(blocks: tuple, j: int) -> tuple:
+    """Inverse move for X > Y, on the blocks of q with the block holding 1
+    at index j.
 
     Which forward case produced q is visible in its first block: a
     singleton {s} undoes the r > s move (pull the entries below s out of
     the block containing 1 and put s back next to 1), a non-singleton with
     first entry r undoes the r <= s move (pull the entries below r out).
-    The pulled entries become initial singleton blocks again. Like sigma,
-    it trusts q to be in standard form.
+    The pulled entries become initial singleton blocks again; they lie
+    below every block maximum, so they lead the image in increasing order.
     """
+    first = blocks[0]
+    t = first[0]
+    one = blocks[j]
+    c = 1
+    while one[c] >= t:
+        c += 1
+    pulled = tuple([(e,) for e in reversed(one[c:-1])])
+    if len(first) == 1:
+        return pulled + blocks[1:j] + (one[:c] + (t, 1),) + blocks[j + 1:]
+    return pulled + blocks[:j] + (one[:c] + (1,),) + blocks[j + 1:]
+
+
+def sigma_inverse(q: SetPartition) -> SetPartition:
+    """The unique p with X(p) < Y(p) and sigma(p) = q, for X(q) > Y(q).
+    Like sigma, it trusts q to be in standard form."""
     if stat_x(q) <= stat_y(q):
         raise PreconditionError("sigma_inverse needs X > Y")
-    first = q.blocks[0]
-    one = block_with_one(q)
-    if len(first) == 1:
-        s = first[0]
-        removed = [e for e in one if e != 1 and e < s]
-        new_one = tuple(sorted((set(one) - set(removed)) | {s}, reverse=True))
-        rest = [b for b in q.blocks[1:] if b is not one]
-    else:
-        r = first[0]
-        removed = [e for e in one if e != 1 and e < r]
-        new_one = tuple(sorted(set(one) - set(removed), reverse=True))
-        rest = [b for b in q.blocks if b is not one]
-    singletons = [(e,) for e in removed]
-    return _assemble(q.n, rest + [new_one] + singletons)
+    return SetPartition(q.n, _restore(q.blocks, _scan(q.blocks)[1]))
 
 
 def sigma(p: SetPartition) -> SetPartition:
@@ -101,12 +109,22 @@ def sigma(p: SetPartition) -> SetPartition:
     its inverse on X > Y.
 
     p must be in standard form, as built by parse, from_blocks, normalize
-    or enumeration. Validating it here would cost as much as the map, so a
-    directly constructed SetPartition should be validate()d first.
+    or enumeration. Validating it here would cost about three times what
+    the map costs, so a directly constructed SetPartition should be
+    validate()d first.
     """
-    x, y = stat_x(p), stat_y(p)
+    blocks = p.blocks
+    if blocks[0] == (1,):
+        return p  # X = Y = 1
+    try:
+        lead, j = _scan(blocks)
+        s = blocks[j][-2]
+    except IndexError:
+        raise ValidationError("no non-singleton block holds 1: not standard form") from None
+    x, r = blocks[0][0], blocks[lead][0]
+    y = min(r, s)
     if x == y:
         return p
     if x < y:
-        return _absorb(p)
-    return sigma_inverse(p)
+        return SetPartition(p.n, _absorb(blocks, lead, j, r, s))
+    return SetPartition(p.n, _restore(blocks, j))

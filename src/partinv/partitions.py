@@ -64,7 +64,7 @@ class SetPartition:
             if not block:
                 raise ValidationError("empty block")
             for e in block:
-                if not isinstance(e, int) or e < 1:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                     raise ValidationError(f"entry {e!r} is not a positive integer")
             if any(a <= b for a, b in zip(block, block[1:])):
                 raise ValidationError(f"block {block} is not strictly decreasing")
@@ -79,9 +79,7 @@ class SetPartition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
         """Validating constructor for blocks already in standard form."""
-        tup = tuple(tuple(b) for b in blocks)
-        if not tup or any(not b for b in tup):
-            raise ValidationError("blocks must be a nonempty family of nonempty blocks")
+        tup = tuple(_family(blocks))
         n = max(max(b) for b in tup)
         return cls(n, tup).validate()
 
@@ -100,15 +98,30 @@ class SetPartition:
         return format_partition(self)
 
 
+def _family(blocks: Iterable[Iterable[int]]) -> list[Block]:
+    """The caller's blocks as tuples, once they are known to be a nonempty
+    family of nonempty blocks of integers, so that comparing entries
+    cannot raise TypeError."""
+    try:
+        fam = [tuple(b) for b in blocks]
+    except TypeError:
+        raise ValidationError("blocks must be an iterable of iterables of integers") from None
+    if not fam or any(not b for b in fam):
+        raise ValidationError("blocks must be a nonempty family of nonempty blocks")
+    for b in fam:
+        for e in b:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValidationError(f"entry {e!r} is not an integer")
+    return fam
+
+
 def normalize(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Build the standard form of an unordered family of disjoint sets.
 
     Unlike parse/from_blocks this sorts for the caller; it still rejects
     families that are not a partition of some {1, ..., n}.
     """
-    fam = [tuple(sorted(b, reverse=True)) for b in blocks]
-    if not fam or any(not b for b in fam):
-        raise ValidationError("blocks must be a nonempty family of nonempty blocks")
+    fam = [tuple(sorted(b, reverse=True)) for b in _family(blocks)]
     fam.sort(key=operator.itemgetter(0))
     n = max(b[0] for b in fam)
     return SetPartition(n, tuple(fam)).validate()
@@ -176,37 +189,6 @@ def is_nonoverlapping(p: SetPartition) -> bool:
     return True
 
 
-def _iter_groups(n: int) -> Iterator[list[list[int]]]:
-    """Yield each partition of [n] as ascending-entry blocks ordered by
-    block maximum, in lexicographic order of the restricted-growth string.
-
-    The RGS odometer a satisfies a[0] = 0 and a[i] <= 1 + max(a[:i]);
-    b[i] caches that bound. Fresh group lists are yielded each step, so
-    consumers may keep them.
-    """
-    a = [0] * n
-    b = [1] * n
-    last = n - 1
-    by_max = operator.itemgetter(-1)
-    while True:
-        nblocks = b[last] + (1 if a[last] == b[last] else 0) if last else 1
-        groups = [[] for _ in range(nblocks)]
-        for i in range(n):
-            groups[a[i]].append(i + 1)
-        groups.sort(key=by_max)
-        yield groups
-        i = last
-        while i > 0 and a[i] == b[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        bound = b[i] + (1 if a[i] == b[i] else 0)
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = bound
-
-
 def _check_bound(n: int, max_n: int) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise BoundError(f"n must be an integer >= 1, got {n!r}")
@@ -221,8 +203,56 @@ def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
 
 
 def _gen_all(n: int) -> Iterator[SetPartition]:
-    for groups in _iter_groups(n):
-        yield SetPartition(n, tuple(tuple(reversed(g)) for g in groups))
+    """RGS odometer over every prefix 1..e, with the blocks kept as they
+    grow.
+
+    Labels number the blocks by their minima, as in the RGS: element e
+    joins any of the m blocks among 1..e - 1 or opens block m. Joining
+    prepends e to the block and backing up slices it off again. Element n
+    is placed outside the odometer, in one batch per prefix. This is
+    _gen_nonoverlapping without the need mask; one odometer switching the
+    mask on and off was slower for both.
+    """
+    if n == 1:
+        yield SetPartition(1, ((1,),))
+        return
+    label = [0] * n      # label[i]: block of element i + 1
+    nblocks = [1] * n    # nblocks[i]: blocks among 1..i + 1
+    blocks = [(1,)] * n  # blocks[k]: block k so far, decreasing
+    i, k = 1, 0          # place element i + 1, trying labels from k up
+    while True:
+        if i < n - 1:
+            m = nblocks[i - 1]
+            if k <= m:
+                label[i] = k
+                if k < m:
+                    nblocks[i] = m
+                    blocks[k] = (i + 1,) + blocks[k]
+                else:
+                    nblocks[i] = m + 1
+                    blocks[m] = (i + 1,)
+                i += 1
+                k = 0
+                continue
+        else:
+            # Block maxima are distinct, so sorting the blocks as tuples
+            # orders them by first entry, as standard form lists them.
+            m = nblocks[i - 1]
+            for k in range(m):
+                block = blocks[k]
+                blocks[k] = (n,) + block
+                yield SetPartition(n, tuple(sorted(blocks[:m])))
+                blocks[k] = block
+            blocks[m] = (n,)
+            yield SetPartition(n, tuple(sorted(blocks[:m + 1])))
+        # back up: undo element i and try its next label
+        i -= 1
+        if i == 0:
+            return
+        k = label[i]
+        if k < nblocks[i - 1]:
+            blocks[k] = blocks[k][1:]
+        k += 1
 
 
 def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
@@ -245,7 +275,7 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     nothing. A prefix extends iff need has at most n - e members. Element n
     is placed outside the odometer: with need = {j} it joins j, and with
     need empty it opens a block or joins any block whose minimum lies past
-    every earlier block.
+    every earlier block. _gen_all is the same odometer without need.
     """
     if n == 1:
         yield SetPartition(1, ((1,),))

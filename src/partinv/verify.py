@@ -119,8 +119,9 @@ def _involution(sigma_fn: SigmaFn):
     return True, item, None
 
 
-def _nonsingleton_spans(p: SetPartition) -> Counter:
-    return Counter((b[-1], b[0]) for b in p.blocks if len(b) > 1)
+def _nonsingleton_spans(p: SetPartition) -> list[tuple[int, int]]:
+    """The multiset of non-singleton spans, as a sorted list."""
+    return sorted([(b[-1], b[0]) for b in p.blocks if len(b) > 1])
 
 
 def _spans(sigma_fn: SigmaFn):
@@ -128,7 +129,7 @@ def _spans(sigma_fn: SigmaFn):
         before, after = _nonsingleton_spans(p), _nonsingleton_spans(q)
         if before != after:
             return Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
-                                  str(sorted(before.elements())), str(sorted(after.elements())))
+                                  str(before), str(after))
         return None
     return True, item, None
 

@@ -5,12 +5,18 @@ the code under test (recursive enumeration instead of the restricted
 growth odometer, all-pairs and all-triples scans instead of linear ones,
 Pascal's rule instead of math.comb, bottom-up tabulation with the
 summations nested the other way round), so agreement is evidence rather
-than repetition.
+than repetition. The slow paths that fast ones replaced live on here too
+(grouping every labeling afresh, sigma through set algebra), and the fast
+paths must equal them item for item.
 """
+
+import operator
+from typing import Iterator
 
 from hypothesis import strategies as st
 
 from partinv import (
+    PreconditionError,
     SetPartition,
     aux_r,
     aux_s,
@@ -21,6 +27,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
+from partinv.stats import block_with_one
 
 
 def bell_numbers(n_max: int) -> list[int]:
@@ -65,10 +72,100 @@ def naive_nonoverlapping(p: SetPartition) -> bool:
     return True
 
 
+def enumerate_by_groups(n: int) -> Iterator[SetPartition]:
+    """Every partition of [n] in RGS-lex order, the slow way: step the
+    restricted growth string a through lexicographic order (a[0] = 0,
+    a[i] <= 1 + max(a[:i]); b[i] caches that bound) and group, reverse and
+    sort the blocks of each labeling from scratch."""
+    a = [0] * n
+    b = [1] * n
+    last = n - 1
+    by_max = operator.itemgetter(-1)
+    while True:
+        nblocks = b[last] + (1 if a[last] == b[last] else 0) if last else 1
+        groups = [[] for _ in range(nblocks)]
+        for i in range(n):
+            groups[a[i]].append(i + 1)
+        groups.sort(key=by_max)
+        yield SetPartition(n, tuple(tuple(reversed(g)) for g in groups))
+        i = last
+        while i > 0 and a[i] == b[i]:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        bound = b[i] + (1 if a[i] == b[i] else 0)
+        for j in range(i + 1, n):
+            a[j] = 0
+            b[j] = bound
+
+
 def nonoverlapping_by_filter(n: int) -> list[SetPartition]:
     """The nonoverlapping partitions of [n] the slow way: every partition
     of [n], in enumeration order, kept when its spans are laminar."""
-    return [p for p in enumerate_all(n) if is_nonoverlapping(p)]
+    return [p for p in enumerate_by_groups(n) if is_nonoverlapping(p)]
+
+
+def _assemble(n: int, blocks: list) -> SetPartition:
+    """Restore standard form: blocks are decreasing, order them by first entry."""
+    blocks.sort(key=lambda b: b[0])
+    return SetPartition(n, tuple(blocks))
+
+
+def _absorb_by_sets(p: SetPartition) -> SetPartition:
+    """The forward move for X < Y through set algebra: with r > s, the
+    initial singletons below s join the block containing 1 and s leaves it
+    as a new singleton; with r <= s, every initial singleton joins it."""
+    r, s = aux_r(p), aux_s(p)
+    one = block_with_one(p)
+    lead = 0
+    while len(p.blocks[lead]) == 1:
+        lead += 1
+    if r > s:
+        moved = [b[0] for b in p.blocks[:lead] if b[0] < s]
+        new_one = tuple(sorted((set(one) | set(moved)) - {s}, reverse=True))
+        extra = [(s,)]
+        kept_lead = [b for b in p.blocks[:lead] if b[0] > s]
+    else:
+        moved = [b[0] for b in p.blocks[:lead]]
+        new_one = tuple(sorted(set(one) | set(moved), reverse=True))
+        extra = []
+        kept_lead = []
+    rest = [b for b in p.blocks[lead:] if b is not one]
+    return _assemble(p.n, kept_lead + rest + [new_one] + extra)
+
+
+def sigma_inverse_by_sets(q: SetPartition) -> SetPartition:
+    """The inverse move for X > Y through set algebra: a singleton first
+    block {s} gives s back to the block containing 1 and pulls the entries
+    below s out of it; a non-singleton first block with first entry r
+    pulls out the entries below r."""
+    if stat_x(q) <= stat_y(q):
+        raise PreconditionError("sigma_inverse needs X > Y")
+    first = q.blocks[0]
+    one = block_with_one(q)
+    if len(first) == 1:
+        s = first[0]
+        removed = [e for e in one if e != 1 and e < s]
+        new_one = tuple(sorted((set(one) - set(removed)) | {s}, reverse=True))
+        rest = [b for b in q.blocks[1:] if b is not one]
+    else:
+        r = first[0]
+        removed = [e for e in one if e != 1 and e < r]
+        new_one = tuple(sorted(set(one) - set(removed), reverse=True))
+        rest = [b for b in q.blocks if b is not one]
+    singletons = [(e,) for e in removed]
+    return _assemble(q.n, rest + [new_one] + singletons)
+
+
+def sigma_by_sets(p: SetPartition) -> SetPartition:
+    """sigma through the statistics and set algebra, one move per orbit class."""
+    x, y = stat_x(p), stat_y(p)
+    if x == y:
+        return p
+    if x < y:
+        return _absorb_by_sets(p)
+    return sigma_inverse_by_sets(p)
 
 
 def pascal_binomial(a: int, b: int) -> int:

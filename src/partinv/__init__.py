@@ -18,14 +18,12 @@ from .involution import OrbitClass, orbit_class, sigma, sigma_inverse
 from .partitions import (
     DEFAULT_MAX_N,
     SetPartition,
-    Span,
     enumerate_all,
     enumerate_nonoverlapping,
     format_partition,
     is_nonoverlapping,
     normalize,
     parse,
-    span,
 )
 from .patterns import (
     avoider_last_entry_distribution,
@@ -65,7 +63,6 @@ __all__ = [
     "PartinvError",
     "PreconditionError",
     "SetPartition",
-    "Span",
     "VTable",
     "ValidationError",
     "aux_r",
@@ -91,7 +88,6 @@ __all__ = [
     "run_all",
     "sigma",
     "sigma_inverse",
-    "span",
     "stat_x",
     "stat_y",
     "v_compute",

@@ -21,7 +21,6 @@ from .partitions import (
     format_partition,
     is_nonoverlapping,
     parse,
-    span,
 )
 from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
 from .recurrence import TRIANGLE_MAX_N, v_table
@@ -73,7 +72,7 @@ def cmd_stats(args) -> int:
         s = aux_s(p)
     except OneIsSingleton:
         s = None
-    spans = [span(b) for b in p.blocks]
+    spans = [(b[-1], b[0]) for b in p.blocks]
     nonov = is_nonoverlapping(p)
     if args.format == "json":
         _emit_json({
@@ -83,7 +82,7 @@ def cmd_stats(args) -> int:
             "y": stat_y(p),
             "r": r,
             "s": s,
-            "spans": [[sp.lo, sp.hi] for sp in spans],
+            "spans": [[lo, hi] for lo, hi in spans],
             "nonoverlapping": nonov,
         })
     else:
@@ -95,7 +94,7 @@ def cmd_stats(args) -> int:
             print(f"r: {r}")
         if s is not None:
             print(f"s: {s}")
-        print("spans: " + " ".join(f"[{sp.lo},{sp.hi}]" for sp in spans))
+        print("spans: " + " ".join(f"[{lo},{hi}]" for lo, hi in spans))
         print(f"nonoverlapping: {_bool(nonov)}")
     return 0
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size guard that
+raises BoundError."""
 
 
 class PartinvError(Exception):
@@ -40,3 +41,13 @@ class OneIsSingleton(PartinvError):
 
 class PreconditionError(PartinvError):
     """Operation called outside its stated precondition."""
+
+
+def check_bound(n, max_n, guard: str) -> None:
+    """Refuse, before any work starts, a size n or a guard max_n that is not
+    an integer >= 1 (bool excluded), and an n past the named guard."""
+    for name, value in (("n", n), ("max_n", max_n)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise BoundError(f"{name} must be an integer >= 1, got {value!r}")
+    if n > max_n:
+        raise BoundError(f"n={n} exceeds the {guard} guard {max_n} (raise max_n to override)")

@@ -10,9 +10,9 @@ block, so it preserves the nonoverlapping property.
 
 import enum
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .partitions import SetPartition
-from .stats import stat_x, stat_y
+from .stats import rs_blocks, stat_x, stat_y
 
 
 class OrbitClass(enum.Enum):
@@ -28,21 +28,8 @@ def orbit_class(p: SetPartition) -> OrbitClass:
     return OrbitClass.LOWER if x < y else OrbitClass.UPPER
 
 
-def _scan(blocks: tuple) -> tuple[int, int]:
-    """(lead, j) for standard-form blocks that do not start with {1}: the
-    number of leading singleton blocks, and the index of the block holding
-    1, which is a non-singleton and so not among them."""
-    lead = 0
-    while len(blocks[lead]) == 1:
-        lead += 1
-    j = lead
-    while blocks[j][-1] != 1:
-        j += 1
-    return lead, j
-
-
 def _absorb(blocks: tuple, lead: int, j: int, r: int, s: int) -> tuple:
-    """Forward move for X < Y, on the blocks of p with lead, j as _scan
+    """Forward move for X < Y, on the blocks of p with lead, j as rs_blocks
     gives them and r, s as the statistics define them.
 
     X < Y forces the first block to be a singleton, {1} to live in a
@@ -101,7 +88,7 @@ def sigma_inverse(q: SetPartition) -> SetPartition:
     Like sigma, it trusts q to be in standard form."""
     if stat_x(q) <= stat_y(q):
         raise PreconditionError("sigma_inverse needs X > Y")
-    return SetPartition(q.n, _restore(q.blocks, _scan(q.blocks)[1]))
+    return SetPartition(q.n, _restore(q.blocks, rs_blocks(q.blocks)[1]))
 
 
 def sigma(p: SetPartition) -> SetPartition:
@@ -116,12 +103,8 @@ def sigma(p: SetPartition) -> SetPartition:
     blocks = p.blocks
     if blocks[0] == (1,):
         return p  # X = Y = 1
-    try:
-        lead, j = _scan(blocks)
-        s = blocks[j][-2]
-    except IndexError:
-        raise ValidationError("no non-singleton block holds 1: not standard form") from None
-    x, r = blocks[0][0], blocks[lead][0]
+    lead, j = rs_blocks(blocks)
+    x, r, s = blocks[0][0], blocks[lead][0], blocks[j][-2]
     y = min(r, s)
     if x == y:
         return p

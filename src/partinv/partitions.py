@@ -14,14 +14,18 @@ Blocks are joined by "/". A string is read in comma form iff it contains a
 all-singleton partition of [n >= 10] spells out "10"); otherwise compact.
 Whenever both readings are valid they denote the same partition, so the
 rule is unambiguous.
+
+nonsingleton_spans is the one reader of spans. sigma keeps every
+non-singleton span, the nonoverlapping test (laminar) reads only those,
+and the verify sweep hands the one list to the claims about both.
 """
 
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .errors import BoundError, FormatError, ParseError, ValidationError
+from .errors import FormatError, ParseError, ValidationError, check_bound
 
 Block = tuple[int, ...]
 
@@ -32,13 +36,6 @@ _NUMBER = re.compile(r"[1-9][0-9]*\Z")
 
 #: Default enumeration ceiling; Bell(14) ~ 1.9e8 partitions, streamed.
 DEFAULT_MAX_N = 14
-
-
-class Span(NamedTuple):
-    """Closed integer interval [lo, hi] covered by a block."""
-
-    lo: int
-    hi: int
 
 
 @dataclass(frozen=True)
@@ -129,6 +126,8 @@ def normalize(blocks: Iterable[Iterable[int]]) -> SetPartition:
 
 def parse(text: str) -> SetPartition:
     """Parse a partition in the grammar above; rejects non-standard form."""
+    if not isinstance(text, str):
+        raise ParseError(f"partition text must be a string, got {type(text).__name__}", 0)
     if not text:
         raise ParseError("empty partition text", 0)
     comma_form = "," in text or "0" in text
@@ -166,20 +165,17 @@ def format_partition(p: SetPartition, compact: bool | None = None) -> str:
     return "/".join(sep.join(map(str, b)) for b in p.blocks)
 
 
-def span(block: Iterable[int]) -> Span:
-    """Smallest integer interval containing the block."""
-    return Span(min(block), max(block))
-
-
-def is_nonoverlapping(p: SetPartition) -> bool:
-    """True iff all block spans are pairwise disjoint or nested.
-
-    Singleton spans are single points, so only non-singleton blocks are
-    checked. Block minima are distinct elements, so the lo endpoints never
-    tie.
-    """
+def nonsingleton_spans(p: SetPartition) -> list[tuple[int, int]]:
+    """The spans (lo, hi) of the non-singleton blocks of p, sorted. A
+    singleton's span is a single point, which nothing here reads."""
     spans = [(b[-1], b[0]) for b in p.blocks if len(b) > 1]
     spans.sort()
+    return spans
+
+
+def laminar(spans: list[tuple[int, int]]) -> bool:
+    """True iff the sorted spans are pairwise disjoint or nested. Block
+    minima are distinct elements, so the lo endpoints never tie."""
     for i, (lo1, hi1) in enumerate(spans):
         for lo2, hi2 in spans[i + 1:]:
             if lo2 > hi1:
@@ -189,16 +185,14 @@ def is_nonoverlapping(p: SetPartition) -> bool:
     return True
 
 
-def _check_bound(n: int, max_n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise BoundError(f"n must be an integer >= 1, got {n!r}")
-    if n > max_n:
-        raise BoundError(f"n={n} exceeds the enumeration guard {max_n} (raise max_n to override)")
+def is_nonoverlapping(p: SetPartition) -> bool:
+    """True iff all block spans of p are pairwise disjoint or nested."""
+    return laminar(nonsingleton_spans(p))
 
 
 def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
     """Every partition of [n] exactly once, in standard form, RGS-lex order."""
-    _check_bound(n, max_n)
+    check_bound(n, max_n, "enumeration")
     return _gen_all(n)
 
 
@@ -259,7 +253,7 @@ def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[Set
     """Every nonoverlapping partition of [n] exactly once, in standard form,
     in the RGS-lex order of enumerate_all; the other partitions of [n] are
     never built."""
-    _check_bound(n, max_n)
+    check_bound(n, max_n, "enumeration")
     return _gen_nonoverlapping(n)
 
 

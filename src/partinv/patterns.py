@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import permutations
 from typing import Sequence
 
-from .errors import BoundError
+from .errors import check_bound
 
 #: 9! = 362880 hosts; the n! * n scan stays interactive up to here.
 AVOIDER_MAX_N = 9
@@ -62,10 +62,7 @@ def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[
 
     Scans the n! permutations in lexicographic order.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise BoundError(f"n must be an integer >= 1, got {n!r}")
-    if n > max_n:
-        raise BoundError(f"n={n} exceeds the factorial guard {max_n} (raise max_n to override)")
+    check_bound(n, max_n, "factorial")
     counts = Counter()
     for p in permutations(range(1, n + 1)):
         if is_avoider(p):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .errors import BoundError, DomainError
+from .errors import DomainError, check_bound
 
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
 #: operations on numbers of O(n log n) digits. On a 2-core Xeon VM a cold
@@ -60,8 +60,7 @@ _grow_lock = threading.Lock()
 
 def _build(n: int, max_n: int) -> None:
     """Grow the table to row n, or raise BoundError above the guard."""
-    if n > max_n:
-        raise BoundError(f"n={n} exceeds the triangle guard {max_n} (raise max_n to override)")
+    check_bound(n, max_n, "triangle")
     if n <= len(_diag):
         return
     with _grow_lock:
@@ -109,13 +108,13 @@ class VTable:
     rows: tuple[tuple[int, ...], ...]
 
     def entry(self, n: int, k: int) -> int:
-        if not 1 <= k <= n <= self.n_max:
-            raise DomainError(f"need 1 <= k <= n <= {self.n_max}, got n={n}, k={k}")
+        if not (_is_int(n) and _is_int(k) and 1 <= k <= n <= self.n_max):
+            raise DomainError(f"need 1 <= k <= n <= {self.n_max}, got n={n!r}, k={k!r}")
         return self.rows[n - 1][k - 1]
 
     def row(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"need 1 <= n <= {self.n_max}, got n={n}")
+        if not (_is_int(n) and 1 <= n <= self.n_max):
+            raise DomainError(f"need 1 <= n <= {self.n_max}, got n={n!r}")
         return self.rows[n - 1]
 
     def row_sums(self) -> tuple[int, ...]:

@@ -9,11 +9,13 @@ On a partition in standard form:
     Y = 1 if {1} is a singleton block, else min(r, s)
 
 When {1} is not a singleton its own block is non-singleton, so both r and
-s exist exactly where Y's second branch needs them.
+s exist exactly where Y's second branch needs them. rs_blocks is the one
+scanner for the block holding 1: stat_y, aux_s and sigma read r and s
+through it, and only aux_r, defined where {1} is a singleton, scans alone.
 """
 
 from .errors import NoNonsingletonBlock, OneIsSingleton, ValidationError
-from .partitions import Block, SetPartition
+from .partitions import SetPartition
 
 
 def stat_x(p: SetPartition) -> int:
@@ -21,12 +23,22 @@ def stat_x(p: SetPartition) -> int:
     return p.blocks[0][0]
 
 
-def block_with_one(p: SetPartition) -> Block:
-    """The block containing 1; as the global minimum, 1 sits last in it."""
-    for block in p.blocks:
-        if block[-1] == 1:
-            return block
-    raise ValidationError("no block contains 1")
+def rs_blocks(blocks: tuple) -> tuple[int, int]:
+    """(lead, j) for standard-form blocks not starting with {1}: r heads
+    blocks[lead], the first non-singleton, and s is next to 1 in blocks[j].
+    Raises ValidationError where the scan runs off the blocks or 1 is alone."""
+    try:
+        lead = 0
+        while len(blocks[lead]) == 1:
+            lead += 1
+        j = lead
+        while blocks[j][-1] != 1:
+            j += 1
+        if len(blocks[j]) > 1:
+            return lead, j
+    except IndexError:
+        pass
+    raise ValidationError("no non-singleton block holds 1: not standard form")
 
 
 def aux_r(p: SetPartition) -> int:
@@ -39,16 +51,17 @@ def aux_r(p: SetPartition) -> int:
 
 def aux_s(p: SetPartition) -> int:
     """Second smallest entry of the block containing 1."""
-    block = block_with_one(p)
-    if len(block) == 1:
+    if p.blocks[0] == (1,):
         raise OneIsSingleton("{1} is a singleton block")
-    return block[-2]
+    return p.blocks[rs_blocks(p.blocks)[1]][-2]
 
 
 def stat_y(p: SetPartition) -> int:
     """1 when {1} is a singleton block, otherwise min(r, s). p must be in
     standard form, as built by parse, from_blocks, normalize or enumeration.
     """
-    if p.blocks[0] == (1,):
+    blocks = p.blocks
+    if blocks[0] == (1,):
         return 1
-    return min(aux_r(p), aux_s(p))
+    lead, j = rs_blocks(blocks)
+    return min(blocks[lead][0], blocks[j][-2])

@@ -11,8 +11,11 @@ shown to trip them.
 
 The four claims over all of P_n are rows of one claim table, checked in
 one sweep that enumerates each partition once for every claim still live;
-a failed claim drops out and the others go on. A report's elapsed time
-runs from the start of its sweep until its claim was settled.
+a failed claim drops out and the others go on. Each row names the fields
+of p it reads (X and Y, the image q, the spans of p and q, the
+nonoverlapping flag), and the sweep computes a field once per partition
+while a live claim reads it. A report's elapsed time runs from the start
+of its sweep until its claim was settled.
 """
 
 from collections import Counter
@@ -20,10 +23,10 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable
 
-from .errors import BoundError
+from .errors import BoundError, PreconditionError
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
-                         is_nonoverlapping)
+                         laminar, nonsingleton_spans)
 from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
 from .recurrence import v_compute
 from .stats import stat_x, stat_y
@@ -104,7 +107,7 @@ def _check_depth(n_max, max_n: int = DEFAULT_MAX_N) -> None:
 
 
 def _involution(sigma_fn: SigmaFn):
-    def item(n, p, x, y, nov, q):
+    def item(n, p, x, y, nov, q, sp, sq):
         if (stat_x(q), stat_y(q)) != (y, x):
             return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
                                   f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
@@ -116,32 +119,26 @@ def _involution(sigma_fn: SigmaFn):
             return Counterexample(n, format_partition(p), "fixed point iff X = Y",
                                   f"fixed={x == y}", f"fixed={q == p}")
         return None
-    return True, item, None
-
-
-def _nonsingleton_spans(p: SetPartition) -> list[tuple[int, int]]:
-    """The multiset of non-singleton spans, as a sorted list."""
-    return sorted([(b[-1], b[0]) for b in p.blocks if len(b) > 1])
+    return item, None
 
 
 def _spans(sigma_fn: SigmaFn):
-    def item(n, p, x, y, nov, q):
-        before, after = _nonsingleton_spans(p), _nonsingleton_spans(q)
-        if before != after:
+    def item(n, p, x, y, nov, q, sp, sq):
+        if sp != sq:
             return Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
-                                  str(before), str(after))
+                                  str(sp), str(sq))
         return None
-    return True, item, None
+    return item, None
 
 
 def _nonoverlapping(sigma_fn: SigmaFn):
-    def item(n, p, x, y, nov, q):
-        after = is_nonoverlapping(q)
+    def item(n, p, x, y, nov, q, sp, sq):
+        after = laminar(sq)
         if nov != after:
             return Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
                                   f"nonoverlapping={nov}", f"nonoverlapping={after}")
         return None
-    return True, item, None
+    return item, None
 
 
 def _equidistribution(sigma_fn: SigmaFn):
@@ -149,7 +146,7 @@ def _equidistribution(sigma_fn: SigmaFn):
     marginals, over all and over nonoverlapping partitions of [n]."""
     joint_all, joint_nov = Counter(), Counter()
 
-    def item(n, p, x, y, nov, q):
+    def item(n, p, x, y, nov, q, sp, sq):
         joint_all[x, y] += 1
         if nov:
             joint_nov[x, y] += 1
@@ -163,19 +160,20 @@ def _equidistribution(sigma_fn: SigmaFn):
                                           f"{count} = {count}", f"{count} != {joint[j, i]}")
             joint.clear()
         return None
-    return False, item, end
+    return item, end
 
 
-#: The claim table. Each row builds, for one sweep under sigma_fn, a claim
-#: (uses_image, item, end): item(n, p, x, y, nov, q) checks a partition p of
-#: [n] with x, y = X(p), Y(p), nov = is_nonoverlapping(p) and q = sigma_fn(p)
-#: (None unless uses_image); end(n), if given, checks what item gathered
-#: over P_n. Both return a Counterexample or None.
+#: The claim table: name -> (reads, build). build(sigma_fn) makes a claim
+#: (item, end) for one sweep. item(n, p, x, y, nov, q, sp, sq) checks a
+#: partition p of [n] given x, y = X(p), Y(p), nov = is_nonoverlapping(p),
+#: q = sigma_fn(p) and sp, sq = nonsingleton_spans of p and q, or None for
+#: a field not in reads; end(n), if given, checks what item gathered over
+#: P_n. Both return a Counterexample or None.
 _CLAIMS = {
-    "involution": _involution,
-    "spans": _spans,
-    "nonoverlapping": _nonoverlapping,
-    "equidistribution": _equidistribution,
+    "involution": ({"xy", "image"}, _involution),
+    "spans": ({"image", "spans"}, _spans),
+    "nonoverlapping": ({"image", "spans", "nov"}, _nonoverlapping),
+    "equidistribution": ({"xy", "nov"}, _equidistribution),
 }
 
 
@@ -184,9 +182,11 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     P_1, P_2, ... that stops once every claim is settled."""
     for n_max in depths.values():
         _check_depth(n_max)
+    if not callable(sigma_fn):
+        raise PreconditionError(f"sigma_fn must be callable, got {sigma_fn!r}")
     t0 = perf_counter()
     reports = {}
-    live = {name: _CLAIMS[name](sigma_fn) for name in depths}
+    live = {name: _CLAIMS[name][1](sigma_fn) for name in depths}
     n = 0
     while live:
         n += 1
@@ -196,15 +196,22 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                 if not live:
                     break
                 claims = list(live.items())
-                image = any(uses_image for uses_image, _, _ in live.values())
-            x, y, nov = stat_x(p), stat_y(p), is_nonoverlapping(p)
-            q = sigma_fn(p) if image else None
-            for name, (_, item, _) in claims:
-                c = item(n, p, x, y, nov, q)
+                reads = set().union(*(_CLAIMS[name][0] for name in live))
+            x = y = nov = q = sp = sq = None
+            if "xy" in reads:
+                x, y = stat_x(p), stat_y(p)
+            if "image" in reads:
+                q = sigma_fn(p)
+            if "spans" in reads:
+                sp, sq = nonsingleton_spans(p), nonsingleton_spans(q)
+            if "nov" in reads:
+                nov = laminar(nonsingleton_spans(p) if sp is None else sp)
+            for name, (item, _) in claims:
+                c = item(n, p, x, y, nov, q, sp, sq)
                 if c is not None:
                     reports[name] = _report(name, depths[name], t0, c)
                     del live[name]
-        for name, (_, _, end) in list(live.items()):
+        for name, (_, end) in list(live.items()):
             c = end(n) if end else None
             if c is not None or n == depths[name]:
                 reports[name] = _report(name, depths[name], t0, c)

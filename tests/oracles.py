@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from partinv import (
     PreconditionError,
     SetPartition,
+    ValidationError,
     aux_r,
     aux_s,
     enumerate_all,
@@ -27,7 +28,15 @@ from partinv import (
     stat_x,
     stat_y,
 )
-from partinv.stats import block_with_one
+
+
+def block_with_one(p: SetPartition) -> tuple[int, ...]:
+    """The block containing 1, by a scan from the first block; as the
+    global minimum, 1 sits last in it."""
+    for block in p.blocks:
+        if block[-1] == 1:
+            return block
+    raise ValidationError("no block contains 1")
 
 
 def bell_numbers(n_max: int) -> list[int]:
@@ -116,8 +125,8 @@ def _absorb_by_sets(p: SetPartition) -> SetPartition:
     """The forward move for X < Y through set algebra: with r > s, the
     initial singletons below s join the block containing 1 and s leaves it
     as a new singleton; with r <= s, every initial singleton joins it."""
-    r, s = aux_r(p), aux_s(p)
     one = block_with_one(p)
+    r, s = aux_r(p), one[-2]
     lead = 0
     while len(p.blocks[lead]) == 1:
         lead += 1

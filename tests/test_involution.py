@@ -73,10 +73,12 @@ class TestExamples:
 
     @pytest.mark.parametrize("blocks", [((2,), (3,)), ((2,), (3, 2), (1,))])
     def test_no_block_to_scan_for_raises_a_package_error(self, blocks):
-        # sigma does not validate, but where its scan for the block holding
-        # 1 runs off the blocks it still raises one of its own errors
-        with pytest.raises(PartinvError):
-            sigma(SetPartition(3, blocks))
+        # these do not validate, but where the shared scan for r's block and
+        # the block holding 1 runs off the blocks, or finds 1 in a
+        # singleton, it still raises one of the package's errors
+        for fn in (sigma, sigma_inverse, stat_y, aux_s):
+            with pytest.raises(PartinvError):
+                fn(SetPartition(3, blocks))
 
     def test_orbit_class(self):
         assert orbit_class(parse("21")) is OrbitClass.FIXED

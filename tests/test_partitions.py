@@ -7,13 +7,13 @@ import inspect
 import pytest
 
 import partinv.partitions as partitions
+import partinv.patterns as patterns
 from partinv import (
     BoundError,
     DomainError,
     FormatError,
     ParseError,
     SetPartition,
-    Span,
     ValidationError,
     avoider_last_entry_distribution,
     bessel,
@@ -23,7 +23,6 @@ from partinv import (
     is_nonoverlapping,
     normalize,
     parse,
-    span,
     v_compute,
     v_table,
 )
@@ -74,6 +73,10 @@ class TestParse:
         ("01,2", 0),
         ("3,,1", 2),
         ("31 /2", 2),
+        (123, 0),        # not text at all
+        (None, 0),
+        (b"21", 0),
+        (["21"], 0),
     ])
     def test_malformed_text(self, text, position):
         with pytest.raises(ParseError) as err:
@@ -173,11 +176,6 @@ class TestConstructors:
 
 
 class TestSpans:
-    def test_span_values(self):
-        assert span((8, 5, 4)) == Span(4, 8)
-        assert span((7,)) == Span(7, 7)
-        assert span((9, 6, 1)) == Span(1, 9)
-
     def test_nonoverlapping_examples(self):
         assert is_nonoverlapping(parse("2/43/651/87"))
         assert not is_nonoverlapping(parse("31/62/7/854"))
@@ -259,3 +257,23 @@ class TestEnumeration:
 def test_sizes_must_be_integers(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("max_n", [None, "a", 2.5, True, 0, -1])
+@pytest.mark.parametrize("call", [
+    lambda max_n: enumerate_all(3, max_n=max_n),
+    lambda max_n: enumerate_nonoverlapping(3, max_n=max_n),
+    lambda max_n: v_compute(3, 1, max_n=max_n),
+    lambda max_n: v_table(3, max_n=max_n),
+    lambda max_n: bessel(3, max_n=max_n),
+    lambda max_n: avoider_last_entry_distribution(3, max_n=max_n),
+], ids=["enumerate_all", "enumerate_nonoverlapping", "v_compute", "v_table", "bessel",
+        "avoider_last_entry_distribution"])
+def test_guards_must_be_integers(monkeypatch, call, max_n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the guard was checked")
+    for module, name in ((partitions, "_gen_all"), (partitions, "_gen_nonoverlapping"),
+                         (patterns, "permutations")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(BoundError, match="max_n must be an integer >= 1"):
+        call(max_n)

@@ -90,10 +90,12 @@ class TestVTable:
         assert t.entry(7, 5) == 39
         assert t.row(6) == (43, 43, 29, 18, 9, 1)
         assert t.row_sums() == (1, 2, 5, 14, 43, 143, 509)
-        with pytest.raises(DomainError):
-            t.entry(8, 1)
-        with pytest.raises(DomainError):
-            t.row(0)
+        for n, k in ((8, 1), ("a", 1), (3, "a"), (3.0, 1), (True, 1), (None, None)):
+            with pytest.raises(DomainError):
+                t.entry(n, k)
+        for n in (0, "a", 2.5, True, None):
+            with pytest.raises(DomainError):
+                t.row(n)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):

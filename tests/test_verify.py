@@ -4,6 +4,7 @@ that the four claims over all of P_n run in."""
 
 import ast
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ import partinv.verify as verify
 from partinv import (
     ALL_CHECKS,
     BoundError,
+    PartinvError,
     SetPartition,
     check_avoiders_match_v,
     check_equidistribution,
@@ -231,3 +233,52 @@ class TestDepthGuard:
         # the avoider scan takes n! * n steps: about 15 minutes at 12
         with pytest.raises(BoundError, match="guard 9"):
             check(n_max)
+
+    @pytest.mark.parametrize("sigma_fn", [None, 5, "sigma"])
+    @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
+    def test_sigma_fn_that_cannot_be_called_is_refused_up_front(self, no_work, check, sigma_fn):
+        with pytest.raises(PartinvError, match="sigma_fn must be callable"):
+            check(6, sigma_fn=sigma_fn)
+
+
+def refuse(*args):
+    raise AssertionError("read a field no live claim reads")
+
+
+class TestOneReading:
+    """Each field of a partition is read only while a live claim reads it."""
+
+    @pytest.mark.parametrize("check", [check_spans, check_nonoverlapping])
+    def test_span_claims_read_neither_x_nor_y(self, monkeypatch, check):
+        monkeypatch.setattr(verify, "stat_x", refuse)
+        monkeypatch.setattr(verify, "stat_y", refuse)
+        assert check(6).ok
+
+    def test_involution_reads_no_spans(self, monkeypatch):
+        monkeypatch.setattr(verify, "nonsingleton_spans", refuse)
+        monkeypatch.setattr(verify, "laminar", refuse)
+        assert check_involution(6).ok
+
+    @pytest.mark.parametrize("run, per_partition", [
+        (lambda: [check_involution(6)], (2, 2, 0, 0)),
+        (lambda: [check_spans(6)], (0, 0, 2, 0)),
+        (lambda: [check_nonoverlapping(6)], (0, 0, 2, 2)),
+        (lambda: [check_equidistribution(6)], (1, 1, 1, 1)),
+        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), (2, 2, 2, 2)),
+    ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
+    def test_each_field_is_read_once_per_side(self, monkeypatch, run, per_partition):
+        names = ("stat_x", "stat_y", "nonsingleton_spans", "laminar")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(p):
+                calls[name] += 1
+                return fn(p)
+            monkeypatch.setattr(verify, name, wrapper)
+
+        for name in names:
+            counted(name, getattr(verify, name))
+        assert all(r.ok for r in run())
+        # p and its image are the two sides; a claim reads each at most once
+        partitions = 1 + 2 + 5 + 15 + 52 + 203
+        assert [calls[name] for name in names] == [k * partitions for k in per_partition]

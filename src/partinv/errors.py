@@ -43,11 +43,15 @@ class PreconditionError(PartinvError):
     """Operation called outside its stated precondition."""
 
 
-def check_bound(n, max_n, guard: str) -> None:
+def check_bound(n, max_n, guard: str, size: str = "n") -> None:
     """Refuse, before any work starts, a size n or a guard max_n that is not
-    an integer >= 1 (bool excluded), and an n past the named guard."""
-    for name, value in (("n", n), ("max_n", max_n)):
+    an integer >= 1 (bool excluded), and an n past the named guard. size is
+    what the messages call n. Only under the default, "n", is max_n the
+    caller's own argument, so only then does the message offer raising it."""
+    for name, value in ((size, n), ("max_n", max_n)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise BoundError(f"{name} must be an integer >= 1, got {value!r}")
     if n > max_n:
-        raise BoundError(f"n={n} exceeds the {guard} guard {max_n} (raise max_n to override)")
+        if size == "n":
+            raise BoundError(f"n={n} exceeds the {guard} guard {max_n} (raise max_n to override)")
+        raise BoundError(f"{size} {n} exceeds the {guard} guard {max_n}")

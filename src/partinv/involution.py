@@ -11,7 +11,7 @@ block, so it preserves the nonoverlapping property.
 import enum
 
 from .errors import PreconditionError
-from .partitions import SetPartition
+from .partitions import SetPartition, _make
 from .stats import rs_blocks, stat_x, stat_y
 
 
@@ -85,10 +85,14 @@ def _restore(blocks: tuple, j: int) -> tuple:
 
 def sigma_inverse(q: SetPartition) -> SetPartition:
     """The unique p with X(p) < Y(p) and sigma(p) = q, for X(q) > Y(q).
-    Like sigma, it trusts q to be in standard form."""
-    if stat_x(q) <= stat_y(q):
-        raise PreconditionError("sigma_inverse needs X > Y")
-    return SetPartition(q.n, _restore(q.blocks, rs_blocks(q.blocks)[1]))
+    Like sigma, it trusts q to be in standard form, and it scans q once:
+    the scan that gives Y also finds the block holding 1."""
+    blocks = q.blocks
+    if blocks[0] != (1,):  # else X = Y = 1
+        lead, j = rs_blocks(blocks)
+        if blocks[0][0] > min(blocks[lead][0], blocks[j][-2]):
+            return _make((q.n, _restore(blocks, j)))
+    raise PreconditionError("sigma_inverse needs X > Y")
 
 
 def sigma(p: SetPartition) -> SetPartition:
@@ -109,5 +113,5 @@ def sigma(p: SetPartition) -> SetPartition:
     if x == y:
         return p
     if x < y:
-        return SetPartition(p.n, _absorb(blocks, lead, j, r, s))
-    return SetPartition(p.n, _restore(blocks, j))
+        return _make((p.n, _absorb(blocks, lead, j, r, s)))
+    return _make((p.n, _restore(blocks, j)))

@@ -22,8 +22,8 @@ and the verify sweep hands the one list to the claims about both.
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ParseError, ValidationError, check_bound
 
@@ -38,13 +38,15 @@ _NUMBER = re.compile(r"[1-9][0-9]*\Z")
 DEFAULT_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(NamedTuple):
     """A partition of {1, ..., n} in standard form.
 
-    The constructor trusts its arguments. Build instances through parse(),
-    normalize() or from_blocks() unless the blocks are already known to be
-    valid standard form; validate() re-checks every invariant.
+    An immutable named tuple (n, blocks): it unpacks as n, blocks = p,
+    orders as a tuple does, and compares and hashes equal to the plain
+    tuple (n, blocks). The constructor trusts its arguments. Build
+    instances through parse(), normalize() or from_blocks() unless the
+    blocks are already known to be valid standard form; validate()
+    re-checks every invariant.
     """
 
     n: int
@@ -93,6 +95,11 @@ class SetPartition:
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+#: The trusted constructor for code that builds standard form itself:
+#: _make((n, blocks)) skips the argument handling of SetPartition(n, blocks).
+_make = partial(tuple.__new__, SetPartition)
 
 
 def _family(blocks: Iterable[Iterable[int]]) -> list[Block]:
@@ -202,43 +209,51 @@ def _gen_all(n: int) -> Iterator[SetPartition]:
 
     Labels number the blocks by their minima, as in the RGS: element e
     joins any of the m blocks among 1..e - 1 or opens block m. Joining
-    prepends e to the block and backing up slices it off again. Element n
-    is placed outside the odometer, in one batch per prefix. This is
-    _gen_nonoverlapping without the need mask; one odometer switching the
-    mask on and off was slower for both.
+    prepends e to the block and backing up slices it off again. Each level
+    also keeps its prefix's blocks in standard form, ordered by maximum:
+    the block e joins now holds the largest element, so it moves to the
+    end, and a block e opens goes on the end. Element n is placed outside
+    the odometer, in one batch per prefix, and each item is the prefix's
+    standard form with one block moved to the end or one block appended,
+    cut and joined as tuples with no sort. This is _gen_nonoverlapping
+    without the need and tops masks; one odometer switching the need mask
+    on and off was slower for both.
     """
+    make = _make
     if n == 1:
-        yield SetPartition(1, ((1,),))
+        yield make((1, ((1,),)))
         return
-    label = [0] * n      # label[i]: block of element i + 1
-    nblocks = [1] * n    # nblocks[i]: blocks among 1..i + 1
-    blocks = [(1,)] * n  # blocks[k]: block k so far, decreasing
-    i, k = 1, 0          # place element i + 1, trying labels from k up
+    label = [0] * n         # label[i]: block of element i + 1
+    nblocks = [1] * n       # nblocks[i]: blocks among 1..i + 1
+    blocks = [(1,)] * n     # blocks[k]: block k so far, decreasing
+    std = [((1,),)] * n     # std[i]: the blocks of 1..i + 1 in standard form
+    i, k = 1, 0             # place element i + 1, trying labels from k up
     while True:
         if i < n - 1:
             m = nblocks[i - 1]
             if k <= m:
                 label[i] = k
+                s = std[i - 1]
                 if k < m:
                     nblocks[i] = m
-                    blocks[k] = (i + 1,) + blocks[k]
+                    block = blocks[k]
+                    j = s.index(block)
+                    blocks[k] = block = (i + 1,) + block
+                    std[i] = s[:j] + s[j + 1:] + (block,)
                 else:
                     nblocks[i] = m + 1
-                    blocks[m] = (i + 1,)
+                    blocks[m] = block = (i + 1,)
+                    std[i] = s + (block,)
                 i += 1
                 k = 0
                 continue
         else:
-            # Block maxima are distinct, so sorting the blocks as tuples
-            # orders them by first entry, as standard form lists them.
-            m = nblocks[i - 1]
-            for k in range(m):
+            s = std[i - 1]
+            for k in range(nblocks[i - 1]):
                 block = blocks[k]
-                blocks[k] = (n,) + block
-                yield SetPartition(n, tuple(sorted(blocks[:m])))
-                blocks[k] = block
-            blocks[m] = (n,)
-            yield SetPartition(n, tuple(sorted(blocks[:m + 1])))
+                j = s.index(block)
+                yield make((n, s[:j] + s[j + 1:] + ((n,) + block,)))
+            yield make((n, s + ((n,),)))
         # back up: undo element i and try its next label
         i -= 1
         if i == 0:
@@ -266,19 +281,32 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     block k, k's need is met; every earlier block whose largest element so
     far reaches min(k) must end after e, to enclose k; and k must go on if
     a later block in need does, to enclose it. Opening a block changes
-    nothing. A prefix extends iff need has at most n - e members. Element n
-    is placed outside the odometer: with need = {j} it joins j, and with
-    need empty it opens a block or joins any block whose minimum lies past
-    every earlier block. _gen_all is the same odometer without need.
+    nothing. A prefix extends iff need has at most n - e members.
+
+    tops is the bitmask of blocks that no earlier block covers, i.e. whose
+    minimum lies past the largest element of every earlier block. They
+    behave as a stack: when e joins block k, e lies past the minimum of
+    every later block, so only the labels <= k stay; a block e opens lies
+    past everything and is pushed. As in _gen_all, each level keeps its
+    prefix's blocks in standard form, with the block e joins moved to the
+    end and a block e opens appended.
+
+    Element n is placed outside the odometer: with need = {j} it joins j,
+    and with need empty it joins each block in tops, then opens a block.
+    Each item is cut from the prefix's standard form with no sort.
+    _gen_all is the same odometer without need and tops.
     """
+    make = _make
     if n == 1:
-        yield SetPartition(1, ((1,),))
+        yield make((1, ((1,),)))
         return
-    label = [0] * n      # label[i]: block of element i + 1
-    need = [0] * n       # need[i]: the need mask after element i + 1
-    nblocks = [1] * n    # nblocks[i]: blocks among 1..i + 1
-    blocks = [(1,)] * n  # blocks[k]: block k so far, decreasing
-    i, k = 1, 0          # place element i + 1, trying labels from k up
+    label = [0] * n         # label[i]: block of element i + 1
+    need = [0] * n          # need[i]: the need mask after element i + 1
+    tops = [1] * n          # tops[i]: the tops mask after element i + 1
+    nblocks = [1] * n       # nblocks[i]: blocks among 1..i + 1
+    blocks = [(1,)] * n     # blocks[k]: block k so far, decreasing
+    std = [((1,),)] * n     # std[i]: the blocks of 1..i + 1 in standard form
+    i, k = 1, 0             # place element i + 1, trying labels from k up
     while True:
         if i < n - 1:
             e = i + 1
@@ -302,37 +330,38 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
             if k >= 0:
                 label[i] = k
                 need[i] = g
+                s = std[i - 1]
                 if k < m:
                     nblocks[i] = m
-                    blocks[k] = (e,) + blocks[k]
+                    tops[i] = tops[i - 1] & ((2 << k) - 1)
+                    block = blocks[k]
+                    j = s.index(block)
+                    blocks[k] = block = (e,) + block
+                    std[i] = s[:j] + s[j + 1:] + (block,)
                 else:
                     nblocks[i] = m + 1
-                    blocks[m] = (e,)
+                    tops[i] = tops[i - 1] | (1 << m)
+                    blocks[m] = block = (e,)
+                    std[i] = s + (block,)
                 i += 1
                 k = 0
                 continue
         else:
-            # Block maxima are distinct, so sorting the blocks as tuples
-            # orders them by first entry, as standard form lists them.
             f = need[i - 1]
-            m = nblocks[i - 1]
+            s = std[i - 1]
             if f:
-                k = f.bit_length() - 1
-                block = blocks[k]
-                blocks[k] = (n,) + block
-                yield SetPartition(n, tuple(sorted(blocks[:m])))
-                blocks[k] = block
+                block = blocks[f.bit_length() - 1]
+                j = s.index(block)
+                yield make((n, s[:j] + s[j + 1:] + ((n,) + block,)))
             else:
-                reach = 0
-                for k in range(m):
-                    block = blocks[k]
-                    if block[-1] > reach:
-                        blocks[k] = (n,) + block
-                        yield SetPartition(n, tuple(sorted(blocks[:m])))
-                        blocks[k] = block
-                    reach = max(reach, block[0])
-                blocks[m] = (n,)
-                yield SetPartition(n, tuple(sorted(blocks[:m + 1])))
+                t = tops[i - 1]
+                while t:
+                    bit = t & -t
+                    t ^= bit
+                    block = blocks[bit.bit_length() - 1]
+                    j = s.index(block)
+                    yield make((n, s[:j] + s[j + 1:] + ((n,) + block,)))
+                yield make((n, s + ((n,),)))
         # back up: undo element i and try its next label
         i -= 1
         if i == 0:

@@ -10,21 +10,54 @@ letters still count (123 contains both patterns).
         p(i) < p(i+1) < p(j)
     1_23 (last two adjacent): positions i, j, j+1 with i < j and
         p(i) < p(j) < p(j+1)
+
+The public predicates refuse anything that is not a permutation of 1..n
+with ValidationError; the scan over all n! permutations calls the
+unchecked kernels behind them.
 """
 
 from collections import Counter
 from itertools import permutations
 from typing import Sequence
 
-from .errors import check_bound
+from .errors import ValidationError, check_bound
 
 #: 9! = 362880 hosts; the n! * n scan stays interactive up to here.
 AVOIDER_MAX_N = 9
 
 
+def _permutation(p) -> tuple[int, ...]:
+    """p as a tuple, once it is known to be a permutation of 1..len(p)."""
+    try:
+        perm = tuple(p)
+    except TypeError:
+        raise ValidationError(f"expected a permutation, got {p!r}") from None
+    for e in perm:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise ValidationError(f"entry {e!r} is not an integer")
+    if set(perm) != set(range(1, len(perm) + 1)):
+        raise ValidationError(f"{perm} is not a permutation of 1..{len(perm)}")
+    return perm
+
+
 def contains_12adj_3(p: Sequence[int]) -> bool:
     """Some adjacent ascent is followed, two or more places later, by a
     larger value."""
+    return _contains_12adj_3(_permutation(p))
+
+
+def contains_1_23adj(p: Sequence[int]) -> bool:
+    """Some adjacent ascent is preceded, anywhere earlier, by a smaller
+    value."""
+    return _contains_1_23adj(_permutation(p))
+
+
+def is_avoider(p: Sequence[int]) -> bool:
+    """Neither pattern occurs."""
+    return _is_avoider(_permutation(p))
+
+
+def _contains_12adj_3(p: tuple[int, ...]) -> bool:
     n = len(p)
     if n < 3:
         return False
@@ -37,9 +70,7 @@ def contains_12adj_3(p: Sequence[int]) -> bool:
     return False
 
 
-def contains_1_23adj(p: Sequence[int]) -> bool:
-    """Some adjacent ascent is preceded, anywhere earlier, by a smaller
-    value."""
+def _contains_1_23adj(p: tuple[int, ...]) -> bool:
     n = len(p)
     if n < 3:
         return False
@@ -52,9 +83,8 @@ def contains_1_23adj(p: Sequence[int]) -> bool:
     return False
 
 
-def is_avoider(p: Sequence[int]) -> bool:
-    """Neither pattern occurs."""
-    return not contains_12adj_3(p) and not contains_1_23adj(p)
+def _is_avoider(p: tuple[int, ...]) -> bool:
+    return not _contains_12adj_3(p) and not _contains_1_23adj(p)
 
 
 def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[int, int]:
@@ -65,6 +95,6 @@ def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[
     check_bound(n, max_n, "factorial")
     counts = Counter()
     for p in permutations(range(1, n + 1)):
-        if is_avoider(p):
+        if _is_avoider(p):
             counts[p[-1]] += 1
     return {k: counts[k] for k in range(1, n + 1)}

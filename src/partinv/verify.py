@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable
 
-from .errors import BoundError, PreconditionError
+from .errors import PreconditionError, check_bound
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          laminar, nonsingleton_spans)
@@ -96,14 +96,6 @@ class CheckReport:
 def _report(name, n_max, t0, counter=None):
     status = "pass" if counter is None else "fail"
     return CheckReport(name, (1, n_max), status, counter, perf_counter() - t0)
-
-
-def _check_depth(n_max, max_n: int = DEFAULT_MAX_N) -> None:
-    """Refuse a depth that would pass vacuously, or past the guard max_n."""
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise BoundError(f"check depth must be an integer >= 1, got {n_max!r}")
-    if n_max > max_n:
-        raise BoundError(f"check depth {n_max} exceeds the enumeration guard {max_n}")
 
 
 def _involution(sigma_fn: SigmaFn):
@@ -181,7 +173,7 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     """Check the named claims, each to its own depth, in one pass over
     P_1, P_2, ... that stops once every claim is settled."""
     for n_max in depths.values():
-        _check_depth(n_max)
+        check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
         raise PreconditionError(f"sigma_fn must be callable, got {sigma_fn!r}")
     t0 = perf_counter()
@@ -256,7 +248,7 @@ def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> Ch
 
 def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
     """Y on nonoverlapping partitions of [n] has distribution v[n][k]."""
-    _check_depth(n_max)
+    check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     return _matches_v("y_matches_v", n_max, lambda n: Counter(stat_y(p) for p in enumerate_nonoverlapping(n)),
                       "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
 
@@ -264,7 +256,7 @@ def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
     """The avoiders' last-entry distribution matches the v-triangle, to at
     most patterns.AVOIDER_MAX_N: the scan takes n! * n steps."""
-    _check_depth(n_max, AVOIDER_MAX_N)
+    check_bound(n_max, AVOIDER_MAX_N, "enumeration", "check depth")
     return _matches_v("avoiders_match_v", n_max, avoider_last_entry_distribution,
                       "last entry {k} over avoiders of [{n}]",
                       "avoider last-entry distribution matches the v-triangle")
@@ -285,6 +277,6 @@ def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     the four claims over all of P_n share one sweep, which runs first."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
     # the tightest guard, checked before the sweep starts its work
-    _check_depth(depths["avoiders_match_v"], AVOIDER_MAX_N)
+    check_bound(depths["avoiders_match_v"], AVOIDER_MAX_N, "enumeration", "check depth")
     swept = _sweep({name: depths[name] for name in _CLAIMS})
     return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]

@@ -71,7 +71,7 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "4", "--max-n", "3")
         assert code == 1
         assert out == ""
-        assert "exceeds" in err
+        assert err == "partinv: error: n=4 exceeds the enumeration guard 3 (raise max_n to override)\n"
 
 
 class TestStats:
@@ -243,6 +243,15 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("partinv: error:")
+
+    @pytest.mark.parametrize("depth, message", [
+        ("0", "check depth must be an integer >= 1, got 0"),
+        ("10", "check depth 10 exceeds the enumeration guard 9"),
+        ("15", "check depth 15 exceeds the enumeration guard 9"),
+    ])
+    def test_bad_depth_message(self, capsys, depth, message):
+        # verify takes no guard override, so the message offers none
+        assert run(capsys, "verify", "--max-n", depth)[1:] == ("", f"partinv: error: {message}\n")
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         broken = CheckReport(

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+import partinv.involution as involution
 from partinv import (
     OrbitClass,
     PartinvError,
@@ -57,6 +58,28 @@ class TestExamples:
             sigma_inverse(parse("2/431"))   # X < Y
         with pytest.raises(PreconditionError):
             sigma_inverse(parse("21"))      # X = Y
+        with pytest.raises(PreconditionError):
+            sigma_inverse(parse("1/32"))    # {1} alone: X = Y = 1
+        with pytest.raises(PreconditionError):
+            sigma_inverse(parse("1"))
+
+    def test_inverse_scans_once(self, monkeypatch):
+        calls = 0
+        scan = involution.rs_blocks
+
+        def counting(blocks):
+            nonlocal calls
+            calls += 1
+            return scan(blocks)
+
+        monkeypatch.setattr(involution, "rs_blocks", counting)
+        for text in ("6/7/852/9431", "2/431", "21"):
+            calls = 0
+            try:
+                sigma_inverse(parse(text))
+            except PreconditionError:
+                pass
+            assert calls == 1, text
 
     def test_malformed_input_is_caught_by_validation_not_by_sigma(self):
         # sigma trusts standard form; the checking constructors and

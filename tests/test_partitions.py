@@ -23,6 +23,10 @@ from partinv import (
     is_nonoverlapping,
     normalize,
     parse,
+    sigma,
+    sigma_inverse,
+    stat_x,
+    stat_y,
     v_compute,
     v_table,
 )
@@ -173,6 +177,42 @@ class TestConstructors:
             normalize([[1], ["2"]])
         with pytest.raises(ValidationError):
             normalize([[1], 2])
+
+
+class TestNamedTuple:
+    """SetPartition is a named tuple, so a bare (n, blocks) tuple compares
+    equal to one; these pin the type of what the fast paths build."""
+
+    def test_every_fast_path_builds_a_set_partition(self):
+        for n in range(1, 9):
+            built = [*enumerate_all(n), *enumerate_nonoverlapping(n)]
+            for p in enumerate_all(n):
+                built.append(sigma(p))
+                if stat_x(p) > stat_y(p):
+                    built.append(sigma_inverse(p))
+            for x in built:
+                assert type(x) is SetPartition, x
+                x.validate()
+
+    def test_immutable(self):
+        p = parse("2/31")
+        with pytest.raises(AttributeError):
+            p.n = 4
+        with pytest.raises(AttributeError):
+            p.blocks = ((1,),)
+
+    def test_repr_unchanged(self):
+        assert repr(parse("2/31")) == "SetPartition(n=3, blocks=((2,), (3, 1)))"
+
+    def test_equal_partitions_hash_equal(self):
+        p, q = parse("2/31"), SetPartition.from_blocks([[2], [3, 1]])
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, normalize([{1, 3}, {2}])}) == 1
+
+    def test_unpacks_and_equals_the_plain_tuple(self):
+        p = parse("2/31")
+        n, blocks = p
+        assert (n, blocks) == (3, ((2,), (3, 1))) == p
 
 
 class TestSpans:

@@ -6,6 +6,7 @@ import pytest
 
 from partinv import (
     BoundError,
+    ValidationError,
     avoider_last_entry_distribution,
     bessel,
     contains_12adj_3,
@@ -42,6 +43,21 @@ class TestPredicates:
             for p in permutations(range(1, n + 1)):
                 assert contains_12adj_3(p) == naive_contains_12adj_3(p)
                 assert contains_1_23adj(p) == naive_contains_1_23adj(p)
+
+
+JUNK = [None, 5, [1, "a", 3], "123", [1.0, 2.0], [True], [2, True], [1, 1], [1, 3], [0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("junk", JUNK, ids=repr)
+@pytest.mark.parametrize("fn", [is_avoider, contains_12adj_3, contains_1_23adj],
+                         ids=lambda fn: fn.__name__)
+def test_non_permutation_is_refused(fn, junk):
+    with pytest.raises(ValidationError):
+        fn(junk)
+
+
+def test_empty_permutation_is_accepted():
+    assert is_avoider(()) and not contains_12adj_3([]) and not contains_1_23adj(())
 
 
 class TestDistribution:

@@ -1,0 +1,117 @@
+"""Mutation check: apply each mutant to a temporary copy of the package,
+run the tests named for it, and report whether they fail (killed) or
+still pass (survived).
+
+    python3 tools/mutants.py              # every mutant
+    python3 tools/mutants.py NAME ...     # the named mutants
+
+Each mutant is one textual edit inside one function of src/partinv. The
+named tests first run on the unmutated copy and must pass there. Prints
+one JSON object, {"mutants": [...], "survived": k}, and exits 1 if any
+mutant survived. It is not part of the test suite: each mutant costs a
+pytest run.
+"""
+
+import argparse
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str             # under src/partinv
+    scope: str            # the function the edit stays inside
+    old: str              # must occur exactly once in that function
+    new: str
+    tests: tuple[str, ...]
+
+
+ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_grouping_oracle"
+NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_filtered_oracle"
+TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
+SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
+
+MUTANTS = (
+    Mutant("tops-join-drops-k", "partitions.py", "_gen_nonoverlapping",
+           "tops[i - 1] & ((2 << k) - 1)", "tops[i - 1] & ((1 << k) - 1)", (NONOVERLAPPING_ORACLE,)),
+    Mutant("tops-open-skips-bit", "partitions.py", "_gen_nonoverlapping",
+           "tops[i] = tops[i - 1] | (1 << m)", "tops[i] = tops[i - 1]", (NONOVERLAPPING_ORACLE,)),
+    Mutant("standard-form-wrong-slice", "partitions.py", "_gen_all",
+           "yield make((n, s[:j] + s[j + 1:] +", "yield make((n, s[:j + 1] + s[j + 2:] +", (ALL_ORACLE,)),
+    Mutant("odometer-yields-bare-tuple", "partitions.py", "_gen_all",
+           "yield make((n, s + ((n,),)))", "yield (n, s + ((n,),))", (TYPE_IDENTITY,)),
+    Mutant("absorb-r-ge-s", "involution.py", "_absorb",
+           "if r > s:", "if r >= s:", (SIGMA_ORACLE,)),
+    Mutant("undo-slice-wrong-end", "partitions.py", "_gen_all",
+           "blocks[k] = blocks[k][1:]", "blocks[k] = blocks[k][:-1]", (ALL_ORACLE,)),
+)
+
+
+def mutate(text: str, m: Mutant) -> str:
+    """text with m's edit made inside the function m.scope."""
+    start = text.index(f"\ndef {m.scope}(")
+    end = re.compile(r"\n\S").search(text, start + 1)
+    stop = end.start() if end else len(text)
+    body = text[start:stop]
+    if body.count(m.old) != 1:
+        raise SystemExit(f"mutant {m.name}: {m.old!r} occurs {body.count(m.old)} times in {m.scope}")
+    return text[:start] + body.replace(m.old, m.new) + text[stop:]
+
+
+def copy_tree(dst: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    shutil.copytree(ROOT / "src", dst / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", dst / "tests", ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dst / "pyproject.toml")
+
+
+def run_tests(copy: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; known: {sorted(known)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    results = []
+    with tempfile.TemporaryDirectory(prefix="partinv-mutants-") as tmp:
+        copy = Path(tmp)
+        copy_tree(copy)
+        baseline = run_tests(copy, sorted({t for m in chosen for t in m.tests}))
+        if baseline != 0:
+            raise SystemExit(f"the named tests fail on the unmutated copy (pytest exit {baseline})")
+        for m in chosen:
+            path = copy / "src" / "partinv" / m.file
+            original = path.read_text()
+            path.write_text(mutate(original, m))
+            try:
+                code = run_tests(copy, m.tests)
+            finally:
+                path.write_text(original)
+            if code not in (0, 1):
+                raise SystemExit(f"mutant {m.name}: pytest exit {code}, neither a pass nor a test failure")
+            results.append({"name": m.name, "file": f"src/partinv/{m.file}", "scope": m.scope,
+                            "tests": list(m.tests), "status": "survived" if code == 0 else "killed"})
+    survived = sum(r["status"] == "survived" for r in results)
+    print(json.dumps({"mutants": results, "survived": survived}, indent=2))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,9 +45,8 @@ def _bool(value: bool) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
-    stream = gen(args.n, max_n=max_n)
+    stream = gen(args.n, max_n=args.max_n)
     if args.format == "json":
         parts = list(stream)
         _emit_json({
@@ -117,8 +116,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_table(args) -> int:
-    max_n = args.max_n if args.max_n is not None else TRIANGLE_MAX_N
-    table = v_table(args.n_max, max_n=max_n)
+    table = v_table(args.n_max, max_n=args.max_n)
     sums = table.row_sums()
     if args.format == "json":
         _emit_json({
@@ -146,10 +144,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
     joint = Counter()
-    for p in gen(args.n, max_n=max_n):
+    for p in gen(args.n, max_n=args.max_n):
         joint[(stat_x(p), stat_y(p))] += 1
     if args.stat == "joint":
         cells = [[i, j, joint[(i, j)]] for i, j in sorted(joint)]
@@ -172,8 +169,7 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_avoiders(args) -> int:
-    max_n = args.max_n if args.max_n is not None else AVOIDER_MAX_N
-    dist = avoider_last_entry_distribution(args.n, max_n=max_n)
+    dist = avoider_last_entry_distribution(args.n, max_n=args.max_n)
     total = sum(dist.values())
     if args.format == "json":
         _emit_json({
@@ -209,18 +205,18 @@ def build_parser() -> _Parser:
                                  "the v-triangle, and brute-force verification.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, max_n_help=None):
+    def common(p, max_n_help=None, max_n=None):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
         if max_n_help:
-            p.add_argument("--max-n", type=int, default=None, metavar="N",
+            p.add_argument("--max-n", type=int, default=max_n, metavar="N",
                            help=max_n_help)
 
     p = sub.add_parser("enumerate", help="list the partitions of [n]")
     p.add_argument("n", type=int)
     p.add_argument("--nonoverlapping", action="store_true",
                    help="only nonoverlapping partitions")
-    common(p, max_n_help=f"enumeration guard override (default {DEFAULT_MAX_N})")
+    common(p, "enumeration guard override (default %(default)s)", DEFAULT_MAX_N)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("stats", help="X, Y, r, s, spans and the nonoverlapping flag")
@@ -235,7 +231,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="the v-triangle and its row sums")
     p.add_argument("n_max", type=int)
-    common(p, max_n_help=f"triangle guard override (default {TRIANGLE_MAX_N})")
+    common(p, "triangle guard override (default %(default)s)", TRIANGLE_MAX_N)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("distribution", help="X/Y/joint statistic counts over partitions of [n]")
@@ -243,16 +239,16 @@ def build_parser() -> _Parser:
     p.add_argument("--stat", choices=("x", "y", "joint"), default="joint", type=str.lower)
     p.add_argument("--nonoverlapping", action="store_true",
                    help="restrict to nonoverlapping partitions")
-    common(p, max_n_help=f"enumeration guard override (default {DEFAULT_MAX_N})")
+    common(p, "enumeration guard override (default %(default)s)", DEFAULT_MAX_N)
     p.set_defaults(func=cmd_distribution)
 
     p = sub.add_parser("avoiders", help="pattern-avoider count and last-entry distribution")
     p.add_argument("n", type=int)
-    common(p, max_n_help=f"factorial guard override (default {AVOIDER_MAX_N})")
+    common(p, "factorial guard override (default %(default)s)", AVOIDER_MAX_N)
     p.set_defaults(func=cmd_avoiders)
 
     p = sub.add_parser("verify", help="run every exhaustive check")
-    common(p, max_n_help=f"run all checks to this depth (at most {AVOIDER_MAX_N}) instead of their defaults")
+    common(p, f"run all checks to this depth (at most {AVOIDER_MAX_N}) instead of their defaults")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -25,7 +25,7 @@ import re
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FormatError, ParseError, ValidationError, check_bound
+from .errors import BoundError, FormatError, ParseError, ValidationError, check_bound
 
 Block = tuple[int, ...]
 
@@ -36,6 +36,9 @@ _NUMBER = re.compile(r"[1-9][0-9]*\Z")
 
 #: Default enumeration ceiling; Bell(14) ~ 1.9e8 partitions, streamed.
 DEFAULT_MAX_N = 14
+
+#: Ceiling on n whatever max_n says: the generators nest one level per element.
+NESTING_MAX_N = 500
 
 
 class SetPartition(NamedTuple):
@@ -197,176 +200,111 @@ def is_nonoverlapping(p: SetPartition) -> bool:
     return laminar(nonsingleton_spans(p))
 
 
+def _check_size(n, max_n) -> None:
+    """Both enumerations' guard: max_n, then the fixed nesting ceiling."""
+    check_bound(n, max_n, "enumeration")
+    if n > NESTING_MAX_N:
+        raise BoundError(f"n={n} exceeds the generator nesting ceiling {NESTING_MAX_N}")
+
+
 def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
     """Every partition of [n] exactly once, in standard form, RGS-lex order."""
-    check_bound(n, max_n, "enumeration")
+    _check_size(n, max_n)
     return _gen_all(n)
 
 
-def _gen_all(n: int) -> Iterator[SetPartition]:
-    """RGS odometer over every prefix 1..e, with the blocks kept as they
-    grow.
+def _grow_all(prefixes, e):
+    """Every one-element extension of each prefix of 1..e - 1, in RGS-lex
+    order. A prefix is (blocks, std): its blocks numbered by their minima,
+    as in the RGS, and the same blocks in standard form. Element e joins
+    each block in turn, which then holds the largest element and so moves
+    to the end of std, or opens a block, which goes on the end."""
+    for blocks, std in prefixes:
+        for k, block in enumerate(blocks):
+            j = std.index(block)
+            block = (e,) + block
+            yield blocks[:k] + (block,) + blocks[k + 1:], std[:j] + std[j + 1:] + (block,)
+        block = (e,)
+        yield blocks + (block,), std + (block,)
 
-    Labels number the blocks by their minima, as in the RGS: element e
-    joins any of the m blocks among 1..e - 1 or opens block m. Joining
-    prepends e to the block and backing up slices it off again. Each level
-    also keeps its prefix's blocks in standard form, ordered by maximum:
-    the block e joins now holds the largest element, so it moves to the
-    end, and a block e opens goes on the end. Element n is placed outside
-    the odometer, in one batch per prefix, and each item is the prefix's
-    standard form with one block moved to the end or one block appended,
-    cut and joined as tuples with no sort. This is _gen_nonoverlapping
-    without the need and tops masks; one odometer switching the need mask
-    on and off was slower for both.
-    """
+
+def _gen_all(n: int) -> Iterator[SetPartition]:
+    """The empty prefix grown by one _grow_all level per element 1..n - 1.
+    Element n is placed in one batch per prefix, each item cut from the
+    prefix's standard form as _grow_all cuts one, with no sort."""
     make = _make
-    if n == 1:
-        yield make((1, ((1,),)))
-        return
-    label = [0] * n         # label[i]: block of element i + 1
-    nblocks = [1] * n       # nblocks[i]: blocks among 1..i + 1
-    blocks = [(1,)] * n     # blocks[k]: block k so far, decreasing
-    std = [((1,),)] * n     # std[i]: the blocks of 1..i + 1 in standard form
-    i, k = 1, 0             # place element i + 1, trying labels from k up
-    while True:
-        if i < n - 1:
-            m = nblocks[i - 1]
-            if k <= m:
-                label[i] = k
-                s = std[i - 1]
-                if k < m:
-                    nblocks[i] = m
-                    block = blocks[k]
-                    j = s.index(block)
-                    blocks[k] = block = (i + 1,) + block
-                    std[i] = s[:j] + s[j + 1:] + (block,)
-                else:
-                    nblocks[i] = m + 1
-                    blocks[m] = block = (i + 1,)
-                    std[i] = s + (block,)
-                i += 1
-                k = 0
-                continue
-        else:
-            s = std[i - 1]
-            for k in range(nblocks[i - 1]):
-                block = blocks[k]
-                j = s.index(block)
-                yield make((n, s[:j] + s[j + 1:] + ((n,) + block,)))
-            yield make((n, s + ((n,),)))
-        # back up: undo element i and try its next label
-        i -= 1
-        if i == 0:
-            return
-        k = label[i]
-        if k < nblocks[i - 1]:
-            blocks[k] = blocks[k][1:]
-        k += 1
+    prefixes = (((), ()),)
+    for e in range(1, n):
+        prefixes = _grow_all(prefixes, e)
+    for blocks, std in prefixes:
+        for block in blocks:
+            j = std.index(block)
+            yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
+        yield make((n, std + ((n,),)))
 
 
 def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
     """Every nonoverlapping partition of [n] exactly once, in standard form,
     in the RGS-lex order of enumerate_all; the other partitions of [n] are
     never built."""
-    check_bound(n, max_n, "enumeration")
+    _check_size(n, max_n)
     return _gen_nonoverlapping(n)
 
 
-def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
-    """RGS odometer over the prefixes 1..e that some nonoverlapping
-    partition of [n] extends; no other prefix is entered.
+def _grow_nonoverlapping(prefixes, e, room):
+    """The one-element extensions of each prefix of 1..e - 1 that some
+    nonoverlapping partition of [e + room] extends, in RGS-lex order.
 
-    Labels number the blocks by their minima, as in the RGS. need is the
-    bitmask of blocks that must take an element after e. When e joins
-    block k, k's need is met; every earlier block whose largest element so
-    far reaches min(k) must end after e, to enclose k; and k must go on if
-    a later block in need does, to enclose it. Opening a block changes
-    nothing. A prefix extends iff need has at most n - e members.
+    A prefix is (blocks, std, need, tops), blocks and std as in _grow_all.
+    need is the bitmask of blocks that must take a later element. When e
+    joins block k, k's need is met; every earlier block whose largest
+    element so far reaches min(k) must end after e, to enclose k; and k
+    must go on if a later block in need does, to enclose it. Opening a
+    block changes nothing. An extension is kept iff its need has at most
+    room members.
 
-    tops is the bitmask of blocks that no earlier block covers, i.e. whose
-    minimum lies past the largest element of every earlier block. They
-    behave as a stack: when e joins block k, e lies past the minimum of
-    every later block, so only the labels <= k stay; a block e opens lies
-    past everything and is pushed. As in _gen_all, each level keeps its
-    prefix's blocks in standard form, with the block e joins moved to the
-    end and a block e opens appended.
-
-    Element n is placed outside the odometer: with need = {j} it joins j,
-    and with need empty it joins each block in tops, then opens a block.
-    Each item is cut from the prefix's standard form with no sort.
-    _gen_all is the same odometer without need and tops.
+    tops is the bitmask of blocks whose minimum lies past the largest
+    element of every earlier block, a stack: e joining block k covers the
+    minimum of every later block, so only labels <= k stay; an open pushes.
     """
+    for blocks, std, need, tops in prefixes:
+        for k, block in enumerate(blocks):
+            lo = block[-1]
+            g = need & ~(1 << k)
+            for b in range(k):
+                if blocks[b][0] >= lo:
+                    g |= 1 << b
+            if need >> (k + 1):
+                g |= 1 << k
+            if g.bit_count() <= room:
+                j = std.index(block)
+                block = (e,) + block
+                yield (blocks[:k] + (block,) + blocks[k + 1:], std[:j] + std[j + 1:] + (block,),
+                       g, tops & ((2 << k) - 1))
+        if need.bit_count() <= room:
+            block = (e,)
+            yield blocks + (block,), std + (block,), need, tops | (1 << len(blocks))
+
+
+def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
+    """The empty prefix grown by one _grow_nonoverlapping level per
+    element 1..n - 1, so no prefix that cannot be completed is built.
+    Element n is placed in one batch per prefix: with need = {j} it joins
+    j; with need empty it joins each block in tops, then opens a block."""
     make = _make
-    if n == 1:
-        yield make((1, ((1,),)))
-        return
-    label = [0] * n         # label[i]: block of element i + 1
-    need = [0] * n          # need[i]: the need mask after element i + 1
-    tops = [1] * n          # tops[i]: the tops mask after element i + 1
-    nblocks = [1] * n       # nblocks[i]: blocks among 1..i + 1
-    blocks = [(1,)] * n     # blocks[k]: block k so far, decreasing
-    std = [((1,),)] * n     # std[i]: the blocks of 1..i + 1 in standard form
-    i, k = 1, 0             # place element i + 1, trying labels from k up
-    while True:
-        if i < n - 1:
-            e = i + 1
-            f = need[i - 1]
-            m = nblocks[i - 1]
-            room = n - e
-            for k in range(k, m + 1):
-                g = f
-                if k < m:
-                    lo = blocks[k][-1]
-                    g &= ~(1 << k)
-                    for b in range(k):
-                        if blocks[b][0] >= lo:
-                            g |= 1 << b
-                    if f >> (k + 1):
-                        g |= 1 << k
-                if g.bit_count() <= room:
-                    break
-            else:
-                k = -1
-            if k >= 0:
-                label[i] = k
-                need[i] = g
-                s = std[i - 1]
-                if k < m:
-                    nblocks[i] = m
-                    tops[i] = tops[i - 1] & ((2 << k) - 1)
-                    block = blocks[k]
-                    j = s.index(block)
-                    blocks[k] = block = (e,) + block
-                    std[i] = s[:j] + s[j + 1:] + (block,)
-                else:
-                    nblocks[i] = m + 1
-                    tops[i] = tops[i - 1] | (1 << m)
-                    blocks[m] = block = (e,)
-                    std[i] = s + (block,)
-                i += 1
-                k = 0
-                continue
+    prefixes = (((), (), 0, 0),)
+    for e in range(1, n):
+        prefixes = _grow_nonoverlapping(prefixes, e, n - e)
+    for blocks, std, need, tops in prefixes:
+        if need:
+            block = blocks[need.bit_length() - 1]
+            j = std.index(block)
+            yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
         else:
-            f = need[i - 1]
-            s = std[i - 1]
-            if f:
-                block = blocks[f.bit_length() - 1]
-                j = s.index(block)
-                yield make((n, s[:j] + s[j + 1:] + ((n,) + block,)))
-            else:
-                t = tops[i - 1]
-                while t:
-                    bit = t & -t
-                    t ^= bit
-                    block = blocks[bit.bit_length() - 1]
-                    j = s.index(block)
-                    yield make((n, s[:j] + s[j + 1:] + ((n,) + block,)))
-                yield make((n, s + ((n,),)))
-        # back up: undo element i and try its next label
-        i -= 1
-        if i == 0:
-            return
-        k = label[i]
-        if k < nblocks[i - 1]:
-            blocks[k] = blocks[k][1:]
-        k += 1
+            while tops:
+                bit = tops & -tops
+                tops ^= bit
+                block = blocks[bit.bit_length() - 1]
+                j = std.index(block)
+                yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
+            yield make((n, std + ((n,),)))

@@ -4,10 +4,10 @@ test, with counterexample reporting.
 Every check scans n = 1..n_max in the deterministic enumeration order and
 reports the first violation it meets, so failures are stable regression
 artifacts. Checks never raise on failure; the CLI turns failures into a
-nonzero exit code. A depth below 1 or past the enumeration guard raises
-BoundError before any work starts. The sigma-dependent checks accept the
-map under test as a parameter so that deliberately broken variants can be
-shown to trip them.
+nonzero exit code. A depth below 1 or past its guard (enumeration, or
+factorial for the avoider scan) raises BoundError before any work starts.
+The sigma-dependent checks accept the map under test as a parameter so
+that deliberately broken variants can be shown to trip them.
 
 The four claims over all of P_n are rows of one claim table, checked in
 one sweep that enumerates each partition once for every claim still live;
@@ -256,7 +256,7 @@ def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
     """The avoiders' last-entry distribution matches the v-triangle, to at
     most patterns.AVOIDER_MAX_N: the scan takes n! * n steps."""
-    check_bound(n_max, AVOIDER_MAX_N, "enumeration", "check depth")
+    check_bound(n_max, AVOIDER_MAX_N, "factorial", "check depth")
     return _matches_v("avoiders_match_v", n_max, avoider_last_entry_distribution,
                       "last entry {k} over avoiders of [{n}]",
                       "avoider last-entry distribution matches the v-triangle")
@@ -277,6 +277,6 @@ def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     the four claims over all of P_n share one sweep, which runs first."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
     # the tightest guard, checked before the sweep starts its work
-    check_bound(depths["avoiders_match_v"], AVOIDER_MAX_N, "enumeration", "check depth")
+    check_bound(depths["avoiders_match_v"], AVOIDER_MAX_N, "factorial", "check depth")
     swept = _sweep({name: depths[name] for name in _CLAIMS})
     return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written with a different algorithm than
-the code under test (recursive enumeration instead of the restricted
-growth odometer, all-pairs and all-triples scans instead of linear ones,
+the code under test (recursive enumeration instead of the chain of
+per-element generators, all-pairs and all-triples scans instead of linear ones,
 Pascal's rule instead of math.comb, bottom-up tabulation with the
 summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too

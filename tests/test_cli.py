@@ -246,8 +246,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("depth, message", [
         ("0", "check depth must be an integer >= 1, got 0"),
-        ("10", "check depth 10 exceeds the enumeration guard 9"),
-        ("15", "check depth 15 exceeds the enumeration guard 9"),
+        ("10", "check depth 10 exceeds the factorial guard 9"),
+        ("15", "check depth 15 exceeds the factorial guard 9"),
     ])
     def test_bad_depth_message(self, capsys, depth, message):
         # verify takes no guard override, so the message offers none

@@ -3,6 +3,7 @@ enumeration."""
 
 import ast
 import inspect
+from itertools import islice
 
 import pytest
 
@@ -266,9 +267,16 @@ class TestEnumeration:
             assert list(enumerate_nonoverlapping(n)) == nonoverlapping_by_filter(n), n
 
     def test_nonoverlapping_generator_does_not_filter(self):
-        tree = ast.parse(inspect.getsource(partitions._gen_nonoverlapping))
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert not names & {"is_nonoverlapping", "_gen_all", "enumerate_all"}
+        for fn in (partitions._gen_nonoverlapping, partitions._grow_nonoverlapping):
+            tree = ast.parse(inspect.getsource(fn))
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert not names & {"is_nonoverlapping", "_gen_all", "_grow_all", "enumerate_all"}, fn
+
+    def test_streams_lazily_past_the_list_tests(self):
+        # Bell(14) ~ 1.9e8: this returns at once only if nothing is built ahead
+        assert list(islice(enumerate_all(14), 1000)) == list(islice(enumerate_by_groups(14), 1000))
+        oracle = (p for p in enumerate_by_groups(14) if naive_nonoverlapping(p))
+        assert list(islice(enumerate_nonoverlapping(14), 1000)) == list(islice(oracle, 1000))
 
     def test_guard(self):
         with pytest.raises(BoundError):
@@ -281,6 +289,17 @@ class TestEnumeration:
             next(enumerate_nonoverlapping(15))
         # the guard is adjustable, not a hard ceiling
         assert sum(1 for _ in enumerate_all(3, max_n=3)) == 5
+
+    @pytest.mark.parametrize("gen, name", [(enumerate_all, "_gen_all"),
+                                           (enumerate_nonoverlapping, "_gen_nonoverlapping")])
+    def test_nesting_ceiling(self, monkeypatch, gen, name):
+        # one generator level per element: past the fixed ceiling n is
+        # refused up front, whatever max_n says, instead of recursing
+        ceiling = partitions.NESTING_MAX_N
+        assert next(gen(ceiling, max_n=ceiling)) == SetPartition(ceiling, (tuple(range(ceiling, 0, -1)),))
+        monkeypatch.setattr(partitions, name, lambda n: pytest.fail("work started before the guard"))
+        with pytest.raises(BoundError, match=f"n=1200 exceeds the generator nesting ceiling {ceiling}"):
+            gen(1200, max_n=1200)
 
 
 @pytest.mark.parametrize("call, error", [

@@ -41,18 +41,27 @@ TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
 
 MUTANTS = (
-    Mutant("tops-join-drops-k", "partitions.py", "_gen_nonoverlapping",
-           "tops[i - 1] & ((2 << k) - 1)", "tops[i - 1] & ((1 << k) - 1)", (NONOVERLAPPING_ORACLE,)),
-    Mutant("tops-open-skips-bit", "partitions.py", "_gen_nonoverlapping",
-           "tops[i] = tops[i - 1] | (1 << m)", "tops[i] = tops[i - 1]", (NONOVERLAPPING_ORACLE,)),
+    Mutant("tops-join-drops-k", "partitions.py", "_grow_nonoverlapping",
+           "tops & ((2 << k) - 1)", "tops & ((1 << k) - 1)", (NONOVERLAPPING_ORACLE,)),
+    Mutant("tops-open-skips-bit", "partitions.py", "_grow_nonoverlapping",
+           "tops | (1 << len(blocks))", "tops", (NONOVERLAPPING_ORACLE,)),
+    Mutant("need-drops-enclosing-term", "partitions.py", "_grow_nonoverlapping",
+           "g |= 1 << b", "pass", (NONOVERLAPPING_ORACLE,)),
+    Mutant("need-drops-later-block-term", "partitions.py", "_grow_nonoverlapping",
+           "g |= 1 << k", "pass", (NONOVERLAPPING_ORACLE,)),
+    Mutant("join-room-test-strict", "partitions.py", "_grow_nonoverlapping",
+           "if g.bit_count() <= room:", "if g.bit_count() < room:", (NONOVERLAPPING_ORACLE,)),
+    Mutant("open-room-test-strict", "partitions.py", "_grow_nonoverlapping",
+           "if need.bit_count() <= room:", "if need.bit_count() < room:", (NONOVERLAPPING_ORACLE,)),
     Mutant("standard-form-wrong-slice", "partitions.py", "_gen_all",
-           "yield make((n, s[:j] + s[j + 1:] +", "yield make((n, s[:j + 1] + s[j + 2:] +", (ALL_ORACLE,)),
-    Mutant("odometer-yields-bare-tuple", "partitions.py", "_gen_all",
-           "yield make((n, s + ((n,),)))", "yield (n, s + ((n,),))", (TYPE_IDENTITY,)),
+           "yield make((n, std[:j] + std[j + 1:] +", "yield make((n, std[:j + 1] + std[j + 2:] +", (ALL_ORACLE,)),
+    Mutant("batch-yields-bare-tuple", "partitions.py", "_gen_all",
+           "yield make((n, std + ((n,),)))", "yield (n, std + ((n,),))", (TYPE_IDENTITY,)),
     Mutant("absorb-r-ge-s", "involution.py", "_absorb",
            "if r > s:", "if r >= s:", (SIGMA_ORACLE,)),
-    Mutant("undo-slice-wrong-end", "partitions.py", "_gen_all",
-           "blocks[k] = blocks[k][1:]", "blocks[k] = blocks[k][:-1]", (ALL_ORACLE,)),
+    Mutant("prefix-slice-wrong-end", "partitions.py", "_grow_all",
+           "blocks[:k] + (block,) + blocks[k + 1:]", "blocks[:k] + (block,) + blocks[:len(blocks) - k - 1]",
+           (ALL_ORACLE,)),
 )
 
 

@@ -4,11 +4,13 @@ Subcommands: enumerate, stats, sigma, table, distribution, avoiders,
 verify. Every subcommand takes --format text|json; partition-valued
 text is compact whenever every entry is <= 9 and in the comma form
 otherwise. Results go to stdout, diagnostics to stderr. Exit codes: 0
-success, 1 usage or input error, 2 verification failure.
+success, 1 usage or input error or stdout closed early (as by
+`partinv enumerate 10 | head -1`), 2 verification failure.
 """
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -269,6 +271,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except PartinvError as exc:
         print(f"partinv: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the flush at exit
+        # cannot raise again (Python's documented SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -255,19 +255,15 @@ def _grow_nonoverlapping(prefixes, e, room):
     """The one-element extensions of each prefix of 1..e - 1 that some
     nonoverlapping partition of [e + room] extends, in RGS-lex order.
 
-    A prefix is (blocks, std, need, tops), blocks and std as in _grow_all.
+    A prefix is (blocks, std, need), blocks and std as in _grow_all.
     need is the bitmask of blocks that must take a later element. When e
     joins block k, k's need is met; every earlier block whose largest
     element so far reaches min(k) must end after e, to enclose k; and k
     must go on if a later block in need does, to enclose it. Opening a
     block changes nothing. An extension is kept iff its need has at most
     room members.
-
-    tops is the bitmask of blocks whose minimum lies past the largest
-    element of every earlier block, a stack: e joining block k covers the
-    minimum of every later block, so only labels <= k stay; an open pushes.
     """
-    for blocks, std, need, tops in prefixes:
+    for blocks, std, need in prefixes:
         for k, block in enumerate(blocks):
             lo = block[-1]
             g = need & ~(1 << k)
@@ -279,32 +275,33 @@ def _grow_nonoverlapping(prefixes, e, room):
             if g.bit_count() <= room:
                 j = std.index(block)
                 block = (e,) + block
-                yield (blocks[:k] + (block,) + blocks[k + 1:], std[:j] + std[j + 1:] + (block,),
-                       g, tops & ((2 << k) - 1))
+                yield blocks[:k] + (block,) + blocks[k + 1:], std[:j] + std[j + 1:] + (block,), g
         if need.bit_count() <= room:
             block = (e,)
-            yield blocks + (block,), std + (block,), need, tops | (1 << len(blocks))
+            yield blocks + (block,), std + (block,), need
 
 
 def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     """The empty prefix grown by one _grow_nonoverlapping level per
     element 1..n - 1, so no prefix that cannot be completed is built.
     Element n is placed in one batch per prefix: with need = {j} it joins
-    j; with need empty it joins each block in tops, then opens a block."""
+    j; with need empty it joins each block whose minimum lies past the
+    largest element of every earlier block, then opens a block. A block
+    that fails lies inside an earlier one, so only a join raises hi."""
     make = _make
-    prefixes = (((), (), 0, 0),)
+    prefixes = (((), (), 0),)
     for e in range(1, n):
         prefixes = _grow_nonoverlapping(prefixes, e, n - e)
-    for blocks, std, need, tops in prefixes:
+    for blocks, std, need in prefixes:
         if need:
             block = blocks[need.bit_length() - 1]
             j = std.index(block)
             yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
         else:
-            while tops:
-                bit = tops & -tops
-                tops ^= bit
-                block = blocks[bit.bit_length() - 1]
-                j = std.index(block)
-                yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
+            hi = 0
+            for block in blocks:
+                if block[-1] > hi:
+                    hi = block[0]
+                    j = std.index(block)
+                    yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
             yield make((n, std + ((n,),)))

@@ -3,10 +3,15 @@ and the exit-code contract (0 ok, 1 usage/input error, 2 failed check)."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import partinv
 import partinv.cli as cli
 from partinv import SetPartition, parse, v_table
 from partinv.verify import CheckReport, Counterexample
@@ -302,3 +307,20 @@ class TestErrorPaths:
         code, _, err = run(capsys, "sigma", "2/1")
         assert code == 1
         assert "increasing" in err
+
+    @pytest.mark.parametrize("argv", [("enumerate", "10"), ("enumerate", "9", "--format", "json")])
+    def test_closed_pipe_exits_1_quietly(self, argv):
+        # a reader that stops after one line, as `partinv enumerate 10 | head -1`;
+        # the output is megabytes, so the child is still writing when the pipe closes
+        env = {**os.environ, "PYTHONPATH": str(Path(partinv.__file__).resolve().parent.parent)}
+        proc = subprocess.Popen([sys.executable, "-m", "partinv.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert first in (b"10,9,8,7,6,5,4,3,2,1\n", b"{\n")
+        assert err == b""

@@ -1,0 +1,49 @@
+"""The mutant table of tools/mutants.py stays in step with the code: every
+edit still applies once to today's source, and every test it names still
+exists. Running the mutants is left to the tool; this runs no pytest."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """True iff the module at path defines the nested class/function names."""
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        found = [node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                 and node.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_table_size_and_unique_names():
+    assert len(mutants.MUTANTS) >= 14
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+
+
+@pytest.mark.parametrize("m", mutants.MUTANTS, ids=lambda m: m.name)
+def test_mutant_applies_and_names_real_tests(m):
+    path = ROOT / "src" / "partinv" / m.file
+    source = path.read_text()
+    try:
+        mutated = mutants.mutate(source, m)
+    except SystemExit as exc:
+        pytest.fail(str(exc))
+    assert mutated != source
+    compile(mutated, str(path), "exec")
+    assert m.tests
+    for test in m.tests:
+        file, *names = test.split("::")
+        assert (ROOT / file).is_file(), test
+        assert _defines(ROOT / file, names), test

@@ -9,7 +9,8 @@ Each mutant is one textual edit inside one function of src/partinv. The
 named tests first run on the unmutated copy and must pass there. Prints
 one JSON object, {"mutants": [...], "survived": k}, and exits 1 if any
 mutant survived. It is not part of the test suite: each mutant costs a
-pytest run.
+pytest run; tests/test_mutants.py checks, without running them, that
+every edit still applies and every named test still exists.
 """
 
 import argparse
@@ -39,12 +40,14 @@ ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_groupi
 NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_filtered_oracle"
 TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
+SHARED_SWEEP = "tests/test_verify.py::TestSharedSweep"
+RECURRENCE = "tests/test_recurrence.py"
 
 MUTANTS = (
-    Mutant("tops-join-drops-k", "partitions.py", "_grow_nonoverlapping",
-           "tops & ((2 << k) - 1)", "tops & ((1 << k) - 1)", (NONOVERLAPPING_ORACLE,)),
-    Mutant("tops-open-skips-bit", "partitions.py", "_grow_nonoverlapping",
-           "tops | (1 << len(blocks))", "tops", (NONOVERLAPPING_ORACLE,)),
+    Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
+           "hi = block[0]", "pass", (NONOVERLAPPING_ORACLE,)),
+    Mutant("batch-hi-starts-at-1", "partitions.py", "_gen_nonoverlapping",
+           "hi = 0", "hi = 1", (NONOVERLAPPING_ORACLE,)),
     Mutant("need-drops-enclosing-term", "partitions.py", "_grow_nonoverlapping",
            "g |= 1 << b", "pass", (NONOVERLAPPING_ORACLE,)),
     Mutant("need-drops-later-block-term", "partitions.py", "_grow_nonoverlapping",
@@ -62,6 +65,15 @@ MUTANTS = (
     Mutant("prefix-slice-wrong-end", "partitions.py", "_grow_all",
            "blocks[:k] + (block,) + blocks[k + 1:]", "blocks[:k] + (block,) + blocks[:len(blocks) - k - 1]",
            (ALL_ORACLE,)),
+    Mutant("sweep-settles-only-at-depth", "verify.py", "_sweep",
+           "if c is not None or n == depths[name]:", "if n == depths[name]:",
+           (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",)),
+    Mutant("failed-claim-kept-live", "verify.py", "_sweep",
+           "c)\n                    del live[name]", "c)", (SHARED_SWEEP,)),
+    Mutant("triangle-weight-wrong-binomial", "recurrence.py", "_build",
+           "comb(m - 2, j)", "comb(m - 1, j)", (RECURRENCE,)),
+    Mutant("triangle-weights-wrong-slice", "recurrence.py", "_build",
+           "prev[1:k]", "prev[:k - 1]", (RECURRENCE,)),
 )
 
 

@@ -48,17 +48,27 @@ def _bool(value: bool) -> str:
 
 def cmd_enumerate(args) -> int:
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
-    stream = gen(args.n, max_n=args.max_n)
     if args.format == "json":
-        parts = list(stream)
-        _emit_json({
+        # streamed, so neither the partitions nor the text are held: the
+        # count comes from a first pass, and the bytes written are those of
+        # json.dumps(payload, indent=2) (n >= 1, so the list is never empty)
+        count = sum(1 for _ in gen(args.n, max_n=args.max_n))
+        head = json.dumps({
             "n": args.n,
             "nonoverlapping": args.nonoverlapping,
-            "count": len(parts),
-            "partitions": [p.to_json() for p in parts],
-        })
+            "count": count,
+            "partitions": [],
+        }, indent=2)
+        encode = json.JSONEncoder(indent=2).encode
+        write = sys.stdout.write
+        write(head.removesuffix("]\n}"))
+        sep = "\n    "
+        for p in gen(args.n, max_n=args.max_n):
+            write(sep + encode(p.to_json()).replace("\n", "\n    "))
+            sep = ",\n    "
+        write("\n  ]\n}\n")
     else:
-        for p in stream:
+        for p in gen(args.n, max_n=args.max_n):
             print(format_partition(p))
     return 0
 

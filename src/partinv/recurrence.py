@@ -27,8 +27,19 @@ by diagonal, D[e][k] = suf[k+e][k], and with C(k-2, d-2) = C(k-2, k-d):
 
 so v[n][k] = suf[n][k] - suf[n][k+1] and the row sum is suf[n][1].
 
+The weighted sum is the binomial transform of a_i = D[e-1][i+1] at order
+N = k-2, b_N = sum_{i=0}^{N} C(N, i) * a_i, and each row raises N by one
+and brings one new term, a_N = D[e-1][k-1]. Its Pascal table,
+
+    A_N[0] = a_N,   A_N[t] = A_N[t-1] + A_{N-1}[t-1],   b_N = A_N[N],
+
+needs only its last anti-diagonal A_{N-1}[0..N-1] to make the next one:
+A_N is the running sum of A_{N-1} seeded with a_N. So each term of the
+sum costs one big-integer addition, with no multiplication and no
+binomial coefficient.
+
 The triangle is built bottom-up, one row at a time, in O(n^3) big-integer
-operations instead of O(n^4), with no recursion. The one table grows on
+additions instead of O(n^4), with no recursion. The one table grows on
 demand and is shared by every function here; nothing is computed at
 import. All arithmetic is exact: entries grow super-exponentially and
 leave 64-bit range near n = 25.
@@ -36,23 +47,23 @@ leave 64-bit range near n = 25.
 
 import threading
 from dataclasses import dataclass
-from math import comb
-from operator import mul
+from itertools import accumulate
 
 from .errors import DomainError, check_bound
 
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
-#: operations on numbers of O(n log n) digits. On a 2-core Xeon VM a cold
-#: `partinv table 300 --format json` takes about 2 s, peaks at 67 MiB and
-#: writes 11 MB; at 400 rows that is 5 s, 146 MiB and 27 MB.
+#: additions on numbers of O(n log n) digits. On a 2-core Xeon VM a cold
+#: `partinv table 300 --format json` takes 0.5-0.8 s, peaks at 73 MiB and
+#: writes 11 MB; at 400 rows that is 1.3-2.1 s, 165 MiB and 27 MB.
 TRIANGLE_MAX_N = 300
 
 #: _diag[e][k] = suf[k+e][k]; index 0 of each diagonal is a placeholder.
 #: Rows 1..n are complete once len(_diag) == n.
 _diag: list[list[int]] = []
 
-#: _weights[k] = [C(k-2, 0), ..., C(k-2, k-2)], empty for k <= 1.
-_weights: list[list[int]] = [[]]
+#: _pascal[d] = A_N[0..N] for the binomial transform of _diag[d][1:], at
+#: the order N the latest row used (empty before it is first needed).
+_pascal: list[list[int]] = []
 
 #: Held while the table grows, so concurrent callers never build a row twice.
 _grow_lock = threading.Lock()
@@ -64,20 +75,25 @@ def _build(n: int, max_n: int) -> None:
     if n <= len(_diag):
         return
     with _grow_lock:
-        diag, weights = _diag, _weights
+        diag, pascal = _diag, _pascal
         for m in range(len(diag) + 1, n + 1):
-            weights[m:] = [[comb(m - 2, j) for j in range(m - 1)]]
             # row m adds suf[m][m-e] to each diagonal e, nearest the main one first
             new = [1]
             for e in range(1, m):
                 k = m - e
                 prev = diag[e - 1]
-                new.append(new[-1] + prev[k] + sum(map(mul, weights[k], prev[1:k])))
+                a = pascal[e - 1]
+                # advance to order k-2 only once: a retry of a row an
+                # interrupt cut short finds the diagonals it reached advanced
+                if len(a) < k - 1:
+                    a = pascal[e - 1] = list(accumulate(a, initial=prev[k - 1]))
+                new.append(new[-1] + prev[k] + (a[-1] if a else 0))
             # store by index, not append, so a row left half-written by an
-            # interrupt is overwritten; the new diagonal goes last, as it
-            # marks the row complete
+            # interrupt is overwritten; the new diagonal goes last, after
+            # its empty Pascal state, as it marks the row complete
             for e, value in enumerate(new[:-1]):
                 diag[e][m - e:] = [value]
+            pascal[m - 1:] = [[]]
             diag.append([0, new[-1]])
 
 

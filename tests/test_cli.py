@@ -2,6 +2,7 @@
 and the exit-code contract (0 ok, 1 usage/input error, 2 failed check)."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -71,6 +72,38 @@ class TestEnumerate:
         assert payload["count"] == 5
         parts = [SetPartition.from_json(obj) for obj in payload["partitions"]]
         assert parts == list(map(parse, ["321", "21/3", "2/31", "1/32", "1/2/3"]))
+
+    @pytest.mark.parametrize("flags", [(), ("--nonoverlapping",)], ids=["all", "nonoverlapping"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_json_is_the_bytes_of_one_dump(self, capsys, n, flags):
+        gen = partinv.enumerate_nonoverlapping if flags else partinv.enumerate_all
+        parts = [p.to_json() for p in gen(n)]
+        payload = {"n": n, "nonoverlapping": bool(flags), "count": len(parts), "partitions": parts}
+        code, out, err = run(capsys, "enumerate", str(n), *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--nonoverlapping",)], ids=["all", "nonoverlapping"])
+    def test_json_streams(self, monkeypatch, flags):
+        # what stdout holds when the generator is about to yield its last
+        # item, on each pass: the first partition must already be there
+        name = "enumerate_nonoverlapping" if flags else "enumerate_all"
+        gen = getattr(cli, name)
+        out = io.StringIO()
+        written = []
+
+        def watched(n, max_n):
+            *items, last = gen(n, max_n=max_n)
+            yield from items
+            written.append(out.getvalue())
+            yield last
+
+        monkeypatch.setattr(cli, name, watched)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["enumerate", "5", *flags, "--format", "json"]) == 0
+        first = json.dumps(next(gen(5)).to_json(), indent=2).replace("\n", "\n    ")
+        assert first in written[-1]
+        assert out.getvalue().startswith(written[-1])
 
     def test_guard_override(self, capsys):
         code, out, err = run(capsys, "enumerate", "4", "--max-n", "3")

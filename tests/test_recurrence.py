@@ -6,6 +6,7 @@ import inspect
 import sys
 import threading
 import time
+from math import comb
 
 import pytest
 
@@ -46,7 +47,7 @@ BESSEL_12 = [1, 2, 5, 14, 43, 143, 509, 1922, 7651, 31965, 139685, 636712]
 def fresh_table(monkeypatch):
     """An empty table for the test; the shared one is restored after."""
     monkeypatch.setattr(recurrence, "_diag", [])
-    monkeypatch.setattr(recurrence, "_weights", [[]])
+    monkeypatch.setattr(recurrence, "_pascal", [])
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,44 @@ def test_half_written_row_is_rebuilt(fresh_table, alt60):
     recurrence._diag[0].append(-1)
     recurrence._diag[1].append(-1)
     assert_matches_oracle(v_table(20), alt60)
+
+
+@pytest.mark.parametrize("nth", [1, 3, 5, 400])
+def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60, nth):
+    """An interrupt inside a row's loop leaves the Pascal state of the
+    diagonals the row reached advanced, and the rest not; the retry must
+    advance each exactly once. Call nth falls inside row 3, 4, 5 and 30,
+    after 0, 1, 1 and 21 of the row's diagonals were advanced."""
+    real = recurrence.accumulate
+    calls = 0
+
+    def interrupted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == nth:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "accumulate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        v_table(40)
+    assert len(recurrence._diag) < 40
+    assert_matches_oracle(v_table(40), alt60)
+
+
+def test_pascal_state_is_one_anti_diagonal_per_diagonal(fresh_table):
+    """After row n, diagonal d has been transformed at order n-d-3: its
+    Pascal state holds n-d-2 entries, the last being the binomial sum
+    sum_j C(n-d-3, j) * D[d][j+1] the last row read."""
+    n = 12
+    v_table(n)
+    assert len(recurrence._pascal) == n
+    for d, a in enumerate(recurrence._pascal):
+        order = n - d - 3
+        assert len(a) == max(order + 1, 0)
+        if a:
+            diag = recurrence._diag[d]
+            assert a[-1] == sum(comb(order, j) * diag[j + 1] for j in range(order + 1))
 
 
 def test_concurrent_growth(fresh_table, alt60):

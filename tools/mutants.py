@@ -70,10 +70,14 @@ MUTANTS = (
            (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",)),
     Mutant("failed-claim-kept-live", "verify.py", "_sweep",
            "c)\n                    del live[name]", "c)", (SHARED_SWEEP,)),
-    Mutant("triangle-weight-wrong-binomial", "recurrence.py", "_build",
-           "comb(m - 2, j)", "comb(m - 1, j)", (RECURRENCE,)),
-    Mutant("triangle-weights-wrong-slice", "recurrence.py", "_build",
-           "prev[1:k]", "prev[:k - 1]", (RECURRENCE,)),
+    Mutant("pascal-seeded-one-term-late", "recurrence.py", "_build",
+           "initial=prev[k - 1]", "initial=prev[k]", (RECURRENCE,)),
+    Mutant("pascal-reads-first-entry", "recurrence.py", "_build",
+           "a[-1] if a", "a[0] if a", (RECURRENCE,)),
+    Mutant("pascal-retry-guard-off-by-one", "recurrence.py", "_build",
+           "if len(a) < k - 1:", "if len(a) < k:", (RECURRENCE,)),
+    Mutant("pascal-advanced-again-on-retry", "recurrence.py", "_build",
+           "if len(a) < k - 1:", "if k > 1:", (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
 )
 
 

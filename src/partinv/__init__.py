@@ -6,7 +6,6 @@ counts, all backed by exhaustive brute-force verification.
 from .errors import (
     BoundError,
     DomainError,
-    FormatError,
     NoNonsingletonBlock,
     OneIsSingleton,
     ParseError,
@@ -55,7 +54,6 @@ __all__ = [
     "Counterexample",
     "DEFAULT_MAX_N",
     "DomainError",
-    "FormatError",
     "NoNonsingletonBlock",
     "OneIsSingleton",
     "OrbitClass",

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the size guard that
-raises BoundError."""
+"""Exception types shared across the package, the integer rule every
+boundary check applies, and the size guard that raises BoundError."""
 
 
 class PartinvError(Exception):
@@ -17,10 +17,6 @@ class ParseError(PartinvError):
 
 class ValidationError(PartinvError):
     """Structurally well-formed input that violates a standard-form invariant."""
-
-
-class FormatError(PartinvError):
-    """Compact serialization requested for a partition with an entry > 9."""
 
 
 class BoundError(PartinvError):
@@ -43,13 +39,18 @@ class PreconditionError(PartinvError):
     """Operation called outside its stated precondition."""
 
 
+def is_int(value) -> bool:
+    """The one integer rule: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_bound(n, max_n, guard: str, size: str = "n") -> None:
     """Refuse, before any work starts, a size n or a guard max_n that is not
     an integer >= 1 (bool excluded), and an n past the named guard. size is
     what the messages call n. Only under the default, "n", is max_n the
     caller's own argument, so only then does the message offer raising it."""
     for name, value in ((size, n), ("max_n", max_n)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not is_int(value) or value < 1:
             raise BoundError(f"{name} must be an integer >= 1, got {value!r}")
     if n > max_n:
         if size == "n":

@@ -6,6 +6,10 @@ singleton blocks into the block containing 1 (expelling s as a new
 singleton when r > s); on the X > Y side it reconstructs the unique
 preimage of that move. It never disturbs the span of any non-singleton
 block, so it preserves the nonoverlapping property.
+
+Boundary: sigma, sigma_inverse and orbit_class check no outside input.
+They trust the SetPartition they are handed to be in standard form, since
+validating it would cost about three times what sigma costs.
 """
 
 import enum

@@ -9,15 +9,23 @@ increasing first entry (equivalently by increasing block maximum), e.g.
               every entry is <= 9
     comma     decimal entries joined by "," ("10,7,3"); works for any n
 
-Blocks are joined by "/". A string is read in comma form iff it contains a
-',' or a '0' (a zero can only occur inside a multi-digit decimal, and every
-all-singleton partition of [n >= 10] spells out "10"); otherwise compact.
-Whenever both readings are valid they denote the same partition, so the
-rule is unambiguous.
+Blocks are joined by "/". format_partition writes compact iff n <= 9. A
+string is read in comma form iff it contains a ',' or a '0' (a zero can
+only occur inside a multi-digit decimal, and every all-singleton
+partition of [n >= 10] spells out "10"); otherwise compact. Whenever both
+readings are valid they denote the same partition, so the rule is
+unambiguous.
 
 nonsingleton_spans is the one reader of spans. sigma keeps every
 non-singleton span, the nonoverlapping test (laminar) reads only those,
 and the verify sweep hands the one list to the claims about both.
+
+Boundary: parse, normalize, SetPartition.from_blocks and
+SetPartition.from_json check outside input; the other three end in
+from_blocks, the one validating constructor. enumerate_all and
+enumerate_nonoverlapping check n and max_n before they build anything.
+format_partition and is_nonoverlapping trust the SetPartition they are
+handed; validate() re-checks one built directly.
 """
 
 import operator
@@ -25,7 +33,7 @@ import re
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BoundError, FormatError, ParseError, ValidationError, check_bound
+from .errors import BoundError, ParseError, ValidationError, check_bound, is_int
 
 Block = tuple[int, ...]
 
@@ -57,7 +65,7 @@ class SetPartition(NamedTuple):
 
     def validate(self) -> "SetPartition":
         """Raise ValidationError naming the first violated invariant."""
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ValidationError("n must be a positive integer")
         if not self.blocks:
             raise ValidationError("partition has no blocks")
@@ -66,7 +74,7 @@ class SetPartition(NamedTuple):
             if not block:
                 raise ValidationError("empty block")
             for e in block:
-                if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+                if not is_int(e) or e < 1:
                     raise ValidationError(f"entry {e!r} is not a positive integer")
             if any(a <= b for a, b in zip(block, block[1:])):
                 raise ValidationError(f"block {block} is not strictly decreasing")
@@ -117,7 +125,7 @@ def _family(blocks: Iterable[Iterable[int]]) -> list[Block]:
         raise ValidationError("blocks must be a nonempty family of nonempty blocks")
     for b in fam:
         for e in b:
-            if isinstance(e, bool) or not isinstance(e, int):
+            if not is_int(e):
                 raise ValidationError(f"entry {e!r} is not an integer")
     return fam
 
@@ -130,8 +138,7 @@ def normalize(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """
     fam = [tuple(sorted(b, reverse=True)) for b in _family(blocks)]
     fam.sort(key=operator.itemgetter(0))
-    n = max(b[0] for b in fam)
-    return SetPartition(n, tuple(fam)).validate()
+    return SetPartition.from_blocks(fam)
 
 
 def parse(text: str) -> SetPartition:
@@ -159,19 +166,14 @@ def parse(text: str) -> SetPartition:
                 if ch not in _COMPACT_DIGITS:
                     raise ParseError(f"invalid character {ch!r}", pos + off)
             entries = [int(ch) for ch in chunk]
-        blocks.append(tuple(entries))
+        blocks.append(entries)
         pos += len(chunk) + 1
-    n = max(max(b) for b in blocks)
-    return SetPartition(n, tuple(blocks)).validate()
+    return SetPartition.from_blocks(blocks)
 
 
-def format_partition(p: SetPartition, compact: bool | None = None) -> str:
-    """Serialize a partition; compact=None picks compact whenever legal."""
-    if compact is None:
-        compact = p.n <= 9
-    elif compact and p.n > 9:
-        raise FormatError(f"compact form needs entries <= 9, partition covers [{p.n}]")
-    sep = "" if compact else ","
+def format_partition(p: SetPartition) -> str:
+    """Serialize a partition: compact while n <= 9, comma form beyond."""
+    sep = "" if p.n <= 9 else ","
     return "/".join(sep.join(map(str, b)) for b in p.blocks)
 
 

@@ -11,29 +11,36 @@ letters still count (123 contains both patterns).
     1_23 (last two adjacent): positions i, j, j+1 with i < j and
         p(i) < p(j) < p(j+1)
 
-The public predicates refuse anything that is not a permutation of 1..n
-with ValidationError; the scan over all n! permutations calls the
-unchecked kernels behind them.
+Boundary: every public function here checks its input from outside.
+is_avoider, contains_12adj_3 and contains_1_23adj refuse anything that is
+not a permutation of 1..n, text, bytes, sets and dicts included, with
+ValidationError; avoider_last_entry_distribution refuses a bad n or max_n
+with BoundError before its scan starts. The scan over all n! permutations
+calls the unchecked kernels behind the predicates.
 """
 
 from collections import Counter
 from itertools import permutations
 from typing import Sequence
 
-from .errors import ValidationError, check_bound
+from .errors import ValidationError, check_bound, is_int
 
 #: 9! = 362880 hosts; the n! * n scan stays interactive up to here.
 AVOIDER_MAX_N = 9
 
 
 def _permutation(p) -> tuple[int, ...]:
-    """p as a tuple, once it is known to be a permutation of 1..len(p)."""
+    """p as a tuple, once it is known to be a permutation of 1..len(p).
+    Text, bytes, sets and dicts iterate, but not as a sequence of entries:
+    they are refused before tuple() can read "" or b"\\x01" as one."""
+    if isinstance(p, (str, bytes, bytearray, set, frozenset, dict)):
+        raise ValidationError(f"expected a permutation, got {type(p).__name__}")
     try:
         perm = tuple(p)
     except TypeError:
         raise ValidationError(f"expected a permutation, got {p!r}") from None
     for e in perm:
-        if isinstance(e, bool) or not isinstance(e, int):
+        if not is_int(e):
             raise ValidationError(f"entry {e!r} is not an integer")
     if set(perm) != set(range(1, len(perm) + 1)):
         raise ValidationError(f"{perm} is not a permutation of 1..{len(perm)}")

@@ -49,7 +49,7 @@ import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import DomainError, check_bound
+from .errors import DomainError, check_bound, is_int
 
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
 #: additions on numbers of O(n log n) digits. On a 2-core Xeon VM a cold
@@ -97,10 +97,6 @@ def _build(n: int, max_n: int) -> None:
             diag.append([0, new[-1]])
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _entry(n: int, k: int) -> int:
     """v[n][k] from a table built to row n."""
     if k == n:
@@ -110,7 +106,7 @@ def _entry(n: int, k: int) -> int:
 
 def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
     """Entry v[n][k] of the triangle."""
-    if not (_is_int(n) and _is_int(k) and 1 <= k <= n):
+    if not (is_int(n) and is_int(k) and 1 <= k <= n):
         raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     _build(n, max_n)
     return _entry(n, k)
@@ -124,12 +120,12 @@ class VTable:
     rows: tuple[tuple[int, ...], ...]
 
     def entry(self, n: int, k: int) -> int:
-        if not (_is_int(n) and _is_int(k) and 1 <= k <= n <= self.n_max):
+        if not (is_int(n) and is_int(k) and 1 <= k <= n <= self.n_max):
             raise DomainError(f"need 1 <= k <= n <= {self.n_max}, got n={n!r}, k={k!r}")
         return self.rows[n - 1][k - 1]
 
     def row(self, n: int) -> tuple[int, ...]:
-        if not (_is_int(n) and 1 <= n <= self.n_max):
+        if not (is_int(n) and 1 <= n <= self.n_max):
             raise DomainError(f"need 1 <= n <= {self.n_max}, got n={n!r}")
         return self.rows[n - 1]
 
@@ -139,7 +135,7 @@ class VTable:
 
 def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
     """The full triangle up to row n_max."""
-    if not _is_int(n_max) or n_max < 1:
+    if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
     rows = tuple(tuple(_entry(n, k) for k in range(1, n + 1)) for n in range(1, n_max + 1))
@@ -148,7 +144,7 @@ def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
     """Row sum of the triangle: the number of nonoverlapping partitions of [n]."""
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     _build(n, max_n)
     return _diag[n - 1][1]

@@ -12,6 +12,10 @@ When {1} is not a singleton its own block is non-singleton, so both r and
 s exist exactly where Y's second branch needs them. rs_blocks is the one
 scanner for the block holding 1: stat_y, aux_s and sigma read r and s
 through it, and only aux_r, defined where {1} is a singleton, scans alone.
+
+Boundary: stat_x, stat_y, aux_r and aux_s check no outside input. They
+trust the SetPartition they are handed to be in standard form, as parse,
+normalize, from_blocks and enumeration build it.
 """
 
 from .errors import NoNonsingletonBlock, OneIsSingleton, ValidationError

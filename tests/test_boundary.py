@@ -45,9 +45,19 @@ BOUNDARY = {
     "run_all": (partinv.run_all, {"n_max_override": 3}),
 }
 
-#: Junk may still be valid input here: parse("1") is a partition, and an
-#: empty sequence is the permutation of [0]. Every other function must refuse.
-MAY_ACCEPT = {"parse", "is_avoider", "contains_12adj_3", "contains_1_23adj"}
+def _empty_permutation(kwargs):
+    return kwargs["p"] in ([], ())
+
+
+#: The junk each function may still accept as valid input: parse("1") is a
+#: partition, and an empty list or tuple is the permutation of [0]. Every
+#: other function must refuse all junk, and these any other junk.
+MAY_ACCEPT = {
+    "parse": lambda kwargs: isinstance(kwargs["text"], str),
+    "is_avoider": _empty_permutation,
+    "contains_12adj_3": _empty_permutation,
+    "contains_1_23adj": _empty_permutation,
+}
 
 _scalar = st.one_of(
     st.none(),
@@ -92,4 +102,4 @@ def test_junk_raises_only_partinv_errors(name, data):
             result = fn(**kwargs)
         except partinv.PartinvError:
             return
-    assert name in MAY_ACCEPT, f"{name}(**{kwargs!r}) returned {result!r}"
+    assert name in MAY_ACCEPT and MAY_ACCEPT[name](kwargs), f"{name}(**{kwargs!r}) returned {result!r}"

@@ -12,7 +12,6 @@ import partinv.patterns as patterns
 from partinv import (
     BoundError,
     DomainError,
-    FormatError,
     ParseError,
     SetPartition,
     ValidationError,
@@ -104,32 +103,30 @@ class TestParse:
 class TestFormat:
     def test_compact_four_block_example(self):
         p = parse("31/62/7/854")
-        assert format_partition(p, compact=True) == "31/62/7/854"
+        assert format_partition(p) == "31/62/7/854"
 
     def test_compact_smallest(self):
-        assert format_partition(parse("1"), compact=True) == "1"
+        assert format_partition(parse("1")) == "1"
 
-    def test_forced_comma_form(self):
-        assert format_partition(parse("1/32"), compact=False) == "1/3,2"
+    def test_compact_up_to_nine(self):
+        p = parse("9,8,7,6,5,4,3,2,1")
+        assert format_partition(p) == "987654321"
 
     def test_auto_switches_on_large_entries(self):
         p = parse("2/10,9,8,7,6,5,4,3,1")
         assert format_partition(p) == "2/10,9,8,7,6,5,4,3,1"
-
-    def test_compact_refused_on_large_entries(self):
-        p = parse("2/10,9,8,7,6,5,4,3,1")
-        with pytest.raises(FormatError):
-            format_partition(p, compact=True)
 
     def test_str_is_default_format(self):
         p = parse("31/62/7/854")
         assert str(p) == format_partition(p)
 
     def test_round_trip_both_forms_exhaustive(self):
+        # format_partition writes only compact below 10; the comma text is
+        # built here so that parse's comma branch is read back over P_n too
         for n in range(1, 9):
             for p in enumerate_all(n):
-                assert parse(format_partition(p, compact=True)) == p
-                assert parse(format_partition(p, compact=False)) == p
+                assert parse(format_partition(p)) == p
+                assert parse("/".join(",".join(map(str, b)) for b in p.blocks)) == p
 
 
 class TestConstructors:

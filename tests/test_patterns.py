@@ -45,7 +45,11 @@ class TestPredicates:
                 assert contains_1_23adj(p) == naive_contains_1_23adj(p)
 
 
-JUNK = [None, 5, [1, "a", 3], "123", [1.0, 2.0], [True], [2, True], [1, 1], [1, 3], [0, 1], [2, 3]]
+#: The last eight iterate, but not as a sequence of entries: "" would read
+#: as the empty permutation, b"\x02\x01" as (2, 1), a dict as its keys.
+JUNK = [None, 5, [1, "a", 3], "123", [1.0, 2.0], [True], [2, True], [1, 1], [1, 3], [0, 1], [2, 3],
+        "", b"\x02\x01", b"\x01\x02\x03", bytearray(b"\x01"), {2: "x", 1: "y"}, {1, 2},
+        frozenset({1}), set()]
 
 
 @pytest.mark.parametrize("junk", JUNK, ids=repr)

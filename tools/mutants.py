@@ -42,6 +42,9 @@ TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
 SHARED_SWEEP = "tests/test_verify.py::TestSharedSweep"
 RECURRENCE = "tests/test_recurrence.py"
+INTEGER_RULE = ("tests/test_partitions.py::test_sizes_must_be_integers",
+                "tests/test_partitions.py::test_guards_must_be_integers")
+PERMUTATION_JUNK = "tests/test_patterns.py::test_non_permutation_is_refused"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -78,6 +81,10 @@ MUTANTS = (
            "if len(a) < k - 1:", "if len(a) < k:", (RECURRENCE,)),
     Mutant("pascal-advanced-again-on-retry", "recurrence.py", "_build",
            "if len(a) < k - 1:", "if k > 1:", (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
+    Mutant("integer-rule-lets-bool-through", "errors.py", "is_int",
+           " and not isinstance(value, bool)", "", INTEGER_RULE),
+    Mutant("permutation-reads-any-iterable", "patterns.py", "_permutation",
+           "if isinstance(p, (str, bytes, bytearray, set, frozenset, dict)):", "if False:", (PERMUTATION_JUNK,)),
 )
 
 

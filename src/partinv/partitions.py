@@ -180,7 +180,10 @@ def format_partition(p: SetPartition) -> str:
 def nonsingleton_spans(p: SetPartition) -> list[tuple[int, int]]:
     """The spans (lo, hi) of the non-singleton blocks of p, sorted. A
     singleton's span is a single point, which nothing here reads."""
-    spans = [(b[-1], b[0]) for b in p.blocks if len(b) > 1]
+    spans = []
+    for b in p.blocks:
+        if len(b) > 1:
+            spans.append((b[-1], b[0]))
     spans.sort()
     return spans
 

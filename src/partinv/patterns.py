@@ -13,13 +13,14 @@ letters still count (123 contains both patterns).
 
 Boundary: every public function here checks its input from outside.
 is_avoider, contains_12adj_3 and contains_1_23adj refuse anything that is
-not a permutation of 1..n, text, bytes, sets and dicts included, with
+not a permutation of 1..n, text, bytes, sets and mappings included, with
 ValidationError; avoider_last_entry_distribution refuses a bad n or max_n
 with BoundError before its scan starts. The scan over all n! permutations
 calls the unchecked kernels behind the predicates.
 """
 
-from collections import Counter
+from collections import Counter, UserString
+from collections.abc import Mapping, Set
 from itertools import permutations
 from typing import Sequence
 
@@ -31,9 +32,11 @@ AVOIDER_MAX_N = 9
 
 def _permutation(p) -> tuple[int, ...]:
     """p as a tuple, once it is known to be a permutation of 1..len(p).
-    Text, bytes, sets and dicts iterate, but not as a sequence of entries:
-    they are refused before tuple() can read "" or b"\\x01" as one."""
-    if isinstance(p, (str, bytes, bytearray, set, frozenset, dict)):
+    Text, bytes, sets and mappings iterate, but not as a sequence of
+    entries: they are refused before tuple() can read "" or b"\\x01" as
+    one. The abstract Set and Mapping take in frozenset, dict.keys() and
+    mappingproxy as well as set and dict."""
+    if isinstance(p, (str, bytes, bytearray, UserString, Set, Mapping)):
         raise ValidationError(f"expected a permutation, got {type(p).__name__}")
     try:
         perm = tuple(p)

@@ -14,8 +14,12 @@ one sweep that enumerates each partition once for every claim still live;
 a failed claim drops out and the others go on. Each row names the fields
 of p it reads (X and Y, the image q, the spans of p and q, the
 nonoverlapping flag), and the sweep computes a field once per partition
-while a live claim reads it. A report's elapsed time runs from the start
-of its sweep until its claim was settled.
+while a live claim reads it. sigma_fn is taken to be a function: when it
+returns p itself, the image's fields are p's (its spans, its X and Y, and
+its image, which is p again) and are taken from p, not computed again.
+An image that is merely equal to p is read in full. The nonoverlapping
+claim reuses p's flag when the two span lists are equal. A report's
+elapsed time runs from the start of its sweep until its claim was settled.
 """
 
 from collections import Counter
@@ -100,6 +104,8 @@ def _report(name, n_max, t0, counter=None):
 
 def _involution(sigma_fn: SigmaFn):
     def item(n, p, x, y, nov, q, sp, sq):
+        if q is p and x == y:
+            return None  # a fixed point with X = Y: its image's fields are p's
         if (stat_x(q), stat_y(q)) != (y, x):
             return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
                                   f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
@@ -125,7 +131,7 @@ def _spans(sigma_fn: SigmaFn):
 
 def _nonoverlapping(sigma_fn: SigmaFn):
     def item(n, p, x, y, nov, q, sp, sq):
-        after = laminar(sq)
+        after = nov if sq == sp else laminar(sq)
         if nov != after:
             return Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
                                   f"nonoverlapping={nov}", f"nonoverlapping={after}")
@@ -160,7 +166,9 @@ def _equidistribution(sigma_fn: SigmaFn):
 #: partition p of [n] given x, y = X(p), Y(p), nov = is_nonoverlapping(p),
 #: q = sigma_fn(p) and sp, sq = nonsingleton_spans of p and q, or None for
 #: a field not in reads; end(n), if given, checks what item gathered over
-#: P_n. Both return a Counterexample or None.
+#: P_n. Both return a Counterexample or None. When q is p, sq is sp, and
+#: an item may take X(q), Y(q) and sigma_fn(q) to be x, y and q rather
+#: than compute them.
 _CLAIMS = {
     "involution": ({"xy", "image"}, _involution),
     "spans": ({"image", "spans"}, _spans),
@@ -195,7 +203,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
             if "image" in reads:
                 q = sigma_fn(p)
             if "spans" in reads:
-                sp, sq = nonsingleton_spans(p), nonsingleton_spans(q)
+                sp = nonsingleton_spans(p)
+                sq = sp if q is p else nonsingleton_spans(q)
             if "nov" in reads:
                 nov = laminar(nonsingleton_spans(p) if sp is None else sp)
             for name, (item, _) in claims:

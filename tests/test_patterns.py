@@ -1,5 +1,7 @@
 """Vincular pattern predicates and the avoider last-entry distribution."""
 
+import collections
+import types
 from itertools import permutations
 
 import pytest
@@ -45,11 +47,13 @@ class TestPredicates:
                 assert contains_1_23adj(p) == naive_contains_1_23adj(p)
 
 
-#: The last eight iterate, but not as a sequence of entries: "" would read
-#: as the empty permutation, b"\x02\x01" as (2, 1), a dict as its keys.
+#: The last eleven iterate, but not as a sequence of entries: "" would read
+#: as the empty permutation, b"\x02\x01" as (2, 1), a dict as its keys; a
+#: keys view, a mappingproxy and a UserString are the same in other types.
 JUNK = [None, 5, [1, "a", 3], "123", [1.0, 2.0], [True], [2, True], [1, 1], [1, 3], [0, 1], [2, 3],
         "", b"\x02\x01", b"\x01\x02\x03", bytearray(b"\x01"), {2: "x", 1: "y"}, {1, 2},
-        frozenset({1}), set()]
+        frozenset({1}), set(), {2: 0, 1: 0}.keys(), types.MappingProxyType({1: 0}),
+        pytest.param(collections.UserString(""), id="UserString('')")]
 
 
 @pytest.mark.parametrize("junk", JUNK, ids=repr)

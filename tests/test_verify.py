@@ -20,6 +20,7 @@ from partinv import (
     check_nonoverlapping,
     check_spans,
     check_y_matches_v,
+    enumerate_all,
     run_all,
     sigma,
 )
@@ -119,6 +120,10 @@ class TestMutationSensitivity:
 SWEPT = ("involution", "spans", "nonoverlapping", "equidistribution")
 STANDALONE = dict(ALL_CHECKS)
 
+#: |P_1| + ... + |P_6|, and how many of those sigma does not fix.
+PARTITIONS_TO_6 = 1 + 2 + 5 + 15 + 52 + 203
+MOVED_TO_6 = PARTITIONS_TO_6 - sum(sigma(p) == p for n in range(1, 7) for p in enumerate_all(n))
+
 
 def all_singletons(p):
     return SetPartition(p.n, tuple((i,) for i in range(1, p.n + 1)))
@@ -183,14 +188,14 @@ class TestSharedSweep:
         assert swept["nonoverlapping"].ok and swept["nonoverlapping"].n_range == (1, 6)
         assert swept["involution"].elapsed <= swept["spans"].elapsed <= swept["nonoverlapping"].elapsed
 
-    @pytest.mark.parametrize("run, per_partition", [
-        (lambda fn: [check_involution(6, sigma_fn=fn)], 2),
-        (lambda fn: [check_spans(6, sigma_fn=fn)], 1),
-        (lambda fn: [check_nonoverlapping(6, sigma_fn=fn)], 1),
-        (lambda fn: verify._sweep({"equidistribution": 6}, fn).values(), 0),
-        (lambda fn: verify._sweep(dict.fromkeys(SWEPT, 6), fn).values(), 2),
+    @pytest.mark.parametrize("run, sides", [
+        (lambda fn: [check_involution(6, sigma_fn=fn)], (1, 1)),
+        (lambda fn: [check_spans(6, sigma_fn=fn)], (1, 0)),
+        (lambda fn: [check_nonoverlapping(6, sigma_fn=fn)], (1, 0)),
+        (lambda fn: verify._sweep({"equidistribution": 6}, fn).values(), (0, 0)),
+        (lambda fn: verify._sweep(dict.fromkeys(SWEPT, 6), fn).values(), (1, 1)),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
-    def test_sigma_call_counts(self, run, per_partition):
+    def test_sigma_call_counts(self, run, sides):
         calls = 0
 
         def counting(p):
@@ -199,7 +204,18 @@ class TestSharedSweep:
             return sigma(p)
 
         assert all(r.ok for r in run(counting))
-        assert calls == per_partition * (1 + 2 + 5 + 15 + 52 + 203)
+        # sigma(p) for every p; sigma(q) only for an image q that is not p
+        assert calls == sides[0] * PARTITIONS_TO_6 + sides[1] * MOVED_TO_6
+
+    @pytest.mark.parametrize("map_name", MAPS)
+    def test_fixed_point_path_agrees_with_the_full_path(self, map_name):
+        # an equal copy of the image is never p itself, so every field of it is computed
+        fn = MAPS[map_name]
+        fast = verify._sweep(dict.fromkeys(SWEPT, 6), fn)
+        full = verify._sweep(dict.fromkeys(SWEPT, 6), lambda p: SetPartition(*fn(p)))
+        for name in SWEPT:
+            assert (fast[name].status, fast[name].counterexample) == (full[name].status, full[name].counterexample)
+            assert fast[name].counterexample == FROZEN[map_name].get(name)
 
     def test_one_enumeration_site(self):
         tree = ast.parse(inspect.getsource(verify))
@@ -259,14 +275,14 @@ class TestOneReading:
         monkeypatch.setattr(verify, "laminar", refuse)
         assert check_involution(6).ok
 
-    @pytest.mark.parametrize("run, per_partition", [
-        (lambda: [check_involution(6)], (2, 2, 0, 0)),
-        (lambda: [check_spans(6)], (0, 0, 2, 0)),
-        (lambda: [check_nonoverlapping(6)], (0, 0, 2, 2)),
-        (lambda: [check_equidistribution(6)], (1, 1, 1, 1)),
-        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), (2, 2, 2, 2)),
+    @pytest.mark.parametrize("run, sides", [
+        (lambda: [check_involution(6)], ((1, 1), (1, 1), (0, 0), (0, 0))),
+        (lambda: [check_spans(6)], ((0, 0), (0, 0), (1, 1), (0, 0))),
+        (lambda: [check_nonoverlapping(6)], ((0, 0), (0, 0), (1, 1), (1, 0))),
+        (lambda: [check_equidistribution(6)], ((1, 0), (1, 0), (1, 0), (1, 0))),
+        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), ((1, 1), (1, 1), (1, 1), (1, 0))),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
-    def test_each_field_is_read_once_per_side(self, monkeypatch, run, per_partition):
+    def test_each_field_is_read_once_per_side(self, monkeypatch, run, sides):
         names = ("stat_x", "stat_y", "nonsingleton_spans", "laminar")
         calls = Counter()
 
@@ -279,6 +295,7 @@ class TestOneReading:
         for name in names:
             counted(name, getattr(verify, name))
         assert all(r.ok for r in run())
-        # p and its image are the two sides; a claim reads each at most once
-        partitions = 1 + 2 + 5 + 15 + 52 + 203
-        assert [calls[name] for name in names] == [k * partitions for k in per_partition]
+        # p and its image are the two sides; a claim reads each at most once.
+        # The image side is read only where sigma moves p, and laminar never
+        # reads it: sigma keeps the span list, so p's flag is the image's.
+        assert [calls[name] for name in names] == [a * PARTITIONS_TO_6 + b * MOVED_TO_6 for a, b in sides]

@@ -45,6 +45,8 @@ RECURRENCE = "tests/test_recurrence.py"
 INTEGER_RULE = ("tests/test_partitions.py::test_sizes_must_be_integers",
                 "tests/test_partitions.py::test_guards_must_be_integers")
 PERMUTATION_JUNK = "tests/test_patterns.py::test_non_permutation_is_refused"
+IDENTITY_CAUGHT = "tests/test_verify.py::TestMutationSensitivity::test_identity_map_is_caught"
+FROZEN_REPORTS = f"{SHARED_SWEEP}::test_same_reports_as_the_standalone_checks"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -81,10 +83,16 @@ MUTANTS = (
            "if len(a) < k - 1:", "if len(a) < k:", (RECURRENCE,)),
     Mutant("pascal-advanced-again-on-retry", "recurrence.py", "_build",
            "if len(a) < k - 1:", "if k > 1:", (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
+    Mutant("fixed-point-test-inverted", "verify.py", "_sweep",
+           "sq = sp if q is p else", "sq = sp if q is not p else", (FROZEN_REPORTS,)),
+    Mutant("fixed-point-guard-drops-x-eq-y", "verify.py", "_involution",
+           "if q is p and x == y:", "if q is p:", (IDENTITY_CAUGHT, FROZEN_REPORTS)),
+    Mutant("nonoverlapping-always-reuses-flag", "verify.py", "_nonoverlapping",
+           "after = nov if sq == sp else laminar(sq)", "after = nov", (FROZEN_REPORTS,)),
     Mutant("integer-rule-lets-bool-through", "errors.py", "is_int",
            " and not isinstance(value, bool)", "", INTEGER_RULE),
     Mutant("permutation-reads-any-iterable", "patterns.py", "_permutation",
-           "if isinstance(p, (str, bytes, bytearray, set, frozenset, dict)):", "if False:", (PERMUTATION_JUNK,)),
+           "if isinstance(p, (str, bytes, bytearray, UserString, Set, Mapping)):", "if False:", (PERMUTATION_JUNK,)),
 )
 
 

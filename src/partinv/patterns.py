@@ -32,11 +32,11 @@ AVOIDER_MAX_N = 9
 
 def _permutation(p) -> tuple[int, ...]:
     """p as a tuple, once it is known to be a permutation of 1..len(p).
-    Text, bytes, sets and mappings iterate, but not as a sequence of
-    entries: they are refused before tuple() can read "" or b"\\x01" as
-    one. The abstract Set and Mapping take in frozenset, dict.keys() and
-    mappingproxy as well as set and dict."""
-    if isinstance(p, (str, bytes, bytearray, UserString, Set, Mapping)):
+    Text, bytes, byte views, sets and mappings iterate, but not as a
+    sequence of entries: they are refused before tuple() can read "" or
+    b"\\x01" as one. The abstract Set and Mapping take in frozenset,
+    dict.keys() and mappingproxy as well as set and dict."""
+    if isinstance(p, (str, bytes, bytearray, memoryview, UserString, Set, Mapping)):
         raise ValidationError(f"expected a permutation, got {type(p).__name__}")
     try:
         perm = tuple(p)

@@ -11,32 +11,25 @@ The paper's recurrence:
                                                        2 <= k <= n-1
 
 Empty sums are 0 and C(0, 0) = 1. With the suffix sums
-suf[n][k] = sum_{i=k}^{n} v[n][i] (and suf[n][n+1] = 0), each sum over i
-is one suffix sum of an earlier row:
+suf[n][k] = sum_{i=k}^{n} v[n][i], each sum over i is one suffix sum of
+an earlier row, and with j = k - d, so C(k-2, d-2) = C(k-2, j), the
+build runs
 
     v[n][1] = suf[n-1][1]                              n >= 2
-    v[n][k] = suf[n-1][k] + sum_{d=2}^{k} C(k-2, d-2) * suf[n-d][k+1-d]
-                                                       2 <= k <= n-1
+    v[n][k] = suf[n-1][k] + b_{k-2}                    2 <= k <= n-1
+    b_N = sum_{j=0}^{N} C(N, j) * suf[n-k+j][j+1]
 
-Every suffix sum on the right lies on the diagonal n - k - 1 of suf. Kept
-by diagonal, D[e][k] = suf[k+e][k], and with C(k-2, d-2) = C(k-2, k-d):
-
-    D[0][k] = 1
-    D[e][k] = D[e-1][k+1] + D[e-1][k]
-            + sum_{j=1}^{k-1} C(k-2, j-1) * D[e-1][j]          e >= 1
-
-so v[n][k] = suf[n][k] - suf[n][k+1] and the row sum is suf[n][1].
-
-The weighted sum is the binomial transform of a_i = D[e-1][i+1] at order
-N = k-2, b_N = sum_{i=0}^{N} C(N, i) * a_i, and each row raises N by one
-and brings one new term, a_N = D[e-1][k-1]. Its Pascal table,
+The table stores v, one tuple per row; suf of the two rows above comes
+from one running sum over each. The terms of b_N lie on diagonal n-k-1 of
+suf, which row n+1 reads at k+1: b_N is a binomial transform, and each
+row raises its order N by one and brings one new term, a_N = suf[n-2][k-1].
+Its Pascal table,
 
     A_N[0] = a_N,   A_N[t] = A_N[t-1] + A_{N-1}[t-1],   b_N = A_N[N],
 
 needs only its last anti-diagonal A_{N-1}[0..N-1] to make the next one:
-A_N is the running sum of A_{N-1} seeded with a_N. So each term of the
-sum costs one big-integer addition, with no multiplication and no
-binomial coefficient.
+A_N is the running sum of A_{N-1} seeded with a_N. So each term costs one
+big-integer addition, with no multiplication and no binomial coefficient.
 
 The triangle is built bottom-up, one row at a time, in O(n^3) big-integer
 additions instead of O(n^4), with no recursion. The one table grows on
@@ -52,17 +45,18 @@ from itertools import accumulate
 from .errors import DomainError, check_bound, is_int
 
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
-#: additions on numbers of O(n log n) digits. On a 2-core Xeon VM a cold
-#: `partinv table 300 --format json` takes 0.5-0.8 s, peaks at 73 MiB and
-#: writes 11 MB; at 400 rows that is 1.3-2.1 s, 165 MiB and 27 MB.
+#: additions on numbers of O(n log n) digits. On a 2-core AMD EPYC VM
+#: (three runs each) a cold `partinv table 300 --format json` takes
+#: 0.28-0.34 s, peaks at 73 MiB and writes 11 MB; at 400 rows that is
+#: 0.79-0.88 s, 165 MiB and 27 MB.
 TRIANGLE_MAX_N = 300
 
-#: _diag[e][k] = suf[k+e][k]; index 0 of each diagonal is a placeholder.
-#: Rows 1..n are complete once len(_diag) == n.
-_diag: list[list[int]] = []
+#: _rows[n-1] = (v[n][1], ..., v[n][n]); rows 1..n are built once
+#: len(_rows) == n.
+_rows: list[tuple[int, ...]] = []
 
-#: _pascal[d] = A_N[0..N] for the binomial transform of _diag[d][1:], at
-#: the order N the latest row used (empty before it is first needed).
+#: _pascal[d] = A_N[0..N] for the binomial transform of diagonal d of suf,
+#: at the order N the latest row used (empty before it is first needed).
 _pascal: list[list[int]] = []
 
 #: Held while the table grows, so concurrent callers never build a row twice.
@@ -72,36 +66,28 @@ _grow_lock = threading.Lock()
 def _build(n: int, max_n: int) -> None:
     """Grow the table to row n, or raise BoundError above the guard."""
     check_bound(n, max_n, "triangle")
-    if n <= len(_diag):
+    if n <= len(_rows):
         return
     with _grow_lock:
-        diag, pascal = _diag, _pascal
-        for m in range(len(diag) + 1, n + 1):
-            # row m adds suf[m][m-e] to each diagonal e, nearest the main one first
-            new = [1]
-            for e in range(1, m):
-                k = m - e
-                prev = diag[e - 1]
-                a = pascal[e - 1]
+        rows, pascal = _rows, _pascal
+        for m in range(len(rows) + 1, n + 1):
+            # diagonal m-1 of suf starts at row m; an interrupted try of
+            # row m may have added its empty Pascal state already
+            pascal[m - 1:] = [[]]
+            # suf[m-1][k] and the seeds suf[m-2][k-1], for k = m-1 down
+            above = list(accumulate(reversed(rows[m - 2]))) if m > 1 else []
+            seeds = accumulate(reversed(rows[m - 3])) if m > 2 else ()
+            row = [1]
+            for d, seed in enumerate(seeds):
+                k = m - 1 - d
+                a = pascal[d]
                 # advance to order k-2 only once: a retry of a row an
                 # interrupt cut short finds the diagonals it reached advanced
                 if len(a) < k - 1:
-                    a = pascal[e - 1] = list(accumulate(a, initial=prev[k - 1]))
-                new.append(new[-1] + prev[k] + (a[-1] if a else 0))
-            # store by index, not append, so a row left half-written by an
-            # interrupt is overwritten; the new diagonal goes last, after
-            # its empty Pascal state, as it marks the row complete
-            for e, value in enumerate(new[:-1]):
-                diag[e][m - e:] = [value]
-            pascal[m - 1:] = [[]]
-            diag.append([0, new[-1]])
-
-
-def _entry(n: int, k: int) -> int:
-    """v[n][k] from a table built to row n."""
-    if k == n:
-        return 1
-    return _diag[n - k][k] - _diag[n - k - 1][k + 1]
+                    a = pascal[d] = list(accumulate(a, initial=seed))
+                row.append(above[d] + a[-1])
+            row += above[-1:]
+            rows.append(tuple(reversed(row)))
 
 
 def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
@@ -109,7 +95,7 @@ def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
     if not (is_int(n) and is_int(k) and 1 <= k <= n):
         raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     _build(n, max_n)
-    return _entry(n, k)
+    return _rows[n - 1][k - 1]
 
 
 @dataclass(frozen=True)
@@ -138,8 +124,7 @@ def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
     if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
-    rows = tuple(tuple(_entry(n, k) for k in range(1, n + 1)) for n in range(1, n_max + 1))
-    return VTable(n_max, rows)
+    return VTable(n_max, tuple(_rows[:n_max]))
 
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
@@ -147,4 +132,4 @@ def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
     if not is_int(n) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     _build(n, max_n)
-    return _diag[n - 1][1]
+    return sum(_rows[n - 1])

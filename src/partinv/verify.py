@@ -17,7 +17,8 @@ nonoverlapping flag), and the sweep computes a field once per partition
 while a live claim reads it. sigma_fn is taken to be a function: when it
 returns p itself, the image's fields are p's (its spans, its X and Y, and
 its image, which is p again) and are taken from p, not computed again.
-An image that is merely equal to p is read in full. The nonoverlapping
+An image that is merely equal to p is read in full. A result of sigma_fn
+that is not a SetPartition raises PreconditionError. The nonoverlapping
 claim reuses p's flag when the two span lists are equal. A report's
 elapsed time runs from the start of its sweep until its claim was settled.
 """
@@ -110,6 +111,8 @@ def _involution(sigma_fn: SigmaFn):
             return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
                                   f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
         back = sigma_fn(q)
+        if not isinstance(back, SetPartition):
+            raise PreconditionError(f"sigma_fn must return a SetPartition, got {back!r}")
         if back != p:
             return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
                                   format_partition(p), format_partition(back))
@@ -202,6 +205,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                 x, y = stat_x(p), stat_y(p)
             if "image" in reads:
                 q = sigma_fn(p)
+                if not isinstance(q, SetPartition):
+                    raise PreconditionError(f"sigma_fn must return a SetPartition, got {q!r}")
             if "spans" in reads:
                 sp = nonsingleton_spans(p)
                 sq = sp if q is p else nonsingleton_spans(q)

@@ -53,7 +53,8 @@ class TestPredicates:
 JUNK = [None, 5, [1, "a", 3], "123", [1.0, 2.0], [True], [2, True], [1, 1], [1, 3], [0, 1], [2, 3],
         "", b"\x02\x01", b"\x01\x02\x03", bytearray(b"\x01"), {2: "x", 1: "y"}, {1, 2},
         frozenset({1}), set(), {2: 0, 1: 0}.keys(), types.MappingProxyType({1: 0}),
-        pytest.param(collections.UserString(""), id="UserString('')")]
+        pytest.param(collections.UserString(""), id="UserString('')"),
+        pytest.param(memoryview(b"\x02\x01"), id="memoryview(b'\\x02\\x01')")]
 
 
 @pytest.mark.parametrize("junk", JUNK, ids=repr)

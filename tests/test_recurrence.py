@@ -46,7 +46,7 @@ BESSEL_12 = [1, 2, 5, 14, 43, 143, 509, 1922, 7651, 31965, 139685, 636712]
 @pytest.fixture
 def fresh_table(monkeypatch):
     """An empty table for the test; the shared one is restored after."""
-    monkeypatch.setattr(recurrence, "_diag", [])
+    monkeypatch.setattr(recurrence, "_rows", [])
     monkeypatch.setattr(recurrence, "_pascal", [])
 
 
@@ -153,28 +153,31 @@ def test_matches_oracle_cell_for_cell_to_60(alt60):
 
 def test_build_order_does_not_matter(fresh_table, alt60):
     assert v_compute(25, 3) == alt60[(25, 3)]
-    assert len(recurrence._diag) == 25
+    assert len(recurrence._rows) == 25
     t60 = v_table(60)
     assert_matches_oracle(t60, alt60)
     assert bessel(45) == sum(alt60[(45, k)] for k in range(1, 46))
     assert v_table(30).rows == t60.rows[:30]
-    assert len(recurrence._diag) == 60
+    assert len(recurrence._rows) == 60
 
 
 def test_half_written_row_is_rebuilt(fresh_table, alt60):
     v_table(10)
-    # what an interrupt between two stores of row 11 leaves behind
-    recurrence._diag[0].append(-1)
-    recurrence._diag[1].append(-1)
+    # what an interrupt before the first Pascal advance of row 11 leaves
+    # behind: an empty Pascal state for a row not yet stored
+    recurrence._pascal.append([])
     assert_matches_oracle(v_table(20), alt60)
 
 
-@pytest.mark.parametrize("nth", [1, 3, 5, 400])
+@pytest.mark.parametrize("nth", [4, 8, 12, 457])
 def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60, nth):
     """An interrupt inside a row's loop leaves the Pascal state of the
     diagonals the row reached advanced, and the rest not; the retry must
-    advance each exactly once. Call nth falls inside row 3, 4, 5 and 30,
-    after 0, 1, 1 and 21 of the row's diagonals were advanced."""
+    advance each exactly once. Row m >= 2 calls accumulate once for the
+    suffix sums of row m-1, from row 3 on once for those of row m-2, and
+    then once per Pascal advance. So call nth is a Pascal advance inside
+    row 3, 4, 5 and 30, after 0, 1, 1 and 21 of the row's diagonals were
+    advanced."""
     real = recurrence.accumulate
     calls = 0
 
@@ -188,14 +191,15 @@ def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60, nth):
     monkeypatch.setattr(recurrence, "accumulate", interrupted)
     with pytest.raises(KeyboardInterrupt):
         v_table(40)
-    assert len(recurrence._diag) < 40
+    assert len(recurrence._rows) < 40
     assert_matches_oracle(v_table(40), alt60)
 
 
 def test_pascal_state_is_one_anti_diagonal_per_diagonal(fresh_table):
     """After row n, diagonal d has been transformed at order n-d-3: its
     Pascal state holds n-d-2 entries, the last being the binomial sum
-    sum_j C(n-d-3, j) * D[d][j+1] the last row read."""
+    sum_j C(n-d-3, j) * D[d][j+1] the last row read, where
+    D[d][i] = suf[i+d][i] is diagonal d of the suffix sums."""
     n = 12
     v_table(n)
     assert len(recurrence._pascal) == n
@@ -203,8 +207,8 @@ def test_pascal_state_is_one_anti_diagonal_per_diagonal(fresh_table):
         order = n - d - 3
         assert len(a) == max(order + 1, 0)
         if a:
-            diag = recurrence._diag[d]
-            assert a[-1] == sum(comb(order, j) * diag[j + 1] for j in range(order + 1))
+            diag = [sum(recurrence._rows[i + d - 1][i - 1:]) for i in range(1, order + 2)]
+            assert a[-1] == sum(comb(order, j) * diag[j] for j in range(order + 1))
 
 
 def test_concurrent_growth(fresh_table, alt60):
@@ -229,7 +233,12 @@ def test_concurrent_growth(fresh_table, alt60):
     assert len(results) == 80
     for table in results:
         assert_matches_oracle(table, alt60)
-    assert len(recurrence._diag) == 40
+    assert len(recurrence._rows) == 40
+
+
+def test_reads_share_the_stored_rows():
+    t30, t60 = v_table(30), v_table(60)
+    assert all(t30.rows[i] is t60.rows[i] for i in range(30))
 
 
 def test_no_cache_decorator_and_no_recursion():

@@ -13,6 +13,7 @@ from partinv import (
     ALL_CHECKS,
     BoundError,
     PartinvError,
+    PreconditionError,
     SetPartition,
     check_avoiders_match_v,
     check_equidistribution,
@@ -23,6 +24,8 @@ from partinv import (
     enumerate_all,
     run_all,
     sigma,
+    stat_x,
+    stat_y,
 )
 from partinv.verify import Counterexample
 from oracles import skip_transfer_mutant
@@ -255,6 +258,25 @@ class TestDepthGuard:
     def test_sigma_fn_that_cannot_be_called_is_refused_up_front(self, no_work, check, sigma_fn):
         with pytest.raises(PartinvError, match="sigma_fn must be callable"):
             check(6, sigma_fn=sigma_fn)
+
+
+def lowers_x_only(p):
+    """sigma where X >= Y, None where X < Y. The first partition that sigma
+    moves has X > Y, so check_involution meets None as sigma_fn(q)."""
+    return sigma(p) if stat_x(p) >= stat_y(p) else None
+
+
+class TestSigmaResult:
+    @pytest.mark.parametrize("sigma_fn", [
+        lambda p: None,
+        lambda p: (p.n, p.blocks),
+        lambda p: p.blocks,
+        lowers_x_only,
+    ], ids=["none", "bare-tuple", "blocks", "none-on-the-way-back"])
+    @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
+    def test_result_that_is_not_a_partition_is_refused(self, check, sigma_fn):
+        with pytest.raises(PreconditionError, match="sigma_fn must return a SetPartition"):
+            check(3, sigma_fn=sigma_fn)
 
 
 def refuse(*args):

@@ -76,9 +76,11 @@ MUTANTS = (
     Mutant("failed-claim-kept-live", "verify.py", "_sweep",
            "c)\n                    del live[name]", "c)", (SHARED_SWEEP,)),
     Mutant("pascal-seeded-one-term-late", "recurrence.py", "_build",
-           "initial=prev[k - 1]", "initial=prev[k]", (RECURRENCE,)),
+           "accumulate(reversed(rows[m - 3]))", "accumulate(reversed(rows[m - 3]), initial=0)", (RECURRENCE,)),
     Mutant("pascal-reads-first-entry", "recurrence.py", "_build",
-           "a[-1] if a", "a[0] if a", (RECURRENCE,)),
+           "above[d] + a[-1]", "above[d] + a[0]", (RECURRENCE,)),
+    Mutant("suffix-sum-above-one-place-late", "recurrence.py", "_build",
+           "above[d] + a[-1]", "above[d - 1] + a[-1]", (RECURRENCE,)),
     Mutant("pascal-retry-guard-off-by-one", "recurrence.py", "_build",
            "if len(a) < k - 1:", "if len(a) < k:", (RECURRENCE,)),
     Mutant("pascal-advanced-again-on-retry", "recurrence.py", "_build",
@@ -92,7 +94,7 @@ MUTANTS = (
     Mutant("integer-rule-lets-bool-through", "errors.py", "is_int",
            " and not isinstance(value, bool)", "", INTEGER_RULE),
     Mutant("permutation-reads-any-iterable", "patterns.py", "_permutation",
-           "if isinstance(p, (str, bytes, bytearray, UserString, Set, Mapping)):", "if False:", (PERMUTATION_JUNK,)),
+           "if isinstance(p, (str, bytes, bytearray, memoryview, UserString, Set, Mapping)):", "if False:", (PERMUTATION_JUNK,)),
 )
 
 

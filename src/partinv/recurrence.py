@@ -32,10 +32,13 @@ A_N is the running sum of A_{N-1} seeded with a_N. So each term costs one
 big-integer addition, with no multiplication and no binomial coefficient.
 
 The triangle is built bottom-up, one row at a time, in O(n^3) big-integer
-additions instead of O(n^4), with no recursion. The one table grows on
-demand and is shared by every function here; nothing is computed at
-import. All arithmetic is exact: entries grow super-exponentially and
-leave 64-bit range near n = 25.
+additions instead of O(n^4), with no recursion. The table is one value,
+the rows of v and the Pascal state of each diagonal, shared by every
+function here and grown on demand; nothing is computed at import. Each
+finished row is published whole as a new value, so an interrupt leaves
+the table as it stood after the last complete row. All arithmetic is
+exact: entries grow super-exponentially and leave 64-bit range near
+n = 25.
 """
 
 import threading
@@ -47,47 +50,38 @@ from .errors import DomainError, check_bound, is_int
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
 #: additions on numbers of O(n log n) digits. On a 2-core AMD EPYC VM
 #: (three runs each) a cold `partinv table 300 --format json` takes
-#: 0.28-0.34 s, peaks at 73 MiB and writes 11 MB; at 400 rows that is
-#: 0.79-0.88 s, 165 MiB and 27 MB.
+#: 0.25-0.27 s, peaks at 69 MiB and writes 11 MB; at 400 rows that is
+#: 0.69-0.74 s, 152 MiB and 27 MB.
 TRIANGLE_MAX_N = 300
 
-#: _rows[n-1] = (v[n][1], ..., v[n][n]); rows 1..n are built once
-#: len(_rows) == n.
-_rows: list[tuple[int, ...]] = []
+#: _table = (rows, pascal): rows[n-1] = (v[n][1], ..., v[n][n]) for the
+#: rows built so far, and pascal[d] = A_N[0..N] for the binomial transform
+#: of diagonal d of suf, at the order N the latest row used. _build
+#: publishes both whole after each row and never changes them after.
+_table: tuple[tuple[tuple[int, ...], ...], list[list[int]]] = ((), [])
 
-#: _pascal[d] = A_N[0..N] for the binomial transform of diagonal d of suf,
-#: at the order N the latest row used (empty before it is first needed).
-_pascal: list[list[int]] = []
-
-#: Held while the table grows, so concurrent callers never build a row twice.
+#: Held while the table grows, so concurrent callers never build a row
+#: twice and a shorter build never publishes over a longer one.
 _grow_lock = threading.Lock()
 
 
 def _build(n: int, max_n: int) -> None:
     """Grow the table to row n, or raise BoundError above the guard."""
+    global _table
     check_bound(n, max_n, "triangle")
-    if n <= len(_rows):
+    if n <= len(_table[0]):
         return
     with _grow_lock:
-        rows, pascal = _rows, _pascal
+        rows, pascal = _table
         for m in range(len(rows) + 1, n + 1):
-            # diagonal m-1 of suf starts at row m; an interrupted try of
-            # row m may have added its empty Pascal state already
-            pascal[m - 1:] = [[]]
             # suf[m-1][k] and the seeds suf[m-2][k-1], for k = m-1 down
             above = list(accumulate(reversed(rows[m - 2]))) if m > 1 else []
             seeds = accumulate(reversed(rows[m - 3])) if m > 2 else ()
-            row = [1]
-            for d, seed in enumerate(seeds):
-                k = m - 1 - d
-                a = pascal[d]
-                # advance to order k-2 only once: a retry of a row an
-                # interrupt cut short finds the diagonals it reached advanced
-                if len(a) < k - 1:
-                    a = pascal[d] = list(accumulate(a, initial=seed))
-                row.append(above[d] + a[-1])
-            row += above[-1:]
-            rows.append(tuple(reversed(row)))
+            # diagonal m-3 of suf starts at row m, from an empty state
+            pascal = [list(accumulate(a, initial=seed)) for a, seed in zip([*pascal, []], seeds)]
+            row = [above[d] + a[-1] for d, a in enumerate(pascal)]
+            rows = (*rows, (*above[-1:], *reversed(row), 1))
+            _table = rows, pascal
 
 
 def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
@@ -95,7 +89,7 @@ def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
     if not (is_int(n) and is_int(k) and 1 <= k <= n):
         raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     _build(n, max_n)
-    return _rows[n - 1][k - 1]
+    return _table[0][n - 1][k - 1]
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
     if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
-    return VTable(n_max, tuple(_rows[:n_max]))
+    return VTable(n_max, _table[0][:n_max])
 
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
@@ -132,4 +126,4 @@ def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
     if not is_int(n) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     _build(n, max_n)
-    return sum(_rows[n - 1])
+    return sum(_table[0][n - 1])

@@ -17,10 +17,12 @@ nonoverlapping flag), and the sweep computes a field once per partition
 while a live claim reads it. sigma_fn is taken to be a function: when it
 returns p itself, the image's fields are p's (its spans, its X and Y, and
 its image, which is p again) and are taken from p, not computed again.
-An image that is merely equal to p is read in full. A result of sigma_fn
-that is not a SetPartition raises PreconditionError. The nonoverlapping
-claim reuses p's flag when the two span lists are equal. A report's
-elapsed time runs from the start of its sweep until its claim was settled.
+An image that is merely equal to p is read in full. The package's sigma
+is trusted, as enumeration is; any other sigma_fn has each result
+validated, and one that is not a SetPartition in standard form raises
+PreconditionError. The nonoverlapping claim reuses p's flag when the two
+span lists are equal. A report's elapsed time runs from the start of its
+sweep until its claim was settled.
 """
 
 from collections import Counter
@@ -28,7 +30,7 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable
 
-from .errors import PreconditionError, check_bound
+from .errors import PreconditionError, ValidationError, check_bound
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          laminar, nonsingleton_spans)
@@ -111,8 +113,6 @@ def _involution(sigma_fn: SigmaFn):
             return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
                                   f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
         back = sigma_fn(q)
-        if not isinstance(back, SetPartition):
-            raise PreconditionError(f"sigma_fn must return a SetPartition, got {back!r}")
         if back != p:
             return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
                                   format_partition(p), format_partition(back))
@@ -180,6 +180,20 @@ _CLAIMS = {
 }
 
 
+def _validated(sigma_fn: SigmaFn) -> SigmaFn:
+    """sigma_fn, refusing with PreconditionError any result that is not a
+    SetPartition in standard form."""
+    def checked(p: SetPartition) -> SetPartition:
+        q = sigma_fn(p)
+        if not isinstance(q, SetPartition):
+            raise PreconditionError(f"sigma_fn must return a SetPartition, got {q!r}")
+        try:
+            return q.validate()
+        except (ValidationError, TypeError) as exc:
+            raise PreconditionError(f"sigma_fn must return a SetPartition in standard form, got {q!r}: {exc}") from exc
+    return checked
+
+
 def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
     """Check the named claims, each to its own depth, in one pass over
     P_1, P_2, ... that stops once every claim is settled."""
@@ -187,6 +201,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
         raise PreconditionError(f"sigma_fn must be callable, got {sigma_fn!r}")
+    if sigma_fn is not sigma:
+        sigma_fn = _validated(sigma_fn)
     t0 = perf_counter()
     reports = {}
     live = {name: _CLAIMS[name][1](sigma_fn) for name in depths}
@@ -205,8 +221,6 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                 x, y = stat_x(p), stat_y(p)
             if "image" in reads:
                 q = sigma_fn(p)
-                if not isinstance(q, SetPartition):
-                    raise PreconditionError(f"sigma_fn must return a SetPartition, got {q!r}")
             if "spans" in reads:
                 sp = nonsingleton_spans(p)
                 sq = sp if q is p else nonsingleton_spans(q)

@@ -11,6 +11,7 @@ paths must equal them item for item.
 """
 
 import operator
+from itertools import combinations
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -112,6 +113,48 @@ def nonoverlapping_by_filter(n: int) -> list[SetPartition]:
     """The nonoverlapping partitions of [n] the slow way: every partition
     of [n], in enumeration order, kept when no two block spans cross."""
     return [p for p in enumerate_by_groups(n) if naive_nonoverlapping(p)]
+
+
+#: the nonoverlapping partitions of [k] by size k, each a tuple of
+#: decreasing blocks ordered by least entry
+_first_returns: dict[int, list[tuple[tuple[int, ...], ...]]] = {0: [()]}
+
+
+def _first_return(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every nonoverlapping partition of [n] by its first return: the
+    block B of 1, with largest entry m, is m, any subset of 2..m-1 and 1.
+    No other block crosses B's span, so the rest of 2..m-1 is any
+    nonoverlapping partition nested under B, and m+1..n any one beside it."""
+    if n not in _first_returns:
+        out = []
+        for m in range(1, n + 1):
+            inner = range(m - 1, 1, -1)
+            for size in range(len(inner) + 1):
+                for chosen in combinations(inner, size):
+                    block = (m, *chosen, 1) if m > 1 else (1,)
+                    rest = sorted(set(inner) - set(chosen))
+                    for under in _first_return(len(rest)):
+                        nested = tuple(tuple(rest[e - 1] for e in b) for b in under)
+                        for beside in _first_return(n - m):
+                            out.append((block, *nested, *(tuple(e + m for e in b) for b in beside)))
+        _first_returns[n] = out
+    return _first_returns[n]
+
+
+def nonoverlapping_by_first_return(n: int) -> list[SetPartition]:
+    """The nonoverlapping partitions of [n] from the first-return
+    decomposition behind the Bessel numbers' continued fraction (Flajolet
+    & Schott 1990), in standard form and sorted by restricted growth
+    string, the enumeration order. Uses nothing from partinv but
+    SetPartition."""
+    def rgs(blocks):
+        label = bytearray(n)
+        for i, b in enumerate(blocks):
+            for e in b:
+                label[e - 1] = i
+        return label
+
+    return [SetPartition(n, tuple(sorted(blocks))) for blocks in sorted(_first_return(n), key=rgs)]
 
 
 def _assemble(n: int, blocks: list) -> SetPartition:

@@ -36,6 +36,7 @@ from oracles import (
     enumerate_by_groups,
     naive_nonoverlapping,
     nonoverlapping_by_filter,
+    nonoverlapping_by_first_return,
     partitions_recursive,
 )
 
@@ -257,11 +258,14 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_nonoverlapping(3)) == 5
         assert sum(1 for _ in enumerate_nonoverlapping(7)) == 509
 
-    def test_nonoverlapping_agrees_with_filtered_oracle(self):
+    def test_nonoverlapping_agrees_with_first_return_oracle(self):
         # same partitions in the same order, so CLI output and verify
-        # counterexamples cannot move
+        # counterexamples cannot move; the filter checks the oracle
         for n in range(1, 12):
-            assert list(enumerate_nonoverlapping(n)) == nonoverlapping_by_filter(n), n
+            oracle = nonoverlapping_by_first_return(n)
+            if n <= 8:
+                assert oracle == nonoverlapping_by_filter(n), n
+            assert list(enumerate_nonoverlapping(n)) == oracle, n
 
     def test_nonoverlapping_generator_does_not_filter(self):
         for fn in (partitions._gen_nonoverlapping, partitions._grow_nonoverlapping):

@@ -46,8 +46,7 @@ BESSEL_12 = [1, 2, 5, 14, 43, 143, 509, 1922, 7651, 31965, 139685, 636712]
 @pytest.fixture
 def fresh_table(monkeypatch):
     """An empty table for the test; the shared one is restored after."""
-    monkeypatch.setattr(recurrence, "_rows", [])
-    monkeypatch.setattr(recurrence, "_pascal", [])
+    monkeypatch.setattr(recurrence, "_table", ((), []))
 
 
 @pytest.fixture(scope="module")
@@ -153,62 +152,60 @@ def test_matches_oracle_cell_for_cell_to_60(alt60):
 
 def test_build_order_does_not_matter(fresh_table, alt60):
     assert v_compute(25, 3) == alt60[(25, 3)]
-    assert len(recurrence._rows) == 25
+    assert len(recurrence._table[0]) == 25
     t60 = v_table(60)
     assert_matches_oracle(t60, alt60)
     assert bessel(45) == sum(alt60[(45, k)] for k in range(1, 46))
     assert v_table(30).rows == t60.rows[:30]
-    assert len(recurrence._rows) == 60
+    assert len(recurrence._table[0]) == 60
 
 
-def test_half_written_row_is_rebuilt(fresh_table, alt60):
-    v_table(10)
-    # what an interrupt before the first Pascal advance of row 11 leaves
-    # behind: an empty Pascal state for a row not yet stored
-    recurrence._pascal.append([])
-    assert_matches_oracle(v_table(20), alt60)
-
-
-@pytest.mark.parametrize("nth", [4, 8, 12, 457])
-def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60, nth):
-    """An interrupt inside a row's loop leaves the Pascal state of the
-    diagonals the row reached advanced, and the rest not; the retry must
-    advance each exactly once. Row m >= 2 calls accumulate once for the
-    suffix sums of row m-1, from row 3 on once for those of row m-2, and
-    then once per Pascal advance. So call nth is a Pascal advance inside
-    row 3, 4, 5 and 30, after 0, 1, 1 and 21 of the row's diagonals were
-    advanced."""
+def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60):
+    """An interrupt anywhere in a build leaves the table as it stood after
+    some complete row, and the retry builds the rest. Every accumulate
+    call of a 20-row build is interrupted in turn: rows 2..20 make one
+    call for the suffix sums of the row above, rows 3..20 one for those
+    of the row two above, and row m one per Pascal advance, m - 2."""
+    n = 20
+    expected = tuple(tuple(alt60[(m, k)] for k in range(1, m + 1)) for m in range(1, n + 1))
     real = recurrence.accumulate
-    calls = 0
+    calls = stop = 0
 
     def interrupted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        if calls == nth:
+        if calls == stop:
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
     monkeypatch.setattr(recurrence, "accumulate", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        v_table(40)
-    assert len(recurrence._rows) < 40
-    assert_matches_oracle(v_table(40), alt60)
+    v_table(n)
+    total = calls
+    assert total == 19 + 18 + sum(range(1, 19))
+    for stop in range(1, total + 1):
+        monkeypatch.setattr(recurrence, "_table", ((), []))
+        calls = 0
+        with pytest.raises(KeyboardInterrupt):
+            v_table(n)
+        rows = recurrence._table[0]
+        assert len(rows) < n and rows == expected[:len(rows)], stop
+        assert v_table(n).rows == expected, stop
 
 
 def test_pascal_state_is_one_anti_diagonal_per_diagonal(fresh_table):
-    """After row n, diagonal d has been transformed at order n-d-3: its
-    Pascal state holds n-d-2 entries, the last being the binomial sum
+    """After row n, diagonal d <= n-3 has been transformed at order n-d-3:
+    its Pascal state holds n-d-2 entries, the last being the binomial sum
     sum_j C(n-d-3, j) * D[d][j+1] the last row read, where
     D[d][i] = suf[i+d][i] is diagonal d of the suffix sums."""
     n = 12
     v_table(n)
-    assert len(recurrence._pascal) == n
-    for d, a in enumerate(recurrence._pascal):
+    rows, pascal = recurrence._table
+    assert len(pascal) == n - 2
+    for d, a in enumerate(pascal):
         order = n - d - 3
-        assert len(a) == max(order + 1, 0)
-        if a:
-            diag = [sum(recurrence._rows[i + d - 1][i - 1:]) for i in range(1, order + 2)]
-            assert a[-1] == sum(comb(order, j) * diag[j] for j in range(order + 1))
+        assert len(a) == order + 1
+        diag = [sum(rows[i + d - 1][i - 1:]) for i in range(1, order + 2)]
+        assert a[-1] == sum(comb(order, j) * diag[j] for j in range(order + 1))
 
 
 def test_concurrent_growth(fresh_table, alt60):
@@ -233,7 +230,7 @@ def test_concurrent_growth(fresh_table, alt60):
     assert len(results) == 80
     for table in results:
         assert_matches_oracle(table, alt60)
-    assert len(recurrence._rows) == 40
+    assert len(recurrence._table[0]) == 40
 
 
 def test_reads_share_the_stored_rows():

@@ -272,7 +272,12 @@ class TestSigmaResult:
         lambda p: (p.n, p.blocks),
         lambda p: p.blocks,
         lowers_x_only,
-    ], ids=["none", "bare-tuple", "blocks", "none-on-the-way-back"])
+        lambda p: SetPartition(p.n, ()),
+        lambda p: SetPartition(None, p.blocks),
+        lambda p: SetPartition(p.n + 1, p.blocks),
+        lambda p: SetPartition(p.n, 5),
+    ], ids=["none", "bare-tuple", "blocks", "none-on-the-way-back", "no-blocks", "n-none", "n-too-big",
+            "blocks-not-iterable"])
     @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
     def test_result_that_is_not_a_partition_is_refused(self, check, sigma_fn):
         with pytest.raises(PreconditionError, match="sigma_fn must return a SetPartition"):

@@ -37,10 +37,11 @@ class Mutant(NamedTuple):
 
 
 ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_grouping_oracle"
-NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_filtered_oracle"
+NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_first_return_oracle"
 TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
 SHARED_SWEEP = "tests/test_verify.py::TestSharedSweep"
+SIGMA_RESULT = "tests/test_verify.py::TestSigmaResult"
 RECURRENCE = "tests/test_recurrence.py"
 INTEGER_RULE = ("tests/test_partitions.py::test_sizes_must_be_integers",
                 "tests/test_partitions.py::test_guards_must_be_integers")
@@ -81,10 +82,11 @@ MUTANTS = (
            "above[d] + a[-1]", "above[d] + a[0]", (RECURRENCE,)),
     Mutant("suffix-sum-above-one-place-late", "recurrence.py", "_build",
            "above[d] + a[-1]", "above[d - 1] + a[-1]", (RECURRENCE,)),
-    Mutant("pascal-retry-guard-off-by-one", "recurrence.py", "_build",
-           "if len(a) < k - 1:", "if len(a) < k:", (RECURRENCE,)),
-    Mutant("pascal-advanced-again-on-retry", "recurrence.py", "_build",
-           "if len(a) < k - 1:", "if k > 1:", (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
+    Mutant("pascal-advanced-in-place", "recurrence.py", "_build",
+           "[list(accumulate(a, initial=seed)) for", "[a.__setitem__(slice(None), accumulate(a, initial=seed)) or a for",
+           (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
+    Mutant("outside-sigma-fn-trusted", "verify.py", "_sweep",
+           "sigma_fn = _validated(sigma_fn)", "pass", (SIGMA_RESULT,)),
     Mutant("fixed-point-test-inverted", "verify.py", "_sweep",
            "sq = sp if q is p else", "sq = sp if q is not p else", (FROZEN_REPORTS,)),
     Mutant("fixed-point-guard-drops-x-eq-y", "verify.py", "_involution",

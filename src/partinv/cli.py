@@ -129,29 +129,24 @@ def cmd_sigma(args) -> int:
 
 def cmd_table(args) -> int:
     table = v_table(args.n_max, max_n=args.max_n)
-    sums = table.row_sums()
+    rows = [[str(v) for v in row] for row in table.rows]
+    sums = [str(v) for v in table.row_sums()]
     if args.format == "json":
-        _emit_json({
-            "n_max": table.n_max,
-            "rows": [[str(v) for v in row] for row in table.rows],
-            "row_sums": [str(v) for v in sums],
-        })
+        _emit_json({"n_max": table.n_max, "rows": rows, "row_sums": sums})
         return 0
     label_w = max(3, len(str(table.n_max)))
-    col_w = [
-        max(len(str(k)), max(len(str(table.rows[n - 1][k - 1])) for n in range(k, table.n_max + 1)))
-        for k in range(1, table.n_max + 1)
-    ]
+    # column k holds the k-th entry of rows k..n_max
+    col_w = [max(len(str(k)), *(len(row[k - 1]) for row in rows[k - 1:])) for k in range(1, table.n_max + 1)]
     header = "n\\k".rjust(label_w) + "".join(f"  {str(k).rjust(col_w[k - 1])}" for k in range(1, table.n_max + 1))
     print(header)
-    for n, row in enumerate(table.rows, start=1):
-        cells = "".join(f"  {str(v).rjust(col_w[k])}" for k, v in enumerate(row))
+    for n, row in enumerate(rows, start=1):
+        cells = "".join(f"  {v.rjust(col_w[k])}" for k, v in enumerate(row))
         print(str(n).rjust(label_w) + cells)
     print()
     print("row sums")
-    sum_w = max(len(str(v)) for v in sums)
+    sum_w = max(map(len, sums))
     for n, total in enumerate(sums, start=1):
-        print(str(n).rjust(label_w) + "  " + str(total).rjust(sum_w))
+        print(str(n).rjust(label_w) + "  " + total.rjust(sum_w))
     return 0
 
 

@@ -67,6 +67,8 @@ class SetPartition(NamedTuple):
         """Raise ValidationError naming the first violated invariant."""
         if not is_int(self.n) or self.n < 1:
             raise ValidationError("n must be a positive integer")
+        if not isinstance(self.blocks, tuple) or not all(isinstance(block, tuple) for block in self.blocks):
+            raise ValidationError("blocks must be a tuple of tuples")
         if not self.blocks:
             raise ValidationError("partition has no blocks")
         entries = []

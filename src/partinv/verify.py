@@ -9,16 +9,16 @@ factorial for the avoider scan) raises BoundError before any work starts.
 The sigma-dependent checks accept the map under test as a parameter so
 that deliberately broken variants can be shown to trip them.
 
-The four claims over all of P_n are rows of one claim table, checked in
-one sweep that enumerates each partition once for every claim still live;
-a failed claim drops out and the others go on. Each row names the fields
-of p it reads (X and Y, the image q, the spans of p and q, the
-nonoverlapping flag), and the sweep computes a field once per partition
-while a live claim reads it. sigma_fn is taken to be a function: when it
-returns p itself, the image's fields are p's (its spans, its X and Y, and
-its image, which is p again) and are taken from p, not computed again.
-An image that is merely equal to p is read in full. The package's sigma
-is trusted, as enumeration is; any other sigma_fn has each result
+The four claims over all of P_n (SWEPT) are checked in one sweep that
+enumerates each partition once while any of them is live; a failed claim
+drops out and the others go on. Each claim has a live flag, and each
+field of p (X and Y, the image q, the spans of p and q, the
+nonoverlapping flag) is computed once per partition while a claim that
+reads it is live. sigma_fn is taken to be a function: when it returns p
+itself, the image's fields are p's (its spans, its X and Y, and its
+image, which is p again) and are taken from p, not computed again. An
+image that is merely equal to p is read in full. The package's sigma is
+trusted, as enumeration is; any other sigma_fn has each result
 validated, and one that is not a SetPartition in standard form raises
 PreconditionError. The nonoverlapping claim reuses p's flag when the two
 span lists are equal. A report's elapsed time runs from the start of its
@@ -105,79 +105,37 @@ def _report(name, n_max, t0, counter=None):
     return CheckReport(name, (1, n_max), status, counter, perf_counter() - t0)
 
 
-def _involution(sigma_fn: SigmaFn):
-    def item(n, p, x, y, nov, q, sp, sq):
-        if q is p and x == y:
-            return None  # a fixed point with X = Y: its image's fields are p's
-        if (stat_x(q), stat_y(q)) != (y, x):
-            return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
-                                  f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
-        back = sigma_fn(q)
-        if back != p:
-            return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
-                                  format_partition(p), format_partition(back))
-        if (q == p) != (x == y):
-            return Counterexample(n, format_partition(p), "fixed point iff X = Y",
-                                  f"fixed={x == y}", f"fixed={q == p}")
-        return None
-    return item, None
+#: The four claims over all of P_n, checked together by _sweep in this order.
+SWEPT = ("involution", "spans", "nonoverlapping", "equidistribution")
 
 
-def _spans(sigma_fn: SigmaFn):
-    def item(n, p, x, y, nov, q, sp, sq):
-        if sp != sq:
-            return Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
-                                  str(sp), str(sq))
-        return None
-    return item, None
+def _involution(n, p, x, y, q, sigma_fn: SigmaFn) -> Counterexample | None:
+    """The first involution property that p of [n] breaks, given
+    x, y = X(p), Y(p) and its image q = sigma_fn(p), or None."""
+    if q is p and x == y:
+        return None  # a fixed point with X = Y: its image's fields are p's
+    if (stat_x(q), stat_y(q)) != (y, x):
+        return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
+                              f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
+    back = sigma_fn(q)
+    if back != p:
+        return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
+                              format_partition(p), format_partition(back))
+    if (q == p) != (x == y):
+        return Counterexample(n, format_partition(p), "fixed point iff X = Y",
+                              f"fixed={x == y}", f"fixed={q == p}")
+    return None
 
 
-def _nonoverlapping(sigma_fn: SigmaFn):
-    def item(n, p, x, y, nov, q, sp, sq):
-        after = nov if sq == sp else laminar(sq)
-        if nov != after:
-            return Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
-                                  f"nonoverlapping={nov}", f"nonoverlapping={after}")
-        return None
-    return item, None
-
-
-def _equidistribution(sigma_fn: SigmaFn):
-    """Symmetry of the joint (X, Y) counts, which implies equal X and Y
-    marginals, over all and over nonoverlapping partitions of [n]."""
-    joint_all, joint_nov = Counter(), Counter()
-
-    def item(n, p, x, y, nov, q, sp, sq):
-        joint_all[x, y] += 1
-        if nov:
-            joint_nov[x, y] += 1
-
-    def end(n):
-        for joint, scope in ((joint_all, "all"), (joint_nov, "nonoverlapping")):
-            for (i, j), count in sorted(joint.items()):
-                if count != joint[j, i]:
-                    return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
-                                          f"partitions of [{n}]", "symmetric joint distribution",
-                                          f"{count} = {count}", f"{count} != {joint[j, i]}")
-            joint.clear()
-        return None
-    return item, end
-
-
-#: The claim table: name -> (reads, build). build(sigma_fn) makes a claim
-#: (item, end) for one sweep. item(n, p, x, y, nov, q, sp, sq) checks a
-#: partition p of [n] given x, y = X(p), Y(p), nov = is_nonoverlapping(p),
-#: q = sigma_fn(p) and sp, sq = nonsingleton_spans of p and q, or None for
-#: a field not in reads; end(n), if given, checks what item gathered over
-#: P_n. Both return a Counterexample or None. When q is p, sq is sp, and
-#: an item may take X(q), Y(q) and sigma_fn(q) to be x, y and q rather
-#: than compute them.
-_CLAIMS = {
-    "involution": ({"xy", "image"}, _involution),
-    "spans": ({"image", "spans"}, _spans),
-    "nonoverlapping": ({"image", "spans", "nov"}, _nonoverlapping),
-    "equidistribution": ({"xy", "nov"}, _equidistribution),
-}
+def _asymmetry(n, joint: Counter, scope: str) -> Counterexample | None:
+    """The first cell (X=i, Y=j) of joint, the (X, Y) counts over scope
+    partitions of [n], whose count differs from that of (X=j, Y=i)."""
+    for (i, j), count in sorted(joint.items()):
+        if count != joint[j, i]:
+            return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
+                                  f"partitions of [{n}]", "symmetric joint distribution",
+                                  f"{count} = {count}", f"{count} != {joint[j, i]}")
+    return None
 
 
 def _validated(sigma_fn: SigmaFn) -> SigmaFn:
@@ -189,14 +147,14 @@ def _validated(sigma_fn: SigmaFn) -> SigmaFn:
             raise PreconditionError(f"sigma_fn must return a SetPartition, got {q!r}")
         try:
             return q.validate()
-        except (ValidationError, TypeError) as exc:
+        except ValidationError as exc:
             raise PreconditionError(f"sigma_fn must return a SetPartition in standard form, got {q!r}: {exc}") from exc
     return checked
 
 
 def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
-    """Check the named claims, each to its own depth, in one pass over
-    P_1, P_2, ... that stops once every claim is settled."""
+    """Check the named claims of SWEPT, each to its own depth, in one pass
+    over P_1, P_2, ... that stops once every claim is settled."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -205,37 +163,51 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
         sigma_fn = _validated(sigma_fn)
     t0 = perf_counter()
     reports = {}
-    live = {name: _CLAIMS[name][1](sigma_fn) for name in depths}
+
+    def settle(name, c=None):
+        reports[name] = _report(name, depths[name], t0, c)
+        return False  # the claim's live flag from now on
+
+    # one live flag per claim; a field of p is read only under the flags of the claims that read it
+    inv, spn, nvl, eqd = (name in depths for name in SWEPT)
     n = 0
-    while live:
+    while inv or spn or nvl or eqd:
         n += 1
-        claims = []
+        joint_all, joint_nov = Counter(), Counter()
         for p in enumerate_all(n):
-            if len(claims) != len(live):
-                if not live:
-                    break
-                claims = list(live.items())
-                reads = set().union(*(_CLAIMS[name][0] for name in live))
-            x = y = nov = q = sp = sq = None
-            if "xy" in reads:
+            if not (inv or spn or nvl or eqd):
+                break
+            if inv or eqd:
                 x, y = stat_x(p), stat_y(p)
-            if "image" in reads:
+            if inv or spn or nvl:
                 q = sigma_fn(p)
-            if "spans" in reads:
+            if spn or nvl:
                 sp = nonsingleton_spans(p)
                 sq = sp if q is p else nonsingleton_spans(q)
-            if "nov" in reads:
-                nov = laminar(nonsingleton_spans(p) if sp is None else sp)
-            for name, (item, _) in claims:
-                c = item(n, p, x, y, nov, q, sp, sq)
+            if nvl or eqd:
+                nov = laminar(sp if spn or nvl else nonsingleton_spans(p))
+            if inv:
+                c = _involution(n, p, x, y, q, sigma_fn)
                 if c is not None:
-                    reports[name] = _report(name, depths[name], t0, c)
-                    del live[name]
-        for name, (_, end) in list(live.items()):
-            c = end(n) if end else None
-            if c is not None or n == depths[name]:
-                reports[name] = _report(name, depths[name], t0, c)
-                del live[name]
+                    inv = settle("involution", c)
+            if spn and sp != sq:
+                spn = settle("spans", Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
+                                                     str(sp), str(sq)))
+            # equal span lists give equal flags, so p's is reused
+            if nvl and sq != sp and laminar(sq) != nov:
+                nvl = settle("nonoverlapping", Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
+                                                              f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))
+            if eqd:
+                joint_all[x, y] += 1
+                if nov:
+                    joint_nov[x, y] += 1
+        if eqd:
+            c = _asymmetry(n, joint_all, "all") or _asymmetry(n, joint_nov, "nonoverlapping")
+            if c is not None:
+                eqd = settle("equidistribution", c)
+        # a claim still live at its depth has passed
+        inv, spn, nvl, eqd = (live and (n < depths[name] or settle(name))
+                              for name, live in zip(SWEPT, (inv, spn, nvl, eqd)))
     return reports
 
 
@@ -306,5 +278,5 @@ def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
     # the tightest guard, checked before the sweep starts its work
     check_bound(depths["avoiders_match_v"], AVOIDER_MAX_N, "factorial", "check depth")
-    swept = _sweep({name: depths[name] for name in _CLAIMS})
+    swept = _sweep({name: depths[name] for name in SWEPT})
     return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]

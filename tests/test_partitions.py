@@ -157,6 +157,13 @@ class TestConstructors:
         with pytest.raises(ValidationError, match="do not partition"):
             SetPartition(3, ((2, 1),)).validate()
 
+    @pytest.mark.parametrize("blocks", [([3, 2, 1],), [(3, 2, 1)], 5, ({1, 2, 3},)],
+                             ids=["list-block", "list-of-blocks", "not-iterable", "set-block"])
+    def test_validate_refuses_blocks_that_are_not_a_tuple_of_tuples(self, blocks):
+        # a list block would make a "valid" partition that cannot be hashed
+        with pytest.raises(ValidationError, match="tuple of tuples"):
+            SetPartition(3, blocks).validate()
+
     def test_json_round_trip(self):
         p = parse("31/62/7/854")
         payload = p.to_json()

@@ -184,6 +184,20 @@ class TestSharedSweep:
         for name in SWEPT:
             assert swept[name].counterexample == standalone(name, 6, sigma).counterexample
 
+    def test_failed_claim_stops_the_reads_only_it_needed(self):
+        calls = 0
+
+        def identity(p):
+            nonlocal calls
+            calls += 1
+            return p
+
+        swept = verify._sweep({"involution": 6, "equidistribution": 6}, identity)
+        # 1, then 21 and 1/2 are fixed with X = Y; 321, the first partition of [3], fails
+        assert swept["involution"].counterexample == FROZEN["identity"]["involution"]
+        assert calls == 4
+        assert swept["equidistribution"].ok and swept["equidistribution"].n_range == (1, 6)
+
     def test_failed_claim_does_not_stop_the_others(self):
         swept = verify._sweep({"involution": 6, "spans": 5, "nonoverlapping": 6}, lambda p: p)
         assert swept["involution"].counterexample.n == 3
@@ -276,8 +290,9 @@ class TestSigmaResult:
         lambda p: SetPartition(None, p.blocks),
         lambda p: SetPartition(p.n + 1, p.blocks),
         lambda p: SetPartition(p.n, 5),
+        lambda p: SetPartition(p.n, tuple(list(b) for b in sigma(p).blocks)),
     ], ids=["none", "bare-tuple", "blocks", "none-on-the-way-back", "no-blocks", "n-none", "n-too-big",
-            "blocks-not-iterable"])
+            "blocks-not-iterable", "list-blocks"])
     @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
     def test_result_that_is_not_a_partition_is_refused(self, check, sigma_fn):
         with pytest.raises(PreconditionError, match="sigma_fn must return a SetPartition"):

@@ -5,12 +5,13 @@ still pass (survived).
     python3 tools/mutants.py              # every mutant
     python3 tools/mutants.py NAME ...     # the named mutants
 
-Each mutant is one textual edit inside one function of src/partinv. The
-named tests first run on the unmutated copy and must pass there. Prints
-one JSON object, {"mutants": [...], "survived": k}, and exits 1 if any
-mutant survived. It is not part of the test suite: each mutant costs a
-pytest run; tests/test_mutants.py checks, without running them, that
-every edit still applies and every named test still exists.
+Each mutant is one textual edit inside one function or method of
+src/partinv. The named tests first run on the unmutated copy and must
+pass there. Prints one JSON object, {"mutants": [...], "survived": k},
+and exits 1 if any mutant survived. It is not part of the test suite:
+each mutant costs a pytest run; tests/test_mutants.py checks, without
+running them, that every edit still applies and every named test still
+exists.
 """
 
 import argparse
@@ -30,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 class Mutant(NamedTuple):
     name: str
     file: str             # under src/partinv
-    scope: str            # the function the edit stays inside
+    scope: str            # the function or method the edit stays inside
     old: str              # must occur exactly once in that function
     new: str
     tests: tuple[str, ...]
@@ -45,6 +46,7 @@ SIGMA_RESULT = "tests/test_verify.py::TestSigmaResult"
 RECURRENCE = "tests/test_recurrence.py"
 INTEGER_RULE = ("tests/test_partitions.py::test_sizes_must_be_integers",
                 "tests/test_partitions.py::test_guards_must_be_integers")
+BLOCK_SHAPE = "tests/test_partitions.py::TestConstructors::test_validate_refuses_blocks_that_are_not_a_tuple_of_tuples"
 PERMUTATION_JUNK = "tests/test_patterns.py::test_non_permutation_is_refused"
 IDENTITY_CAUGHT = "tests/test_verify.py::TestMutationSensitivity::test_identity_map_is_caught"
 FROZEN_REPORTS = f"{SHARED_SWEEP}::test_same_reports_as_the_standalone_checks"
@@ -72,10 +74,10 @@ MUTANTS = (
            "blocks[:k] + (block,) + blocks[k + 1:]", "blocks[:k] + (block,) + blocks[:len(blocks) - k - 1]",
            (ALL_ORACLE,)),
     Mutant("sweep-settles-only-at-depth", "verify.py", "_sweep",
-           "if c is not None or n == depths[name]:", "if n == depths[name]:",
+           "if c is not None:\n                eqd =", "if n == depths[\"equidistribution\"]:\n                eqd =",
            (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",)),
     Mutant("failed-claim-kept-live", "verify.py", "_sweep",
-           "c)\n                    del live[name]", "c)", (SHARED_SWEEP,)),
+           "inv = settle(\"involution\", c)", "settle(\"involution\", c)", (SHARED_SWEEP,)),
     Mutant("pascal-seeded-one-term-late", "recurrence.py", "_build",
            "accumulate(reversed(rows[m - 3]))", "accumulate(reversed(rows[m - 3]), initial=0)", (RECURRENCE,)),
     Mutant("pascal-reads-first-entry", "recurrence.py", "_build",
@@ -91,8 +93,11 @@ MUTANTS = (
            "sq = sp if q is p else", "sq = sp if q is not p else", (FROZEN_REPORTS,)),
     Mutant("fixed-point-guard-drops-x-eq-y", "verify.py", "_involution",
            "if q is p and x == y:", "if q is p:", (IDENTITY_CAUGHT, FROZEN_REPORTS)),
-    Mutant("nonoverlapping-always-reuses-flag", "verify.py", "_nonoverlapping",
-           "after = nov if sq == sp else laminar(sq)", "after = nov", (FROZEN_REPORTS,)),
+    Mutant("nonoverlapping-always-reuses-flag", "verify.py", "_sweep",
+           "laminar(sq) != nov", "nov != nov", (FROZEN_REPORTS,)),
+    Mutant("validate-accepts-any-block-shape", "partitions.py", "validate",
+           "if not isinstance(self.blocks, tuple) or not all(isinstance(block, tuple) for block in self.blocks):",
+           "if False:", (BLOCK_SHAPE,)),
     Mutant("integer-rule-lets-bool-through", "errors.py", "is_int",
            " and not isinstance(value, bool)", "", INTEGER_RULE),
     Mutant("permutation-reads-any-iterable", "patterns.py", "_permutation",
@@ -101,9 +106,10 @@ MUTANTS = (
 
 
 def mutate(text: str, m: Mutant) -> str:
-    """text with m's edit made inside the function m.scope."""
-    start = text.index(f"\ndef {m.scope}(")
-    end = re.compile(r"\n\S").search(text, start + 1)
+    """text with m's edit made inside the function or method m.scope."""
+    head = re.compile(rf"\n( *)def {m.scope}\(").search(text)
+    start = head.start()
+    end = re.compile(rf"\n {{0,{len(head.group(1))}}}\S").search(text, start + 1)
     stop = end.start() if end else len(text)
     body = text[start:stop]
     if body.count(m.old) != 1:

@@ -6,8 +6,6 @@ counts, all backed by exhaustive brute-force verification.
 from .errors import (
     BoundError,
     DomainError,
-    NoNonsingletonBlock,
-    OneIsSingleton,
     ParseError,
     PartinvError,
     PreconditionError,
@@ -54,8 +52,6 @@ __all__ = [
     "Counterexample",
     "DEFAULT_MAX_N",
     "DomainError",
-    "NoNonsingletonBlock",
-    "OneIsSingleton",
     "OrbitClass",
     "ParseError",
     "PartinvError",

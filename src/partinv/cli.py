@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 
-from .errors import NoNonsingletonBlock, OneIsSingleton, PartinvError
+from .errors import PartinvError
 from .involution import orbit_class, sigma
 from .partitions import (
     DEFAULT_MAX_N,
@@ -75,14 +75,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_stats(args) -> int:
     p = parse(args.partition)
-    try:
-        r = aux_r(p)
-    except NoNonsingletonBlock:
-        r = None
-    try:
-        s = aux_s(p)
-    except OneIsSingleton:
-        s = None
+    r, s = aux_r(p), aux_s(p)
     spans = [(b[-1], b[0]) for b in p.blocks]
     nonov = is_nonoverlapping(p)
     if args.format == "json":

@@ -27,14 +27,6 @@ class DomainError(PartinvError):
     """Index outside the triangle 1 <= k <= n."""
 
 
-class NoNonsingletonBlock(PartinvError):
-    """r is undefined: every block is a singleton."""
-
-
-class OneIsSingleton(PartinvError):
-    """s is undefined: {1} is a singleton block."""
-
-
 class PreconditionError(PartinvError):
     """Operation called outside its stated precondition."""
 

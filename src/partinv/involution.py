@@ -89,13 +89,13 @@ def _restore(blocks: tuple, j: int) -> tuple:
 
 def sigma_inverse(q: SetPartition) -> SetPartition:
     """The unique p with X(p) < Y(p) and sigma(p) = q, for X(q) > Y(q).
-    Like sigma, it trusts q to be in standard form, and it scans q once:
-    the scan that gives Y also finds the block holding 1."""
-    blocks = q.blocks
-    if blocks[0] != (1,):  # else X = Y = 1
-        lead, j = rs_blocks(blocks)
-        if blocks[0][0] > min(blocks[lead][0], blocks[j][-2]):
-            return _make((q.n, _restore(blocks, j)))
+    sigma is an involution, so p is sigma(q). sigma swaps X and Y, so
+    the image has the lower X exactly when X(q) > Y(q); any other q
+    raises PreconditionError. Like sigma, it trusts q to be in standard
+    form, and it scans q once."""
+    p = sigma(q)
+    if p.blocks[0][0] < q.blocks[0][0]:
+        return p
     raise PreconditionError("sigma_inverse needs X > Y")
 
 

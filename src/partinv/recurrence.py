@@ -99,16 +99,6 @@ class VTable:
     n_max: int
     rows: tuple[tuple[int, ...], ...]
 
-    def entry(self, n: int, k: int) -> int:
-        if not (is_int(n) and is_int(k) and 1 <= k <= n <= self.n_max):
-            raise DomainError(f"need 1 <= k <= n <= {self.n_max}, got n={n!r}, k={k!r}")
-        return self.rows[n - 1][k - 1]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not (is_int(n) and 1 <= n <= self.n_max):
-            raise DomainError(f"need 1 <= n <= {self.n_max}, got n={n!r}")
-        return self.rows[n - 1]
-
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
 

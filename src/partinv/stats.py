@@ -8,17 +8,19 @@ On a partition in standard form:
     s = left neighbor of 1 in its block (= second smallest entry there)
     Y = 1 if {1} is a singleton block, else min(r, s)
 
-When {1} is not a singleton its own block is non-singleton, so both r and
-s exist exactly where Y's second branch needs them. rs_blocks is the one
-scanner for the block holding 1: stat_y, aux_s and sigma read r and s
-through it, and only aux_r, defined where {1} is a singleton, scans alone.
+r is undefined where every block is a singleton, and s where {1} is a
+singleton block; aux_r and aux_s return None there. When {1} is not a
+singleton its own block is non-singleton, so both r and s exist exactly
+where Y's second branch needs them. rs_blocks is the one scanner for the
+block holding 1: stat_y, aux_s and sigma read r and s through it, and
+only aux_r, which needs no block holding 1, scans alone.
 
 Boundary: stat_x, stat_y, aux_r and aux_s check no outside input. They
 trust the SetPartition they are handed to be in standard form, as parse,
 normalize, from_blocks and enumeration build it.
 """
 
-from .errors import NoNonsingletonBlock, OneIsSingleton, ValidationError
+from .errors import ValidationError
 from .partitions import SetPartition
 
 
@@ -45,18 +47,20 @@ def rs_blocks(blocks: tuple) -> tuple[int, int]:
     raise ValidationError("no non-singleton block holds 1: not standard form")
 
 
-def aux_r(p: SetPartition) -> int:
-    """First entry of the first non-singleton block."""
+def aux_r(p: SetPartition) -> int | None:
+    """First entry of the first non-singleton block, or None where every
+    block is a singleton and r is undefined."""
     for block in p.blocks:
         if len(block) > 1:
             return block[0]
-    raise NoNonsingletonBlock("every block is a singleton")
+    return None
 
 
-def aux_s(p: SetPartition) -> int:
-    """Second smallest entry of the block containing 1."""
+def aux_s(p: SetPartition) -> int | None:
+    """Second smallest entry of the block containing 1, or None where {1}
+    is a singleton block and s is undefined."""
     if p.blocks[0] == (1,):
-        raise OneIsSingleton("{1} is a singleton block")
+        return None
     return p.blocks[rs_blocks(p.blocks)[1]][-2]
 
 

@@ -3,8 +3,9 @@ test, with counterexample reporting.
 
 Every check scans n = 1..n_max in the deterministic enumeration order and
 reports the first violation it meets, so failures are stable regression
-artifacts. Checks never raise on failure; the CLI turns failures into a
-nonzero exit code. A depth below 1 or past its guard (enumeration, or
+artifacts. A report fails exactly when it carries a counterexample; its
+status is read off that field. Checks never raise on failure; the CLI
+turns failures into a nonzero exit code. A depth below 1 or past its guard (enumeration, or
 factorial for the avoider scan) raises BoundError before any work starts.
 The sigma-dependent checks accept the map under test as a parameter so
 that deliberately broken variants can be shown to trip them.
@@ -65,19 +66,24 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """One check's outcome. elapsed (seconds) runs from the start of the
-    sweep the check ran in until its claim was settled, so a claim that
-    shares a sweep also counts the time of the claims beside it."""
+    """One check's outcome. It passes exactly when it holds no
+    counterexample: ok and status ("pass" or "fail") are read off that
+    field, not stored beside it. elapsed (seconds) runs from the start of
+    the sweep the check ran in until its claim was settled, so a claim
+    that shares a sweep also counts the time of the claims beside it."""
 
     check_name: str
     n_range: tuple[int, int]
-    status: str  # "pass" | "fail"
     counterexample: Counterexample | None
     elapsed: float
 
     @property
     def ok(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "fail"
 
     def to_json(self) -> dict:
         return {
@@ -101,8 +107,7 @@ class CheckReport:
 
 
 def _report(name, n_max, t0, counter=None):
-    status = "pass" if counter is None else "fail"
-    return CheckReport(name, (1, n_max), status, counter, perf_counter() - t0)
+    return CheckReport(name, (1, n_max), counter, perf_counter() - t0)
 
 
 #: The four claims over all of P_n, checked together by _sweep in this order.

@@ -295,7 +295,6 @@ class TestVerify:
         broken = CheckReport(
             check_name="involution",
             n_range=(1, 3),
-            status="fail",
             counterexample=Counterexample(3, "321", "X/Y interchange", "2", "3"),
             elapsed=0.0,
         )

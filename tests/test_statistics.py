@@ -1,10 +1,6 @@
 """The statistics X and Y and their auxiliaries r and s."""
 
-import pytest
-
 from partinv import (
-    NoNonsingletonBlock,
-    OneIsSingleton,
     aux_r,
     aux_s,
     enumerate_all,
@@ -31,8 +27,7 @@ class TestExamples:
         assert aux_r(parse("21")) == 2
 
     def test_aux_r_undefined_on_all_singletons(self):
-        with pytest.raises(NoNonsingletonBlock):
-            aux_r(parse("1/2/3"))
+        assert aux_r(parse("1/2/3")) is None
 
     def test_aux_s(self):
         assert aux_s(parse("3/4/7/852/961")) == 6
@@ -40,13 +35,21 @@ class TestExamples:
         assert aux_s(parse("21")) == 2
 
     def test_aux_s_undefined_when_one_is_singleton(self):
-        with pytest.raises(OneIsSingleton):
-            aux_s(parse("1/32"))
+        assert aux_s(parse("1/32")) is None
 
     def test_y_reaches_one_without_r(self):
         # every block a singleton: the first branch must fire, min(r, s)
         # is never consulted
         assert stat_y(parse("1/2/3/4")) == 1
+
+
+def test_r_and_s_are_none_exactly_where_undefined():
+    """r is undefined where every block is a singleton, s where {1} is a
+    singleton block, over all of P_n, n <= 7."""
+    for n in range(1, 8):
+        for p in enumerate_all(n):
+            assert (aux_r(p) is None) == all(len(b) == 1 for b in p.blocks), p
+            assert (aux_s(p) is None) == (p.blocks[0] == (1,)), p
 
 
 def test_invariants_exhaustively():

@@ -1,5 +1,9 @@
-"""Exception types shared across the package, the integer rule every
-boundary check applies, and the size guard that raises BoundError."""
+"""Exception types shared across the package, the integer rule and the
+type rule every boundary check applies, and the size guard that raises
+BoundError."""
+
+from collections import UserString
+from collections.abc import Mapping
 
 
 class PartinvError(Exception):
@@ -29,6 +33,13 @@ class DomainError(PartinvError):
 
 class PreconditionError(PartinvError):
     """Operation called outside its stated precondition."""
+
+
+#: The one type rule: text, bytes, byte views and mappings iterate, but not
+#: as a sequence of entries, so no boundary reads one as a permutation, a
+#: family of blocks or a block. tuple() would read b"\x02\x01" as (2, 1)
+#: and a dict as its keys.
+NOT_ENTRIES = (str, bytes, bytearray, memoryview, UserString, Mapping)
 
 
 def is_int(value) -> bool:

@@ -5,7 +5,9 @@ exchanging {X < Y} with {X > Y}. On the X < Y side it absorbs initial
 singleton blocks into the block containing 1 (expelling s as a new
 singleton when r > s); on the X > Y side it reconstructs the unique
 preimage of that move. It never disturbs the span of any non-singleton
-block, so it preserves the nonoverlapping property.
+block, so it preserves the nonoverlapping property. Being an involution,
+it is its own inverse: sigma_inverse is sigma on the X > Y side, the one
+side where sigma lowers X, and raises PreconditionError elsewhere.
 
 Boundary: sigma, sigma_inverse and orbit_class check no outside input.
 They trust the SetPartition they are handed to be in standard form, since

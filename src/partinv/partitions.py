@@ -22,7 +22,9 @@ and the verify sweep hands the one list to the claims about both.
 
 Boundary: parse, normalize, SetPartition.from_blocks and
 SetPartition.from_json check outside input; the other three end in
-from_blocks, the one validating constructor. enumerate_all and
+from_blocks, the one validating constructor. A family or a block that is
+text, bytes, a byte view or a mapping (errors.NOT_ENTRIES) is refused
+before its items are read; sets are legal blocks. enumerate_all and
 enumerate_nonoverlapping check n and max_n before they build anything.
 format_partition and is_nonoverlapping trust the SetPartition they are
 handed; validate() re-checks one built directly.
@@ -33,7 +35,7 @@ import re
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BoundError, ParseError, ValidationError, check_bound, is_int
+from .errors import NOT_ENTRIES, BoundError, ParseError, ValidationError, check_bound, is_int
 
 Block = tuple[int, ...]
 
@@ -115,12 +117,20 @@ class SetPartition(NamedTuple):
 _make = partial(tuple.__new__, SetPartition)
 
 
+def _iterable(value):
+    """value, refused with ValidationError if it is of a type in
+    errors.NOT_ENTRIES. Sets pass: a family or a block may be unordered."""
+    if isinstance(value, NOT_ENTRIES):
+        raise ValidationError(f"blocks must be an iterable of iterables of integers, got {type(value).__name__}")
+    return value
+
+
 def _family(blocks: Iterable[Iterable[int]]) -> list[Block]:
     """The caller's blocks as tuples, once they are known to be a nonempty
     family of nonempty blocks of integers, so that comparing entries
     cannot raise TypeError."""
     try:
-        fam = [tuple(b) for b in blocks]
+        fam = [tuple(_iterable(b)) for b in _iterable(blocks)]
     except TypeError:
         raise ValidationError("blocks must be an iterable of iterables of integers") from None
     if not fam or any(not b for b in fam):

@@ -19,12 +19,12 @@ with BoundError before its scan starts. The scan over all n! permutations
 calls the unchecked kernels behind the predicates.
 """
 
-from collections import Counter, UserString
-from collections.abc import Mapping, Set
+from collections import Counter
+from collections.abc import Set
 from itertools import permutations
 from typing import Sequence
 
-from .errors import ValidationError, check_bound, is_int
+from .errors import NOT_ENTRIES, ValidationError, check_bound, is_int
 
 #: 9! = 362880 hosts; the n! * n scan stays interactive up to here.
 AVOIDER_MAX_N = 9
@@ -32,11 +32,11 @@ AVOIDER_MAX_N = 9
 
 def _permutation(p) -> tuple[int, ...]:
     """p as a tuple, once it is known to be a permutation of 1..len(p).
-    Text, bytes, byte views, sets and mappings iterate, but not as a
-    sequence of entries: they are refused before tuple() can read "" or
-    b"\\x01" as one. The abstract Set and Mapping take in frozenset,
-    dict.keys() and mappingproxy as well as set and dict."""
-    if isinstance(p, (str, bytes, bytearray, memoryview, UserString, Set, Mapping)):
+    The types of errors.NOT_ENTRIES, and sets, which have no order, are
+    refused before tuple() can read "" or b"\\x01" as one. The abstract
+    Set and Mapping take in frozenset, dict.keys() and mappingproxy as
+    well as set and dict."""
+    if isinstance(p, (*NOT_ENTRIES, Set)):
         raise ValidationError(f"expected a permutation, got {type(p).__name__}")
     try:
         perm = tuple(p)

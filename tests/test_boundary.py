@@ -65,11 +65,13 @@ _scalar = st.one_of(
     st.booleans(),
     st.text(max_size=6),
     st.integers(max_value=0),
+    st.binary(max_size=3),
 )
 JUNK = st.recursive(_scalar, lambda inner: st.one_of(
     st.lists(inner, max_size=3),
     st.tuples(inner, inner),
     st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    st.dictionaries(st.integers(min_value=1, max_value=3), inner, max_size=2),
     st.fixed_dictionaries({"blocks": inner}),
 ), max_leaves=6)
 

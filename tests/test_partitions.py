@@ -3,6 +3,7 @@ enumeration."""
 
 import ast
 import inspect
+import types
 from itertools import islice
 
 import pytest
@@ -163,6 +164,30 @@ class TestConstructors:
         # a list block would make a "valid" partition that cannot be hashed
         with pytest.raises(ValidationError, match="tuple of tuples"):
             SetPartition(3, blocks).validate()
+
+    @pytest.mark.parametrize("build, blocks", [
+        (SetPartition.from_blocks, [b"\x02\x01"]),
+        (normalize, [b"\x02\x01"]),
+        (SetPartition.from_blocks, [bytearray(b"\x01")]),
+        (normalize, [memoryview(b"\x01")]),
+        (SetPartition.from_blocks, [{2: "a", 1: "b"}]),
+        (normalize, [{2: "a", 1: "b"}]),
+        (normalize, [types.MappingProxyType({1: 0})]),
+        (SetPartition.from_blocks, {(2, 1): 0}),
+        (normalize, {(1,): "x"}),
+        (SetPartition.from_json, {"blocks": {(1,): "x"}}),
+    ], ids=["from_blocks-bytes-block", "normalize-bytes-block", "from_blocks-bytearray-block",
+            "normalize-memoryview-block", "from_blocks-dict-block", "normalize-dict-block",
+            "normalize-mappingproxy-block", "from_blocks-dict-family", "normalize-dict-family",
+            "from_json-dict-family"])
+    def test_bytes_and_mappings_are_not_blocks(self, build, blocks):
+        # they iterate, but as byte values or keys: b"\x02\x01" would read as 21
+        with pytest.raises(ValidationError, match="iterable of iterables"):
+            build(blocks)
+
+    def test_sets_stay_legal_blocks_and_families(self):
+        assert normalize({frozenset({2, 1}), frozenset({3})}) == parse("21/3")
+        assert normalize([{1: 0}.keys()]) == parse("1")
 
     def test_json_round_trip(self):
         p = parse("31/62/7/854")

@@ -50,6 +50,9 @@ BLOCK_SHAPE = "tests/test_partitions.py::TestConstructors::test_validate_refuses
 PERMUTATION_JUNK = "tests/test_patterns.py::test_non_permutation_is_refused"
 IDENTITY_CAUGHT = "tests/test_verify.py::TestMutationSensitivity::test_identity_map_is_caught"
 FROZEN_REPORTS = f"{SHARED_SWEEP}::test_same_reports_as_the_standalone_checks"
+CLI_CORPUS = "tests/test_cli_corpus.py::test_output_is_frozen"
+INVERSE_SIDE = "tests/test_involution.py::TestExamples::test_inverse_rejects_non_upper_input"
+BLOCK_TYPES = "tests/test_partitions.py::TestConstructors::test_bytes_and_mappings_are_not_blocks"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -101,7 +104,15 @@ MUTANTS = (
     Mutant("integer-rule-lets-bool-through", "errors.py", "is_int",
            " and not isinstance(value, bool)", "", INTEGER_RULE),
     Mutant("permutation-reads-any-iterable", "patterns.py", "_permutation",
-           "if isinstance(p, (str, bytes, bytearray, memoryview, UserString, Set, Mapping)):", "if False:", (PERMUTATION_JUNK,)),
+           "if isinstance(p, (*NOT_ENTRIES, Set)):", "if False:", (PERMUTATION_JUNK,)),
+    Mutant("block-type-refusal-off", "partitions.py", "_iterable",
+           "if isinstance(value, NOT_ENTRIES):", "if False:", (BLOCK_TYPES,)),
+    Mutant("sigma-inverse-side-test-non-strict", "involution.py", "sigma_inverse",
+           "if p.blocks[0][0] < q.blocks[0][0]:", "if p.blocks[0][0] <= q.blocks[0][0]:", (INVERSE_SIDE,)),
+    Mutant("distribution-marginal-reversed", "cli.py", "cmd_distribution",
+           "for k in sorted(marg)]", "for k in sorted(marg, reverse=True)]", (CLI_CORPUS,)),
+    Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",
+           'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
 )
 
 

@@ -91,12 +91,12 @@ def _restore(blocks: tuple, j: int) -> tuple:
 
 def sigma_inverse(q: SetPartition) -> SetPartition:
     """The unique p with X(p) < Y(p) and sigma(p) = q, for X(q) > Y(q).
-    sigma is an involution, so p is sigma(q). sigma swaps X and Y, so
-    the image has the lower X exactly when X(q) > Y(q); any other q
-    raises PreconditionError. Like sigma, it trusts q to be in standard
-    form, and it scans q once."""
+    sigma is an involution, so p is sigma(q), and since sigma swaps X and
+    Y, it lowers X exactly when X(q) > Y(q); any other q raises
+    PreconditionError. Like sigma, it trusts q to be in standard form,
+    and it scans q once."""
     p = sigma(q)
-    if p.blocks[0][0] < q.blocks[0][0]:
+    if stat_x(p) < stat_x(q):
         return p
     raise PreconditionError("sigma_inverse needs X > Y")
 

@@ -5,8 +5,9 @@ Every check scans n = 1..n_max in the deterministic enumeration order and
 reports the first violation it meets, so failures are stable regression
 artifacts. A report fails exactly when it carries a counterexample; its
 status is read off that field. Checks never raise on failure; the CLI
-turns failures into a nonzero exit code. A depth below 1 or past its guard (enumeration, or
-factorial for the avoider scan) raises BoundError before any work starts.
+turns failures into a nonzero exit code. A depth below 1 or past its
+guard (enumeration, or factorial for the avoider scan) raises BoundError
+before any work starts.
 The sigma-dependent checks accept the map under test as a parameter so
 that deliberately broken variants can be shown to trip them.
 

@@ -108,7 +108,7 @@ MUTANTS = (
     Mutant("block-type-refusal-off", "partitions.py", "_iterable",
            "if isinstance(value, NOT_ENTRIES):", "if False:", (BLOCK_TYPES,)),
     Mutant("sigma-inverse-side-test-non-strict", "involution.py", "sigma_inverse",
-           "if p.blocks[0][0] < q.blocks[0][0]:", "if p.blocks[0][0] <= q.blocks[0][0]:", (INVERSE_SIDE,)),
+           "if stat_x(p) < stat_x(q):", "if stat_x(p) <= stat_x(q):", (INVERSE_SIDE,)),
     Mutant("distribution-marginal-reversed", "cli.py", "cmd_distribution",
            "for k in sorted(marg)]", "for k in sorted(marg, reverse=True)]", (CLI_CORPUS,)),
     Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",

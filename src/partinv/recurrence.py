@@ -42,8 +42,8 @@ n = 25.
 """
 
 import threading
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, check_bound, is_int
 
@@ -92,12 +92,15 @@ def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
     return _table[0][n - 1][k - 1]
 
 
-@dataclass(frozen=True)
-class VTable:
-    """The triangle v[n][k] for 1 <= k <= n <= n_max; rows[i] is row n=i+1."""
+class VTable(NamedTuple):
+    """The triangle v[n][k] for 1 <= k <= n <= n_max; rows[i] is row n=i+1,
+    and n_max is read off rows, not stored beside them."""
 
-    n_max: int
     rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.rows)
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
@@ -108,7 +111,7 @@ def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
     if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
-    return VTable(n_max, _table[0][:n_max])
+    return VTable(_table[0][:n_max])
 
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:

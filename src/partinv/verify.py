@@ -28,9 +28,8 @@ sweep until its claim was settled.
 """
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import PreconditionError, ValidationError, check_bound
 from .involution import sigma
@@ -53,8 +52,7 @@ DEFAULT_LIMITS = {
 SigmaFn = Callable[[SetPartition], SetPartition]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     n: int
     item: str        # offending partition/permutation/cell, serialized
     claim: str       # the violated property
@@ -62,11 +60,10 @@ class Counterexample:
     actual: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """One check's outcome. It passes exactly when it holds no
     counterexample: ok and status ("pass" or "fail") are read off that
     field, not stored beside it. elapsed (seconds) runs from the start of

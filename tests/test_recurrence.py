@@ -92,6 +92,17 @@ class TestVTable:
         assert t.rows[6 - 1] == (43, 43, 29, 18, 9, 1)
         assert t.row_sums() == (1, 2, 5, 14, 43, 143, 509)
 
+    def test_n_max_is_read_off_rows(self):
+        rows = v_table(7).rows
+        assert VTable(rows).n_max == 7 == len(VTable(rows).row_sums())
+        assert VTable(rows) == v_table(7) == (rows,)
+        with pytest.raises(TypeError):
+            VTable(5, rows)
+        with pytest.raises(TypeError):
+            VTable(n_max=5, rows=rows)
+        with pytest.raises(AttributeError):
+            v_table(7).n_max = 5
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             v_table(0)

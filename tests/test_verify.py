@@ -74,6 +74,55 @@ def test_to_json_deterministic_modulo_elapsed():
     }
 
 
+class TestRecords:
+    """Counterexample and CheckReport are immutable named tuples: they
+    serialise, read and refuse assignment as the frozen records before
+    them did, and unpack and compare as plain tuples of their fields."""
+
+    C = Counterexample(3, "321", "X/Y interchange", "image with X=2, Y=3", "321 with X=3, Y=2")
+    PASS = verify.CheckReport("spans", (1, 5), None, 0.1234567)
+    FAIL = verify.CheckReport("involution", (1, 5), C, 1.5)
+
+    def test_counterexample_to_json(self):
+        payload = self.C.to_json()
+        assert payload == {"n": 3, "item": "321", "claim": "X/Y interchange",
+                           "expected": "image with X=2, Y=3", "actual": "321 with X=3, Y=2"}
+        assert list(payload) == ["n", "item", "claim", "expected", "actual"]
+        assert type(payload) is dict
+
+    def test_report_to_json(self):
+        assert self.PASS.to_json() == {"check": "spans", "n_range": [1, 5], "status": "pass",
+                                       "counterexample": None, "elapsed_seconds": 0.123457}
+        assert self.FAIL.to_json() == {"check": "involution", "n_range": [1, 5], "status": "fail",
+                                       "counterexample": self.C.to_json(), "elapsed_seconds": 1.5}
+        assert list(self.FAIL.to_json()) == ["check", "n_range", "status", "counterexample", "elapsed_seconds"]
+
+    def test_status_and_summary(self):
+        assert (self.PASS.ok, self.PASS.status) == (True, "pass")
+        assert (self.FAIL.ok, self.FAIL.status) == (False, "fail")
+        assert self.PASS.summary() == "PASS spans n=1..5 (0.12s)"
+        assert self.FAIL.summary() == (
+            "FAIL involution n=1..5 (1.50s)"
+            "\n     counterexample at n=3: 321"
+            "\n     violated: X/Y interchange; expected image with X=2, Y=3, got 321 with X=3, Y=2")
+
+    @pytest.mark.parametrize("record, field", [
+        (C, "n"), (C, "item"), (C, "actual"), (C, "extra"),
+        (PASS, "check_name"), (PASS, "counterexample"), (PASS, "elapsed"), (PASS, "ok"), (PASS, "status"),
+    ])
+    def test_assignment_is_refused(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+    def test_unpacks_and_equals_plain_tuples(self):
+        n, item, claim, expected, actual = self.C
+        assert (n, item, claim, expected, actual) == tuple(self.C) == self.C
+        assert self.FAIL == ("involution", (1, 5), self.C, 1.5)
+        assert verify.CheckReport(check_name="spans", n_range=(1, 5), counterexample=None,
+                                  elapsed=0.1234567) == self.PASS
+        assert hash(self.C) == hash(tuple(self.C))
+
+
 def test_run_all_names_and_order():
     reports = run_all(4)
     assert [r.check_name for r in reports] == [name for name, _ in ALL_CHECKS]

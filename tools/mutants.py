@@ -90,6 +90,8 @@ MUTANTS = (
     Mutant("pascal-advanced-in-place", "recurrence.py", "_build",
            "[list(accumulate(a, initial=seed)) for", "[a.__setitem__(slice(None), accumulate(a, initial=seed)) or a for",
            (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
+    Mutant("vtable-n-max-off-by-one", "recurrence.py", "n_max",
+           "return len(self.rows)", "return len(self.rows) - 1", (RECURRENCE, CLI_CORPUS)),
     Mutant("outside-sigma-fn-trusted", "verify.py", "_sweep",
            "sigma_fn = _validated(sigma_fn)", "pass", (SIGMA_RESULT,)),
     Mutant("fixed-point-test-inverted", "verify.py", "_sweep",

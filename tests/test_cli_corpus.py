@@ -32,13 +32,16 @@ CORPUS = Path(__file__).resolve().parent / "cli_corpus.json"
 PARTITIONS = ("3/4/7/852/961", "6/7/852/9431", "2/431", "3/421", "3/4/652/7/981", "652/7/98431",
               "2/3/4/51", "54321", "321", "2/31", "21", "1", "1/2/3", "1/32", "10,7,3/11,9,8,6,5,4,2,1")
 
-#: Input errors, size-guard errors and usage errors of each subcommand.
+#: Input errors, size-guard errors and usage errors of each subcommand, and
+#: one input for each message of SetPartition.validate that parse can reach:
+#: a gap, a block not decreasing, a duplicate, mixed forms, blocks out of order.
 ERRORS = (("stats", "3//1"), ("stats", "2/1"), ("stats", ""), ("sigma", "2/1"), ("sigma", "x"),
           ("enumerate", "4", "--max-n", "3"), ("enumerate", "15"), ("enumerate", "0"),
           ("enumerate", "501", "--max-n", "600"), ("enumerate", "three"), ("enumerate", "3", "--compact"),
           ("distribution", "15"), ("distribution", "0"), ("distribution", "5", "--stat", "z"),
           ("avoiders", "10"), ("avoiders", "0"), ("table", "301"), ("table", "0"), ("table", "5", "--max-n", "0"),
-          ("verify", "--max-n", "0"), ("verify", "--max-n", "10"), ("stats",), ("table", "x"))
+          ("verify", "--max-n", "0"), ("verify", "--max-n", "10"), ("stats",), ("table", "x"),
+          ("stats", "31"), ("stats", "12"), ("stats", "1/21"), ("sigma", "3,1/42"), ("sigma", "2,1/2,1"))
 
 
 def _cases():

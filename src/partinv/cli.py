@@ -42,10 +42,6 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def cmd_enumerate(args) -> int:
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
     if args.format == "json":
@@ -99,7 +95,7 @@ def cmd_stats(args) -> int:
         if s is not None:
             print(f"s: {s}")
         print("spans: " + " ".join(f"[{lo},{hi}]" for lo, hi in spans))
-        print(f"nonoverlapping: {_bool(nonov)}")
+        print(f"nonoverlapping: {str(nonov).lower()}")
     return 0
 
 

@@ -119,5 +119,5 @@ def sigma(p: SetPartition) -> SetPartition:
     if x == y:
         return p
     if x < y:
-        return _make((p.n, _absorb(blocks, lead, j, r, s)))
-    return _make((p.n, _restore(blocks, j)))
+        return _make((_absorb(blocks, lead, j, r, s),))
+    return _make((_restore(blocks, j),))

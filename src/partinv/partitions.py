@@ -3,7 +3,8 @@ the nonoverlapping test, and exhaustive enumeration.
 
 Standard form writes every block in decreasing order and lists blocks by
 increasing first entry (equivalently by increasing block maximum), e.g.
-31/62/7/854. Two text serializations exist:
+31/62/7/854, so n heads the last block; a SetPartition stores only its
+blocks and reads n off them. Two text serializations exist:
 
     compact   one digit per entry, juxtaposed ("854"); legal only while
               every entry is <= 9
@@ -22,7 +23,8 @@ and the verify sweep hands the one list to the claims about both.
 
 Boundary: parse, normalize, SetPartition.from_blocks and
 SetPartition.from_json check outside input; the other three end in
-from_blocks, the one validating constructor. A family or a block that is
+from_blocks, the one validating constructor, and SetPartition.validate
+is the one checker of what the blocks hold. A family or a block that is
 text, bytes, a byte view or a mapping (errors.NOT_ENTRIES) is refused
 before its items are read; sets are legal blocks. enumerate_all and
 enumerate_nonoverlapping check n and max_n before they build anything.
@@ -30,7 +32,6 @@ format_partition and is_nonoverlapping trust the SetPartition they are
 handed; validate() re-checks one built directly.
 """
 
-import operator
 import re
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
@@ -44,6 +45,8 @@ _COMPACT_DIGITS = frozenset("123456789")
 
 _NUMBER = re.compile(r"[1-9][0-9]*\Z")
 
+_NOT_A_FAMILY = "blocks must be an iterable of iterables of integers"
+
 #: Default enumeration ceiling; Bell(14) ~ 1.9e8 partitions, streamed.
 DEFAULT_MAX_N = 14
 
@@ -54,21 +57,26 @@ NESTING_MAX_N = 500
 class SetPartition(NamedTuple):
     """A partition of {1, ..., n} in standard form.
 
-    An immutable named tuple (n, blocks): it unpacks as n, blocks = p,
-    orders as a tuple does, and compares and hashes equal to the plain
-    tuple (n, blocks). The constructor trusts its arguments. Build
-    instances through parse(), normalize() or from_blocks() unless the
-    blocks are already known to be valid standard form; validate()
-    re-checks every invariant.
+    An immutable named tuple with one field, blocks: it unpacks as
+    (blocks,) = p, orders as a tuple does, and compares and hashes equal
+    to the plain tuple (blocks,). n is not stored but read off the blocks:
+    in standard form the largest entry heads the last block. The
+    constructor trusts its argument. Build instances through parse(),
+    normalize() or from_blocks() unless the blocks are already known to be
+    valid standard form; validate() re-checks every invariant.
     """
 
-    n: int
     blocks: tuple[Block, ...]
 
+    @property
+    def n(self) -> int:
+        """The size of the ground set: the first entry of the last block."""
+        return self.blocks[-1][0]
+
     def validate(self) -> "SetPartition":
-        """Raise ValidationError naming the first violated invariant."""
-        if not is_int(self.n) or self.n < 1:
-            raise ValidationError("n must be a positive integer")
+        """Raise ValidationError naming the first violated invariant; n is
+        read only once the blocks are known to be decreasing tuples of
+        positive integers ordered by first entry."""
         if not isinstance(self.blocks, tuple) or not all(isinstance(block, tuple) for block in self.blocks):
             raise ValidationError("blocks must be a tuple of tuples")
         if not self.blocks:
@@ -86,16 +94,15 @@ class SetPartition(NamedTuple):
         firsts = [b[0] for b in self.blocks]
         if any(a >= b for a, b in zip(firsts, firsts[1:])):
             raise ValidationError("blocks are not ordered by increasing first entry")
-        if len(entries) != self.n or set(entries) != set(range(1, self.n + 1)):
-            raise ValidationError(f"blocks do not partition {{1, ..., {self.n}}}")
+        n = self.n
+        if len(entries) != n or set(entries) != set(range(1, n + 1)):
+            raise ValidationError(f"blocks do not partition {{1, ..., {n}}}")
         return self
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
         """Validating constructor for blocks already in standard form."""
-        tup = tuple(_family(blocks))
-        n = max(max(b) for b in tup)
-        return cls(n, tup).validate()
+        return cls(tuple(_family(blocks))).validate()
 
     @classmethod
     def from_json(cls, obj: dict) -> "SetPartition":
@@ -113,7 +120,8 @@ class SetPartition(NamedTuple):
 
 
 #: The trusted constructor for code that builds standard form itself:
-#: _make((n, blocks)) skips the argument handling of SetPartition(n, blocks).
+#: _make((blocks,)) skips the argument handling of SetPartition(blocks),
+#: one C-level call per partition built.
 _make = partial(tuple.__new__, SetPartition)
 
 
@@ -121,35 +129,31 @@ def _iterable(value):
     """value, refused with ValidationError if it is of a type in
     errors.NOT_ENTRIES. Sets pass: a family or a block may be unordered."""
     if isinstance(value, NOT_ENTRIES):
-        raise ValidationError(f"blocks must be an iterable of iterables of integers, got {type(value).__name__}")
+        raise ValidationError(f"{_NOT_A_FAMILY}, got {type(value).__name__}")
     return value
 
 
 def _family(blocks: Iterable[Iterable[int]]) -> list[Block]:
-    """The caller's blocks as tuples, once they are known to be a nonempty
-    family of nonempty blocks of integers, so that comparing entries
-    cannot raise TypeError."""
+    """The caller's blocks as a list of tuples. What they hold is left to
+    validate(); only a family or a block that cannot be iterated or is of
+    a type in errors.NOT_ENTRIES is refused here."""
     try:
-        fam = [tuple(_iterable(b)) for b in _iterable(blocks)]
+        return [tuple(_iterable(b)) for b in _iterable(blocks)]
     except TypeError:
-        raise ValidationError("blocks must be an iterable of iterables of integers") from None
-    if not fam or any(not b for b in fam):
-        raise ValidationError("blocks must be a nonempty family of nonempty blocks")
-    for b in fam:
-        for e in b:
-            if not is_int(e):
-                raise ValidationError(f"entry {e!r} is not an integer")
-    return fam
+        raise ValidationError(_NOT_A_FAMILY) from None
 
 
 def normalize(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Build the standard form of an unordered family of disjoint sets.
 
     Unlike parse/from_blocks this sorts for the caller; it still rejects
-    families that are not a partition of some {1, ..., n}.
+    families that are not a partition of some {1, ..., n}. Blocks are
+    sorted as whole tuples: disjoint blocks differ in their first entry.
     """
-    fam = [tuple(sorted(b, reverse=True)) for b in _family(blocks)]
-    fam.sort(key=operator.itemgetter(0))
+    try:
+        fam = sorted(tuple(sorted(b, reverse=True)) for b in _family(blocks))
+    except (TypeError, ArithmeticError):  # entries that do not compare; a Decimal NaN raises the latter
+        raise ValidationError(_NOT_A_FAMILY) from None
     return SetPartition.from_blocks(fam)
 
 
@@ -256,8 +260,8 @@ def _gen_all(n: int) -> Iterator[SetPartition]:
     for blocks, std in prefixes:
         for block in blocks:
             j = std.index(block)
-            yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
-        yield make((n, std + ((n,),)))
+            yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
+        yield make((std + ((n,),),))
 
 
 def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
@@ -313,12 +317,12 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
         if need:
             block = blocks[need.bit_length() - 1]
             j = std.index(block)
-            yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
+            yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
         else:
             hi = 0
             for block in blocks:
                 if block[-1] > hi:
                     hi = block[0]
                     j = std.index(block)
-                    yield make((n, std[:j] + std[j + 1:] + ((n,) + block,)))
-            yield make((n, std + ((n,),)))
+                    yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
+            yield make((std + ((n,),),))

@@ -96,7 +96,7 @@ def enumerate_by_groups(n: int) -> Iterator[SetPartition]:
         for i in range(n):
             groups[a[i]].append(i + 1)
         groups.sort(key=by_max)
-        yield SetPartition(n, tuple(tuple(reversed(g)) for g in groups))
+        yield SetPartition(tuple(tuple(reversed(g)) for g in groups))
         i = last
         while i > 0 and a[i] == b[i]:
             i -= 1
@@ -154,13 +154,13 @@ def nonoverlapping_by_first_return(n: int) -> list[SetPartition]:
                 label[e - 1] = i
         return label
 
-    return [SetPartition(n, tuple(sorted(blocks))) for blocks in sorted(_first_return(n), key=rgs)]
+    return [SetPartition(tuple(sorted(blocks))) for blocks in sorted(_first_return(n), key=rgs)]
 
 
-def _assemble(n: int, blocks: list) -> SetPartition:
+def _assemble(blocks: list) -> SetPartition:
     """Restore standard form: blocks are decreasing, order them by first entry."""
     blocks.sort(key=lambda b: b[0])
-    return SetPartition(n, tuple(blocks))
+    return SetPartition(tuple(blocks))
 
 
 def _absorb_by_sets(p: SetPartition) -> SetPartition:
@@ -183,7 +183,7 @@ def _absorb_by_sets(p: SetPartition) -> SetPartition:
         extra = []
         kept_lead = []
     rest = [b for b in p.blocks[lead:] if b is not one]
-    return _assemble(p.n, kept_lead + rest + [new_one] + extra)
+    return _assemble(kept_lead + rest + [new_one] + extra)
 
 
 def sigma_inverse_by_sets(q: SetPartition) -> SetPartition:
@@ -206,7 +206,7 @@ def sigma_inverse_by_sets(q: SetPartition) -> SetPartition:
         new_one = tuple(sorted(set(one) - set(removed), reverse=True))
         rest = [b for b in q.blocks if b is not one]
     singletons = [(e,) for e in removed]
-    return _assemble(q.n, rest + [new_one] + singletons)
+    return _assemble(rest + [new_one] + singletons)
 
 
 def sigma_by_sets(p: SetPartition) -> SetPartition:

@@ -105,3 +105,37 @@ def test_junk_raises_only_partinv_errors(name, data):
         except partinv.PartinvError:
             return
     assert name in MAY_ACCEPT and MAY_ACCEPT[name](kwargs), f"{name}(**{kwargs!r}) returned {result!r}"
+
+
+#: What SetPartition(blocks) may be handed directly: entries that are small
+#: positive integers (so some draws are valid), ints <= 0 or very large,
+#: bools, floats and None, nested in lists, dicts and tuples, empty ones
+#: included.
+_entry = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.integers(max_value=0),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+)
+RAW_BLOCKS = st.recursive(_entry, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(tuple),
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.integers(min_value=1, max_value=3), inner, max_size=2),
+), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=RAW_BLOCKS)
+def test_validate_is_the_one_checker(blocks):
+    # the constructor trusts its argument, so validate() alone must refuse
+    # junk, and with ValidationError only; whatever it accepts is standard form
+    try:
+        p = partinv.SetPartition(blocks).validate()
+    except partinv.ValidationError:
+        return
+    entries = [e for b in p.blocks for e in b]
+    assert all(type(e) is int for e in entries)
+    assert sorted(entries) == list(range(1, p.n + 1))
+    assert p.blocks == tuple(sorted(tuple(sorted(b, reverse=True)) for b in p.blocks))

@@ -84,15 +84,15 @@ class TestExamples:
     def test_malformed_input_is_caught_by_validation_not_by_sigma(self):
         # sigma trusts standard form; the checking constructors and
         # validate() are where a malformed partition is refused
-        bad = SetPartition(3, ((1,), (1,)))
+        bad = SetPartition(((1,), (1,)))
         with pytest.raises(ValidationError):
             bad.validate()
         with pytest.raises(ValidationError):
             SetPartition.from_blocks(bad.blocks)
+        with pytest.raises(ValidationError, match=r"do not partition \{1, \.\.\., 4\}"):
+            SetPartition(((2,), (3,), (4,))).validate()  # a gap: 1 is missing
         with pytest.raises(ValidationError, match="positive integer"):
-            SetPartition(True, ((1,),)).validate()
-        with pytest.raises(ValidationError, match="positive integer"):
-            SetPartition(1, ((True,),)).validate()
+            SetPartition(((True,),)).validate()
 
     @pytest.mark.parametrize("blocks", [((2,), (3,)), ((2,), (3, 2), (1,))])
     def test_no_block_to_scan_for_raises_a_package_error(self, blocks):
@@ -101,7 +101,7 @@ class TestExamples:
         # singleton, it still raises one of the package's errors
         for fn in (sigma, sigma_inverse, stat_y, aux_s):
             with pytest.raises(PartinvError):
-                fn(SetPartition(3, blocks))
+                fn(SetPartition(blocks))
 
     def test_orbit_class(self):
         assert orbit_class(parse("21")) is OrbitClass.FIXED

@@ -4,6 +4,7 @@ enumeration."""
 import ast
 import inspect
 import types
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -51,7 +52,7 @@ class TestParse:
         assert p.blocks == ((3, 1), (6, 2), (7,), (8, 5, 4))
 
     def test_smallest(self):
-        assert parse("1") == SetPartition(1, ((1,),))
+        assert parse("1") == SetPartition(((1,),))
 
     def test_comma_form_two_blocks(self):
         p = parse("10,7,3/11,9,8,6,5,4,2,1")
@@ -150,20 +151,20 @@ class TestConstructors:
             SetPartition.from_blocks([(3, 1), (2,)])
 
     def test_validate_names_violation(self):
-        bad = SetPartition(3, ((3, 1), (2,)))
+        bad = SetPartition(((3, 1), (2,)))
         with pytest.raises(ValidationError, match="increasing first entry"):
             bad.validate()
         with pytest.raises(ValidationError, match="decreasing"):
-            SetPartition(2, ((1, 2),)).validate()
+            SetPartition(((1, 2),)).validate()
         with pytest.raises(ValidationError, match="do not partition"):
-            SetPartition(3, ((2, 1),)).validate()
+            SetPartition(((3, 1),)).validate()
 
     @pytest.mark.parametrize("blocks", [([3, 2, 1],), [(3, 2, 1)], 5, ({1, 2, 3},)],
                              ids=["list-block", "list-of-blocks", "not-iterable", "set-block"])
     def test_validate_refuses_blocks_that_are_not_a_tuple_of_tuples(self, blocks):
         # a list block would make a "valid" partition that cannot be hashed
         with pytest.raises(ValidationError, match="tuple of tuples"):
-            SetPartition(3, blocks).validate()
+            SetPartition(blocks).validate()
 
     @pytest.mark.parametrize("build, blocks", [
         (SetPartition.from_blocks, [b"\x02\x01"]),
@@ -208,10 +209,14 @@ class TestConstructors:
             normalize([[1], ["2"]])
         with pytest.raises(ValidationError):
             normalize([[1], 2])
+        # entries that cannot be ordered, met by normalize's own sort
+        for blocks in ([[2, None]], [[1], ["a"]], [[Decimal("NaN"), 1]]):
+            with pytest.raises(ValidationError, match="iterable of iterables of integers"):
+                normalize(blocks)
 
 
 class TestNamedTuple:
-    """SetPartition is a named tuple, so a bare (n, blocks) tuple compares
+    """SetPartition is a named tuple, so a bare (blocks,) tuple compares
     equal to one; these pin the type of what the fast paths build."""
 
     def test_every_fast_path_builds_a_set_partition(self):
@@ -223,6 +228,7 @@ class TestNamedTuple:
                     built.append(sigma_inverse(p))
             for x in built:
                 assert type(x) is SetPartition, x
+                assert x.n == max(map(max, x.blocks)) == sum(map(len, x.blocks)) == n
                 x.validate()
 
     def test_immutable(self):
@@ -233,7 +239,7 @@ class TestNamedTuple:
             p.blocks = ((1,),)
 
     def test_repr_unchanged(self):
-        assert repr(parse("2/31")) == "SetPartition(n=3, blocks=((2,), (3, 1)))"
+        assert repr(parse("2/31")) == "SetPartition(blocks=((2,), (3, 1)))"
 
     def test_equal_partitions_hash_equal(self):
         p, q = parse("2/31"), SetPartition.from_blocks([[2], [3, 1]])
@@ -242,8 +248,18 @@ class TestNamedTuple:
 
     def test_unpacks_and_equals_the_plain_tuple(self):
         p = parse("2/31")
-        n, blocks = p
-        assert (n, blocks) == (3, ((2,), (3, 1))) == p
+        (blocks,) = p
+        assert (blocks,) == (((2,), (3, 1)),) == p
+
+    def test_n_is_read_off_the_blocks(self):
+        # blocks is the one field; n cannot be passed, so it cannot disagree
+        assert SetPartition._fields == ("blocks",)
+        assert SetPartition(((2,), (3, 1))).n == 3
+        assert parse("10,7,3/11,9,8,6,5,4,2,1").n == 11
+        with pytest.raises(TypeError):
+            SetPartition(3, ((2,), (3, 1)))
+        with pytest.raises(TypeError):
+            SetPartition(n=3, blocks=((2,), (3, 1)))
 
 
 class TestSpans:
@@ -329,7 +345,7 @@ class TestEnumeration:
         # one generator level per element: past the fixed ceiling n is
         # refused up front, whatever max_n says, instead of recursing
         ceiling = partitions.NESTING_MAX_N
-        assert next(gen(ceiling, max_n=ceiling)) == SetPartition(ceiling, (tuple(range(ceiling, 0, -1)),))
+        assert next(gen(ceiling, max_n=ceiling)) == SetPartition((tuple(range(ceiling, 0, -1)),))
         monkeypatch.setattr(partitions, name, lambda n: pytest.fail("work started before the guard"))
         with pytest.raises(BoundError, match=f"n=1200 exceeds the generator nesting ceiling {ceiling}"):
             gen(1200, max_n=1200)

@@ -178,7 +178,7 @@ MOVED_TO_6 = PARTITIONS_TO_6 - sum(sigma(p) == p for n in range(1, 7) for p in e
 
 
 def all_singletons(p):
-    return SetPartition(p.n, tuple((i,) for i in range(1, p.n + 1)))
+    return SetPartition(tuple((i,) for i in range(1, p.n + 1)))
 
 
 #: The first counterexample of each claim at depth 6, frozen from the
@@ -332,15 +332,14 @@ def lowers_x_only(p):
 class TestSigmaResult:
     @pytest.mark.parametrize("sigma_fn", [
         lambda p: None,
-        lambda p: (p.n, p.blocks),
+        lambda p: (p.blocks,),
         lambda p: p.blocks,
         lowers_x_only,
-        lambda p: SetPartition(p.n, ()),
-        lambda p: SetPartition(None, p.blocks),
-        lambda p: SetPartition(p.n + 1, p.blocks),
-        lambda p: SetPartition(p.n, 5),
-        lambda p: SetPartition(p.n, tuple(list(b) for b in sigma(p).blocks)),
-    ], ids=["none", "bare-tuple", "blocks", "none-on-the-way-back", "no-blocks", "n-none", "n-too-big",
+        lambda p: SetPartition(()),
+        lambda p: SetPartition(tuple((i,) for i in range(2, p.n + 2))),
+        lambda p: SetPartition(5),
+        lambda p: SetPartition(tuple(list(b) for b in sigma(p).blocks)),
+    ], ids=["none", "bare-tuple", "blocks", "none-on-the-way-back", "no-blocks", "gap",
             "blocks-not-iterable", "list-blocks"])
     @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
     def test_result_that_is_not_a_partition_is_refused(self, check, sigma_fn):

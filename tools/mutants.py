@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_grouping_oracle"
 NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_first_return_oracle"
 TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
+N_FROM_BLOCKS = "tests/test_partitions.py::TestNamedTuple::test_n_is_read_off_the_blocks"
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
 SHARED_SWEEP = "tests/test_verify.py::TestSharedSweep"
 SIGMA_RESULT = "tests/test_verify.py::TestSigmaResult"
@@ -68,9 +69,14 @@ MUTANTS = (
     Mutant("open-room-test-strict", "partitions.py", "_grow_nonoverlapping",
            "if need.bit_count() <= room:", "if need.bit_count() < room:", (NONOVERLAPPING_ORACLE,)),
     Mutant("standard-form-wrong-slice", "partitions.py", "_gen_all",
-           "yield make((n, std[:j] + std[j + 1:] +", "yield make((n, std[:j + 1] + std[j + 2:] +", (ALL_ORACLE,)),
+           "yield make((std[:j] + std[j + 1:] +", "yield make((std[:j + 1] + std[j + 2:] +", (ALL_ORACLE,)),
     Mutant("batch-yields-bare-tuple", "partitions.py", "_gen_all",
-           "yield make((n, std + ((n,),)))", "yield (n, std + ((n,),))", (TYPE_IDENTITY,)),
+           "yield make((std + ((n,),),))", "yield (std + ((n,),),)", (TYPE_IDENTITY,)),
+    # an unwrapped make(...) builds a SetPartition of k fields whose .blocks is its first block
+    Mutant("batch-drops-one-tuple-comma", "partitions.py", "_gen_nonoverlapping",
+           "yield make((std + ((n,),),))", "yield make(std + ((n,),))", (TYPE_IDENTITY, NONOVERLAPPING_ORACLE)),
+    Mutant("n-reads-first-block", "partitions.py", "n",
+           "return self.blocks[-1][0]", "return self.blocks[0][0]", (TYPE_IDENTITY, N_FROM_BLOCKS)),
     Mutant("absorb-r-ge-s", "involution.py", "_absorb",
            "if r > s:", "if r >= s:", (SIGMA_ORACLE,)),
     Mutant("prefix-slice-wrong-end", "partitions.py", "_grow_all",

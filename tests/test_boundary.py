@@ -108,7 +108,7 @@ def test_junk_raises_only_partinv_errors(name, data):
 
 
 #: What SetPartition(blocks) may be handed directly: entries that are small
-#: positive integers (so some draws are valid), ints <= 0 or very large,
+#: positive integers (so a draw can be valid), ints <= 0 or very large,
 #: bools, floats and None, nested in lists, dicts and tuples, empty ones
 #: included.
 _entry = st.one_of(

@@ -61,8 +61,12 @@ def _cases():
         yield ("verify", "--max-n", "6", *form)
         for argv in ERRORS:
             yield (*argv, *form)
+        yield ("enumerate", "4", *form)
+        yield ("enumerate", "4", "--nonoverlapping", *form)
         yield ("enumerate", "3", "--format", fmt.upper())
-    yield from ((), ("nosuch",), ("--help",), ("table", "--help"))
+    yield from ((), ("nosuch",), ("--help",))
+    for sub in ("enumerate", "stats", "sigma", "table", "distribution", "avoiders", "verify"):
+        yield (sub, "--help")
 
 
 CASES = list(_cases())

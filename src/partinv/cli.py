@@ -5,7 +5,9 @@ verify. Every subcommand takes --format text|json; partition-valued
 text is compact whenever every entry is <= 9 and in the comma form
 otherwise. Results go to stdout, diagnostics to stderr. Exit codes: 0
 success, 1 usage or input error or stdout closed early (as by
-`partinv enumerate 10 | head -1`), 2 verification failure.
+`partinv enumerate 10 | head -1`), 2 verification failure. main decides
+every one of them except verify's 2: it maps argparse's exits (0 after
+--help, 2 on a usage error) to 0 and 1.
 """
 
 import argparse
@@ -28,14 +30,6 @@ from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
 from .recurrence import TRIANGLE_MAX_N, v_table
 from .stats import aux_r, aux_s, stat_x, stat_y
 from .verify import run_all
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _emit_json(payload) -> None:
@@ -141,16 +135,12 @@ def cmd_table(args) -> int:
 
 def cmd_distribution(args) -> int:
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
-    joint = Counter()
-    for p in gen(args.n, max_n=args.max_n):
-        joint[(stat_x(p), stat_y(p))] += 1
-    if args.stat == "joint":
-        cells = [[i, j, joint[(i, j)]] for i, j in sorted(joint)]
-    else:
-        marg = Counter()
-        for (i, j), c in joint.items():
-            marg[i if args.stat == "x" else j] += c
-        cells = [[k, marg[k]] for k in sorted(marg)]
+    key = {"x": lambda p: (stat_x(p),),
+           "y": lambda p: (stat_y(p),),
+           "joint": lambda p: (stat_x(p), stat_y(p))}[args.stat]
+    # one cell [value..., count] per value of the statistic, by value
+    counts = Counter(map(key, gen(args.n, max_n=args.max_n)))
+    cells = [[*k, c] for k, c in sorted(counts.items())]
     if args.format == "json":
         _emit_json({
             "n": args.n,
@@ -195,57 +185,51 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="partinv",
-                     description="Set-partition statistics, the X/Y-swapping involution, "
-                                 "the v-triangle, and brute-force verification.")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="partinv",
+                                     description="Set-partition statistics, the X/Y-swapping involution, "
+                                                 "the v-triangle, and brute-force verification.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, max_n_help=None, max_n=None):
+    def common(p, func, max_n_help=None, max_n=None):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
         if max_n_help:
             p.add_argument("--max-n", type=int, default=max_n, metavar="N",
                            help=max_n_help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("enumerate", help="list the partitions of [n]")
     p.add_argument("n", type=int)
     p.add_argument("--nonoverlapping", action="store_true",
                    help="only nonoverlapping partitions")
-    common(p, "enumeration guard override (default %(default)s)", DEFAULT_MAX_N)
-    p.set_defaults(func=cmd_enumerate)
+    common(p, cmd_enumerate, "enumeration guard override (default %(default)s)", DEFAULT_MAX_N)
 
     p = sub.add_parser("stats", help="X, Y, r, s, spans and the nonoverlapping flag")
     p.add_argument("partition", help="partition text, e.g. '3/4/7/852/961'")
-    common(p)
-    p.set_defaults(func=cmd_stats)
+    common(p, cmd_stats)
 
     p = sub.add_parser("sigma", help="apply the involution")
     p.add_argument("partition", help="partition text, e.g. '2/431'")
-    common(p)
-    p.set_defaults(func=cmd_sigma)
+    common(p, cmd_sigma)
 
     p = sub.add_parser("table", help="the v-triangle and its row sums")
     p.add_argument("n_max", type=int)
-    common(p, "triangle guard override (default %(default)s)", TRIANGLE_MAX_N)
-    p.set_defaults(func=cmd_table)
+    common(p, cmd_table, "triangle guard override (default %(default)s)", TRIANGLE_MAX_N)
 
     p = sub.add_parser("distribution", help="X/Y/joint statistic counts over partitions of [n]")
     p.add_argument("n", type=int)
     p.add_argument("--stat", choices=("x", "y", "joint"), default="joint", type=str.lower)
     p.add_argument("--nonoverlapping", action="store_true",
                    help="restrict to nonoverlapping partitions")
-    common(p, "enumeration guard override (default %(default)s)", DEFAULT_MAX_N)
-    p.set_defaults(func=cmd_distribution)
+    common(p, cmd_distribution, "enumeration guard override (default %(default)s)", DEFAULT_MAX_N)
 
     p = sub.add_parser("avoiders", help="pattern-avoider count and last-entry distribution")
     p.add_argument("n", type=int)
-    common(p, "factorial guard override (default %(default)s)", AVOIDER_MAX_N)
-    p.set_defaults(func=cmd_avoiders)
+    common(p, cmd_avoiders, "factorial guard override (default %(default)s)", AVOIDER_MAX_N)
 
     p = sub.add_parser("verify", help="run every exhaustive check")
-    common(p, f"run all checks to this depth (at most {AVOIDER_MAX_N}) instead of their defaults")
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify, f"run all checks to this depth (at most {AVOIDER_MAX_N}) instead of their defaults")
 
     return parser
 
@@ -255,9 +239,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse signals both --help (0) and usage errors (1, via
-        # _Parser.error) this way; surface them as return codes
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error, in the
+        # parent parser and in every subparser; the contract wants 0 and 1
+        return 1 if exc.code else 0
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 1

@@ -17,9 +17,12 @@ partition of [n >= 10] spells out "10"); otherwise compact. Whenever both
 readings are valid they denote the same partition, so the rule is
 unambiguous.
 
-nonsingleton_spans is the one reader of spans. sigma keeps every
-non-singleton span, the nonoverlapping test (laminar) reads only those,
-and the verify sweep hands the one list to the claims about both.
+nonsingleton_spans reads the spans of the non-singleton blocks, the
+only spans the claims are about: sigma keeps every one of them, the
+nonoverlapping test (laminar) reads only those, and the verify sweep
+hands the one list to the claims about both. The CLI's stats command
+prints the span of every block, singletons included, and reads those
+off the blocks itself.
 
 Boundary: parse, normalize, SetPartition.from_blocks and
 SetPartition.from_json check outside input; the other three end in

@@ -118,9 +118,13 @@ MUTANTS = (
     Mutant("sigma-inverse-side-test-non-strict", "involution.py", "sigma_inverse",
            "if stat_x(p) < stat_x(q):", "if stat_x(p) <= stat_x(q):", (INVERSE_SIDE,)),
     Mutant("distribution-marginal-reversed", "cli.py", "cmd_distribution",
-           "for k in sorted(marg)]", "for k in sorted(marg, reverse=True)]", (CLI_CORPUS,)),
+           "sorted(counts.items())", "sorted(counts.items(), reverse=True)", (CLI_CORPUS,)),
     Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",
            'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
+    Mutant("usage-error-keeps-argparse-code", "cli.py", "main",
+           "return 1 if exc.code else 0", "return exc.code", (CLI_CORPUS,)),
+    Mutant("handler-not-registered", "cli.py", "common",
+           "p.set_defaults(func=func)", "pass", (CLI_CORPUS,)),
 )
 
 

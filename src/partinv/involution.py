@@ -62,7 +62,9 @@ def _absorb(blocks: tuple, lead: int, j: int, r: int, s: int) -> tuple:
         head, kept = ((s,),), one[:-2]
     else:
         t, head, kept = lead, (), one[:-1]
-    moved = tuple([b[0] for b in reversed(blocks[:t])])
+    moved = ()
+    for b in blocks[:t]:  # the singletons before t, each prepended: largest first
+        moved = b + moved
     return head + blocks[t:j] + (kept + moved + (1,),) + blocks[j + 1:]
 
 
@@ -115,7 +117,7 @@ def sigma(p: SetPartition) -> SetPartition:
         return p  # X = Y = 1
     lead, j = rs_blocks(blocks)
     x, r, s = blocks[0][0], blocks[lead][0], blocks[j][-2]
-    y = min(r, s)
+    y = r if r < s else s
     if x == y:
         return p
     if x < y:

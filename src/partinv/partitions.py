@@ -209,13 +209,21 @@ def nonsingleton_spans(p: SetPartition) -> list[tuple[int, int]]:
 
 def laminar(spans: list[tuple[int, int]]) -> bool:
     """True iff the sorted spans are pairwise disjoint or nested. Block
-    minima are distinct elements, so the lo endpoints never tie."""
-    for i, (lo1, hi1) in enumerate(spans):
-        for lo2, hi2 in spans[i + 1:]:
-            if lo2 > hi1:
-                break  # sorted by lo: everything later is disjoint from this one
-            if hi2 > hi1:
-                return False  # lo1 < lo2 <= hi1 < hi2: proper crossing
+    endpoints are distinct elements, so no two endpoints tie.
+
+    One pass in order of lo keeps tops, the hi of every span seen so far
+    that encloses the current lo, innermost last, so the list decreases.
+    A span whose hi lies below lo is disjoint from this span and from all
+    later ones, which start further right, and is popped. The span then
+    crosses an enclosing one exactly when it ends past the innermost of
+    them; otherwise it nests inside them all and is pushed."""
+    tops = []
+    for lo, hi in spans:
+        while tops and tops[-1] < lo:
+            tops.pop()
+        if tops and tops[-1] < hi:
+            return False  # lo' < lo < hi' < hi: proper crossing
+        tops.append(hi)
     return True
 
 

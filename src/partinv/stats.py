@@ -72,4 +72,5 @@ def stat_y(p: SetPartition) -> int:
     if blocks[0] == (1,):
         return 1
     lead, j = rs_blocks(blocks)
-    return min(blocks[lead][0], blocks[j][-2])
+    r, s = blocks[lead][0], blocks[j][-2]
+    return r if r < s else s

@@ -117,7 +117,7 @@ def _involution(n, p, x, y, q, sigma_fn: SigmaFn) -> Counterexample | None:
     x, y = X(p), Y(p) and its image q = sigma_fn(p), or None."""
     if q is p and x == y:
         return None  # a fixed point with X = Y: its image's fields are p's
-    if (stat_x(q), stat_y(q)) != (y, x):
+    if stat_x(q) != y or stat_y(q) != x:
         return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
                               f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
     back = sigma_fn(q)
@@ -130,14 +130,19 @@ def _involution(n, p, x, y, q, sigma_fn: SigmaFn) -> Counterexample | None:
     return None
 
 
-def _asymmetry(n, joint: Counter, scope: str) -> Counterexample | None:
-    """The first cell (X=i, Y=j) of joint, the (X, Y) counts over scope
-    partitions of [n], whose count differs from that of (X=j, Y=i)."""
-    for (i, j), count in sorted(joint.items()):
-        if count != joint[j, i]:
-            return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
-                                  f"partitions of [{n}]", "symmetric joint distribution",
-                                  f"{count} = {count}", f"{count} != {joint[j, i]}")
+def _asymmetry(n, joint: list[list[int]], scope: str) -> Counterexample | None:
+    """The first nonzero cell (X=i, Y=j) of joint, the (X, Y) counts over
+    scope partitions of [n] with joint[i][j] the count of (X=i, Y=j),
+    whose count differs from that of (X=j, Y=i). Cells are scanned in
+    (i, j) order and empty ones skipped, so the cell reported is the first
+    asymmetric one that some partition of scope lands in."""
+    for i, row in enumerate(joint):
+        for j, count in enumerate(row):
+            mirror = joint[j][i]
+            if count and count != mirror:
+                return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
+                                      f"partitions of [{n}]", "symmetric joint distribution",
+                                      f"{count} = {count}", f"{count} != {mirror}")
     return None
 
 
@@ -176,7 +181,9 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     n = 0
     while inv or spn or nvl or eqd:
         n += 1
-        joint_all, joint_nov = Counter(), Counter()
+        # joint[x][y] counts (X=x, Y=y); X and Y lie in 1..n
+        joint_all = [[0] * (n + 1) for _ in range(n + 1)]
+        joint_nov = [[0] * (n + 1) for _ in range(n + 1)]
         for p in enumerate_all(n):
             if not (inv or spn or nvl or eqd):
                 break
@@ -201,9 +208,9 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                 nvl = settle("nonoverlapping", Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
                                                               f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))
             if eqd:
-                joint_all[x, y] += 1
+                joint_all[x][y] += 1
                 if nov:
-                    joint_nov[x, y] += 1
+                    joint_nov[x][y] += 1
         if eqd:
             c = _asymmetry(n, joint_all, "all") or _asymmetry(n, joint_nov, "nonoverlapping")
             if c is not None:

@@ -6,11 +6,13 @@ per-element generators, all-pairs and all-triples scans instead of linear ones,
 Pascal's rule instead of math.comb, bottom-up tabulation with the
 summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too
-(grouping every labeling afresh, sigma through set algebra), and the fast
-paths must equal them item for item.
+(grouping every labeling afresh, sigma through set algebra, the pairwise
+laminar scan, the joint tally keyed by (X, Y) pairs), and the fast paths
+must equal them item for item.
 """
 
 import operator
+from collections import Counter
 from itertools import combinations
 from typing import Iterator
 
@@ -28,6 +30,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
+from partinv.verify import Counterexample
 
 
 def block_with_one(p: SetPartition) -> tuple[int, ...]:
@@ -79,6 +82,33 @@ def naive_nonoverlapping(p: SetPartition) -> bool:
             if not (disjoint or nested):
                 return False
     return True
+
+
+def laminar_pairwise(spans: list[tuple[int, int]]) -> bool:
+    """The pairwise scan partitions.laminar replaced: each span of the
+    lo-sorted list against every later one that starts inside it, for
+    spans whose lo endpoints never tie."""
+    for i, (lo1, hi1) in enumerate(spans):
+        for lo2, hi2 in spans[i + 1:]:
+            if lo2 > hi1:
+                break  # sorted by lo: everything later is disjoint from this one
+            if hi2 > hi1:
+                return False  # lo1 < lo2 <= hi1 < hi2: proper crossing
+    return True
+
+
+def asymmetry_by_counter(n: int, pairs, scope: str) -> Counterexample | None:
+    """The joint tally verify._sweep replaced: the (X, Y) pairs counted in
+    a Counter keyed by the pair, and its cells scanned in sorted order for
+    the first whose count differs from its mirror's, reported as
+    verify._asymmetry reports it."""
+    joint = Counter(pairs)
+    for (i, j), count in sorted(joint.items()):
+        if count != joint[j, i]:
+            return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
+                                  f"partitions of [{n}]", "symmetric joint distribution",
+                                  f"{count} = {count}", f"{count} != {joint[j, i]}")
+    return None
 
 
 def enumerate_by_groups(n: int) -> Iterator[SetPartition]:
@@ -308,3 +338,25 @@ def set_partitions(draw, min_n: int = 1, max_n: int = 40) -> SetPartition:
     for i, v in enumerate(labels, start=1):
         groups.setdefault(v, []).append(i)
     return normalize(groups.values())
+
+
+@st.composite
+def span_families(draw, max_spans: int = 8) -> list[tuple[int, int]]:
+    """Lo-sorted spans (lo, hi), lo < hi, no two endpoints equal: distinct
+    endpoints drawn in random order and paired off as they come, so that
+    crossing, nested and disjoint pairs all occur."""
+    ends = draw(st.lists(st.integers(1, 4 * max_spans), unique=True, max_size=2 * max_spans))
+    return sorted((min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2]))
+
+
+@st.composite
+def xy_multisets(draw, max_n: int = 8) -> tuple[int, list[tuple[int, int]]]:
+    """(n, pairs): a multiset of (X, Y) pairs over [n]. Half the draws are
+    made symmetric by adding every pair's mirror; then up to two more
+    pairs go in, which may break the symmetry."""
+    n = draw(st.integers(1, max_n))
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = draw(st.lists(cell, max_size=30))
+    if draw(st.booleans()):
+        pairs += [(y, x) for x, y in pairs]
+    return n, pairs + draw(st.lists(cell, max_size=2))

@@ -8,6 +8,7 @@ from decimal import Decimal
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
 
 import partinv.partitions as partitions
 import partinv.patterns as patterns
@@ -36,10 +37,12 @@ from oracles import (
     as_set_of_sets,
     bell_numbers,
     enumerate_by_groups,
+    laminar_pairwise,
     naive_nonoverlapping,
     nonoverlapping_by_filter,
     nonoverlapping_by_first_return,
     partitions_recursive,
+    span_families,
 )
 
 BELL = bell_numbers(12)
@@ -272,6 +275,17 @@ class TestSpans:
         for n in range(1, 9):
             for p in enumerate_all(n):
                 assert is_nonoverlapping(p) == naive_nonoverlapping(p)
+
+    def test_stack_scan_matches_pairwise_scan_on_every_partition(self):
+        for n in range(1, 11):
+            for p in enumerate_all(n):
+                spans = partitions.nonsingleton_spans(p)
+                assert partitions.laminar(spans) == laminar_pairwise(spans), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(span_families())
+    def test_stack_scan_matches_pairwise_scan_on_drawn_spans(self, spans):
+        assert partitions.laminar(spans) == laminar_pairwise(spans)
 
 
 class TestEnumeration:

@@ -7,6 +7,8 @@ import inspect
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partinv.verify as verify
 from partinv import (
@@ -28,7 +30,7 @@ from partinv import (
     stat_y,
 )
 from partinv.verify import Counterexample
-from oracles import skip_transfer_mutant
+from oracles import asymmetry_by_counter, skip_transfer_mutant, xy_multisets
 
 
 ALL_AT_SIX = [
@@ -232,6 +234,17 @@ class TestSharedSweep:
         assert swept["spans"].ok and swept["nonoverlapping"].ok
         for name in SWEPT:
             assert swept[name].counterexample == standalone(name, 6, sigma).counterexample
+
+    @settings(max_examples=300, deadline=None)
+    @given(xy_multisets(), st.sampled_from(["all", "nonoverlapping"]))
+    def test_dense_tally_matches_counter_tally(self, drawn, scope):
+        n, pairs = drawn
+        joint = [[0] * (n + 1) for _ in range(n + 1)]
+        for x, y in pairs:
+            joint[x][y] += 1
+        expected = asymmetry_by_counter(n, pairs, scope)
+        assert verify._asymmetry(n, joint, scope) == expected
+        assert (expected is None) == (Counter(pairs) == Counter((y, x) for x, y in pairs))
 
     def test_failed_claim_stops_the_reads_only_it_needed(self):
         calls = 0

@@ -54,6 +54,13 @@ FROZEN_REPORTS = f"{SHARED_SWEEP}::test_same_reports_as_the_standalone_checks"
 CLI_CORPUS = "tests/test_cli_corpus.py::test_output_is_frozen"
 INVERSE_SIDE = "tests/test_involution.py::TestExamples::test_inverse_rejects_non_upper_input"
 BLOCK_TYPES = "tests/test_partitions.py::TestConstructors::test_bytes_and_mappings_are_not_blocks"
+STAT_Y = ("tests/test_statistics.py::TestExamples::test_stat_y",
+          "tests/test_statistics.py::test_invariants_exhaustively")
+LAMINAR_ORACLE = ("tests/test_partitions.py::TestSpans::test_matches_all_pairs_scan",
+                  "tests/test_partitions.py::TestSpans::test_stack_scan_matches_pairwise_scan_on_every_partition",
+                  "tests/test_partitions.py::TestSpans::test_stack_scan_matches_pairwise_scan_on_drawn_spans")
+JOINT_ORACLE = (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",
+                f"{SHARED_SWEEP}::test_dense_tally_matches_counter_tally")
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -125,6 +132,12 @@ MUTANTS = (
            "return 1 if exc.code else 0", "return exc.code", (CLI_CORPUS,)),
     Mutant("handler-not-registered", "cli.py", "common",
            "p.set_defaults(func=func)", "pass", (CLI_CORPUS,)),
+    Mutant("stat-y-takes-max", "stats.py", "stat_y",
+           "r if r < s else s", "s if r < s else r", STAT_Y),
+    Mutant("laminar-pops-once", "partitions.py", "laminar",
+           "while tops and", "if tops and", LAMINAR_ORACLE),
+    Mutant("asymmetry-reads-own-cell", "verify.py", "_asymmetry",
+           "joint[j][i]", "joint[i][j]", JOINT_ORACLE),
 )
 
 

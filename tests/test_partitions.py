@@ -72,26 +72,30 @@ class TestParse:
         assert p.n == 10
         assert all(len(b) == 1 for b in p.blocks)
 
-    @pytest.mark.parametrize("text, position", [
-        ("", 0),
-        ("31//854", 3),
-        ("31/", 3),
-        ("/31", 0),
-        ("3a1", 1),
-        ("0", 0),
-        ("3,0", 2),
-        ("01,2", 0),
-        ("3,,1", 2),
-        ("31 /2", 2),
-        (123, 0),        # not text at all
-        (None, 0),
-        (b"21", 0),
-        (["21"], 0),
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "empty partition text", 0),
+        ("31//854", "empty block", 3),
+        ("31/", "empty block", 3),
+        ("/31", "empty block", 0),
+        ("3a1", "invalid character 'a'", 1),
+        ("31 /2", "invalid character ' '", 2),
+        ("\u0661", "invalid character '\u0661'", 0),  # ARABIC-INDIC DIGIT ONE
+        ("0", "invalid entry '0'", 0),
+        ("3,0", "invalid entry '0'", 2),
+        ("01,2", "invalid entry '01'", 0),
+        ("3,,1", "invalid entry ''", 2),
+        ("3,\u0663/1", "invalid entry '\u0663'", 2),  # ARABIC-INDIC DIGIT THREE
+        ("3,a", "invalid entry 'a'", 2),
+        (123, "partition text must be a string, got int", 0),  # not text at all
+        (None, "partition text must be a string, got NoneType", 0),
+        (b"21", "partition text must be a string, got bytes", 0),
+        (["21"], "partition text must be a string, got list", 0),
     ])
-    def test_malformed_text(self, text, position):
+    def test_malformed_text(self, text, message, position):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
 
     @pytest.mark.parametrize("text", [
         "2/1",           # blocks out of order

@@ -24,6 +24,7 @@ from partinv import (
     check_spans,
     check_y_matches_v,
     enumerate_all,
+    parse,
     run_all,
     sigma,
     stat_x,
@@ -161,6 +162,27 @@ class TestMutationSensitivity:
         # deterministic: first offender in enumeration order
         again = check_involution(5, sigma_fn=skip_transfer_mutant).counterexample
         assert (again.n, again.item, again.claim) == (c.n, c.item, c.claim)
+
+    def test_moved_fixed_point_is_caught(self):
+        # 1/2/3 and 1/32 both have X = Y = 1, so swapping them keeps the X/Y
+        # interchange and sigma(sigma(p)) = p but moves a partition with X = Y
+        a, b = parse("1/2/3"), parse("1/32")
+        swap = {a: b, b: a}
+        report = check_involution(6, sigma_fn=lambda p: swap.get(p, sigma(p)))
+        assert report.counterexample == Counterexample(3, "1/32", "fixed point iff X = Y", "fixed=True", "fixed=False")
+
+    @pytest.mark.parametrize("check, counterexample", [
+        (check_y_matches_v, Counterexample(4, "Y=2 over nonoverlapping partitions of [4]",
+                                           "Y-distribution matches the v-triangle", "6", "5")),
+        (check_avoiders_match_v, Counterexample(4, "last entry 2 over avoiders of [4]",
+                                                "avoider last-entry distribution matches the v-triangle", "6", "5")),
+    ])
+    def test_wrong_triangle_cell_is_caught(self, monkeypatch, check, counterexample):
+        v_compute = verify.v_compute
+        monkeypatch.setattr(verify, "v_compute", lambda n, k: v_compute(n, k) + ((n, k) == (4, 2)))
+        report = check(6)
+        assert report.counterexample == counterexample
+        assert report.n_range == (1, 6)
 
     def test_failure_is_reported_not_raised(self):
         report = check_involution(5, sigma_fn=lambda p: p)

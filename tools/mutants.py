@@ -61,6 +61,8 @@ LAMINAR_ORACLE = ("tests/test_partitions.py::TestSpans::test_matches_all_pairs_s
                   "tests/test_partitions.py::TestSpans::test_stack_scan_matches_pairwise_scan_on_drawn_spans")
 JOINT_ORACLE = (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",
                 f"{SHARED_SWEEP}::test_dense_tally_matches_counter_tally")
+MOVED_FIXED_POINT = "tests/test_verify.py::TestMutationSensitivity::test_moved_fixed_point_is_caught"
+WRONG_TRIANGLE_CELL = "tests/test_verify.py::TestMutationSensitivity::test_wrong_triangle_cell_is_caught"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -138,6 +140,10 @@ MUTANTS = (
            "while tops and", "if tops and", LAMINAR_ORACLE),
     Mutant("asymmetry-reads-own-cell", "verify.py", "_asymmetry",
            "joint[j][i]", "joint[i][j]", JOINT_ORACLE),
+    Mutant("matches-v-drops-counterexample", "verify.py", "_matches_v",
+           "return _report(name, n_max, t0, c)", "return _report(name, n_max, t0)", (WRONG_TRIANGLE_CELL,)),
+    Mutant("fixed-point-check-off", "verify.py", "_involution",
+           "if (q == p) != (x == y):", "if (q == p) != (x == y) and False:", (MOVED_FIXED_POINT,)),
 )
 
 

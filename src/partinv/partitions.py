@@ -15,7 +15,10 @@ string is read in comma form iff it contains a ',' or a '0' (a zero can
 only occur inside a multi-digit decimal, and every all-singleton
 partition of [n >= 10] spells out "10"); otherwise compact. Whenever both
 readings are valid they denote the same partition, so the rule is
-unambiguous.
+unambiguous. Both forms share one entry rule: every entry is a positive
+decimal in ASCII digits with no leading zero, and a compact entry is
+such a decimal one character long. The form decides only how a block is
+split into entries and what parse's message calls a bad one.
 
 nonsingleton_spans reads the spans of the non-singleton blocks, the
 only spans the claims are about: sigma keeps every one of them, the
@@ -43,9 +46,8 @@ from .errors import NOT_ENTRIES, BoundError, ParseError, ValidationError, check_
 
 Block = tuple[int, ...]
 
-#: Entries legal in a compact block (zero excluded: entries are positive).
-_COMPACT_DIGITS = frozenset("123456789")
-
+#: The one entry rule of parse: a positive decimal in ASCII digits, no
+#: leading zero. A compact entry is a one-character match.
 _NUMBER = re.compile(r"[1-9][0-9]*\Z")
 
 _NOT_A_FAMILY = "blocks must be an iterable of iterables of integers"
@@ -161,30 +163,31 @@ def normalize(blocks: Iterable[Iterable[int]]) -> SetPartition:
 
 
 def parse(text: str) -> SetPartition:
-    """Parse a partition in the grammar above; rejects non-standard form."""
+    """Parse a partition in the grammar above; rejects non-standard form.
+
+    One rule reads every entry, in either form: it must match _NUMBER. A
+    block's entries are its characters in compact form and its ","-split
+    pieces in comma form, so a compact entry is a one-character number.
+    The form decides only what a bad entry is called in the message:
+    "invalid character" in compact form, "invalid entry" in comma form."""
     if not isinstance(text, str):
         raise ParseError(f"partition text must be a string, got {type(text).__name__}", 0)
     if not text:
         raise ParseError("empty partition text", 0)
-    comma_form = "," in text or "0" in text
+    sep = "," if "," in text or "0" in text else ""
+    noun = "entry" if sep else "character"
     blocks = []
     pos = 0
     for chunk in text.split("/"):
         if not chunk:
             raise ParseError("empty block", pos)
-        if comma_form:
-            entries = []
-            epos = pos
-            for num in chunk.split(","):
-                if not _NUMBER.match(num):
-                    raise ParseError(f"invalid entry {num!r}", epos)
-                entries.append(int(num))
-                epos += len(num) + 1
-        else:
-            for off, ch in enumerate(chunk):
-                if ch not in _COMPACT_DIGITS:
-                    raise ParseError(f"invalid character {ch!r}", pos + off)
-            entries = [int(ch) for ch in chunk]
+        entries = []
+        epos = pos
+        for entry in chunk.split(sep) if sep else chunk:
+            if not _NUMBER.match(entry):
+                raise ParseError(f"invalid {noun} {entry!r}", epos)
+            entries.append(int(entry))
+            epos += len(entry) + len(sep)
         blocks.append(entries)
         pos += len(chunk) + 1
     return SetPartition.from_blocks(blocks)

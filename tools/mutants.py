@@ -63,6 +63,7 @@ JOINT_ORACLE = (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",
                 f"{SHARED_SWEEP}::test_dense_tally_matches_counter_tally")
 MOVED_FIXED_POINT = "tests/test_verify.py::TestMutationSensitivity::test_moved_fixed_point_is_caught"
 WRONG_TRIANGLE_CELL = "tests/test_verify.py::TestMutationSensitivity::test_wrong_triangle_cell_is_caught"
+MALFORMED_TEXT = "tests/test_partitions.py::TestParse::test_malformed_text"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -144,6 +145,10 @@ MUTANTS = (
            "return _report(name, n_max, t0, c)", "return _report(name, n_max, t0)", (WRONG_TRIANGLE_CELL,)),
     Mutant("fixed-point-check-off", "verify.py", "_involution",
            "if (q == p) != (x == y):", "if (q == p) != (x == y) and False:", (MOVED_FIXED_POINT,)),
+    Mutant("parse-noun-swapped", "partitions.py", "parse",
+           'noun = "entry" if sep else "character"', 'noun = "character" if sep else "entry"', (MALFORMED_TEXT,)),
+    Mutant("parse-position-skips-separator", "partitions.py", "parse",
+           "epos += len(entry) + len(sep)", "epos += len(entry)", (MALFORMED_TEXT,)),
 )
 
 

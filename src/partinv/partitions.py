@@ -46,8 +46,7 @@ from .errors import NOT_ENTRIES, BoundError, ParseError, ValidationError, check_
 
 Block = tuple[int, ...]
 
-#: The one entry rule of parse: a positive decimal in ASCII digits, no
-#: leading zero. A compact entry is a one-character match.
+#: parse's one entry rule, in both forms.
 _NUMBER = re.compile(r"[1-9][0-9]*\Z")
 
 _NOT_A_FAMILY = "blocks must be an iterable of iterables of integers"
@@ -167,9 +166,9 @@ def parse(text: str) -> SetPartition:
 
     One rule reads every entry, in either form: it must match _NUMBER. A
     block's entries are its characters in compact form and its ","-split
-    pieces in comma form, so a compact entry is a one-character number.
-    The form decides only what a bad entry is called in the message:
-    "invalid character" in compact form, "invalid entry" in comma form."""
+    pieces in comma form. The form decides only what a bad entry is called
+    in the message: "invalid character" in compact form, "invalid entry"
+    in comma form."""
     if not isinstance(text, str):
         raise ParseError(f"partition text must be a string, got {type(text).__name__}", 0)
     if not text:

@@ -29,7 +29,7 @@ from .partitions import (
 from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
 from .recurrence import TRIANGLE_MAX_N, v_table
 from .stats import aux_r, aux_s, stat_x, stat_y
-from .verify import run_all
+from .verify import VERIFY_MAX_N, run_all
 
 
 def _emit_json(payload) -> None:
@@ -226,10 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("avoiders", help="pattern-avoider count and last-entry distribution")
     p.add_argument("n", type=int)
-    common(p, cmd_avoiders, "factorial guard override (default %(default)s)", AVOIDER_MAX_N)
+    common(p, cmd_avoiders, "avoider guard override (default %(default)s)", AVOIDER_MAX_N)
 
     p = sub.add_parser("verify", help="run every exhaustive check")
-    common(p, cmd_verify, f"run all checks to this depth (at most {AVOIDER_MAX_N}) instead of their defaults")
+    common(p, cmd_verify, f"run all checks to this depth (at most {VERIFY_MAX_N}) instead of their defaults")
 
     return parser
 

@@ -6,8 +6,8 @@ reports the first violation it meets, so failures are stable regression
 artifacts. A report fails exactly when it carries a counterexample; its
 status is read off that field. Checks never raise on failure; the CLI
 turns failures into a nonzero exit code. A depth below 1 or past its
-guard (enumeration, or factorial for the avoider scan) raises BoundError
-before any work starts.
+guard (enumeration, or VERIFY_MAX_N for the avoider check and run_all)
+raises BoundError before any work starts.
 The sigma-dependent checks accept the map under test as a parameter so
 that deliberately broken variants can be shown to trip them.
 
@@ -35,7 +35,7 @@ from .errors import PreconditionError, ValidationError, check_bound
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          laminar, nonsingleton_spans)
-from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
+from .patterns import avoider_last_entry_distribution
 from .recurrence import v_compute
 from .stats import stat_x, stat_y
 
@@ -48,6 +48,11 @@ DEFAULT_LIMITS = {
     "y_matches_v": 11,
     "avoiders_match_v": 8,
 }
+
+#: Ceiling on the depth of check_avoiders_match_v and of run_all, which
+#: runs every check to one depth: the depths accepted while the avoider
+#: check scanned n! permutations.
+VERIFY_MAX_N = 9
 
 SigmaFn = Callable[[SetPartition], SetPartition]
 
@@ -244,7 +249,10 @@ def check_equidistribution(n_max: int = DEFAULT_LIMITS["equidistribution"]) -> C
 
 def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> CheckReport:
     """distribution(n), a dict k -> count, equals row n of the v-triangle
-    for n = 1..n_max; item names the offending cell by n and k."""
+    for n = 1..n_max; item names the offending cell by n and k. The cells
+    k = 1..n are compared first, then the first key outside them (in
+    sorted order) with a nonzero count is reported against 0. So a row
+    that passes totals Bessel(n), the triangle's row sum."""
     t0 = perf_counter()
     for n in range(1, n_max + 1):
         dist = distribution(n)
@@ -253,6 +261,9 @@ def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> Ch
             if dist.get(k, 0) != expected:
                 c = Counterexample(n, item.format(n=n, k=k), claim, str(expected), str(dist.get(k, 0)))
                 return _report(name, n_max, t0, c)
+        for k in sorted(dist.keys() - range(1, n + 1)):
+            if dist[k]:
+                return _report(name, n_max, t0, Counterexample(n, item.format(n=n, k=k), claim, "0", str(dist[k])))
     return _report(name, n_max, t0)
 
 
@@ -265,8 +276,10 @@ def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport
 
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
     """The avoiders' last-entry distribution matches the v-triangle, to at
-    most patterns.AVOIDER_MAX_N: the scan takes n! * n steps."""
-    check_bound(n_max, AVOIDER_MAX_N, "factorial", "check depth")
+    most VERIFY_MAX_N. The distribution is the append-rule count of
+    patterns, which lists no permutation; the tests tie that count to the
+    pattern predicates."""
+    check_bound(n_max, VERIFY_MAX_N, "verify", "check depth")
     return _matches_v("avoiders_match_v", n_max, avoider_last_entry_distribution,
                       "last entry {k} over avoiders of [{n}]",
                       "avoider last-entry distribution matches the v-triangle")
@@ -287,6 +300,6 @@ def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     the four claims over all of P_n share one sweep, which runs first."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
     # the tightest guard, checked before the sweep starts its work
-    check_bound(depths["avoiders_match_v"], AVOIDER_MAX_N, "factorial", "check depth")
+    check_bound(depths["avoiders_match_v"], VERIFY_MAX_N, "verify", "check depth")
     swept = _sweep({name: depths[name] for name in SWEPT})
     return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]

@@ -98,7 +98,7 @@ def test_junk_raises_only_partinv_errors(name, data):
     kwargs = {p: data.draw(junk, label=p) if p in junked else valid[p] for p in params}
     with pytest.MonkeyPatch.context() as mp:
         for module, attr in ((partitions, "_gen_all"), (partitions, "_gen_nonoverlapping"),
-                             (patterns, "permutations"), (recurrence, "accumulate")):
+                             (patterns, "accumulate"), (recurrence, "accumulate")):
             mp.setattr(module, attr, _refuse)
         try:
             result = fn(**kwargs)

@@ -250,7 +250,7 @@ class TestAvoiders:
         assert payload["last_entry_distribution"][2] == [3, 100]
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "avoiders", "12")
+        code, _, err = run(capsys, "avoiders", "301")
         assert code == 1
         assert "guard" in err
 
@@ -284,8 +284,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("depth, message", [
         ("0", "check depth must be an integer >= 1, got 0"),
-        ("10", "check depth 10 exceeds the factorial guard 9"),
-        ("15", "check depth 15 exceeds the factorial guard 9"),
+        ("10", "check depth 10 exceeds the verify guard 9"),
+        ("15", "check depth 15 exceeds the verify guard 9"),
     ])
     def test_bad_depth_message(self, capsys, depth, message):
         # verify takes no guard override, so the message offers none

@@ -39,7 +39,7 @@ ERRORS = (("stats", "3//1"), ("stats", "2/1"), ("stats", ""), ("sigma", "2/1"), 
           ("enumerate", "4", "--max-n", "3"), ("enumerate", "15"), ("enumerate", "0"),
           ("enumerate", "501", "--max-n", "600"), ("enumerate", "three"), ("enumerate", "3", "--compact"),
           ("distribution", "15"), ("distribution", "0"), ("distribution", "5", "--stat", "z"),
-          ("avoiders", "10"), ("avoiders", "0"), ("table", "301"), ("table", "0"), ("table", "5", "--max-n", "0"),
+          ("avoiders", "0"), ("avoiders", "301"), ("table", "301"), ("table", "0"), ("table", "5", "--max-n", "0"),
           ("verify", "--max-n", "0"), ("verify", "--max-n", "10"), ("stats",), ("table", "x"),
           ("stats", "31"), ("stats", "12"), ("stats", "1/21"), ("sigma", "3,1/42"), ("sigma", "2,1/2,1"))
 
@@ -51,7 +51,7 @@ def _cases():
             for stat in ("x", "y", "joint"):
                 yield ("distribution", str(n), "--stat", stat, *form)
                 yield ("distribution", str(n), "--stat", stat, "--nonoverlapping", *form)
-        for n in range(1, 10):
+        for n in range(1, 11):
             yield ("avoiders", str(n), *form)
         for n in (1, 7, 40, 120, 300):
             yield ("table", str(n), *form)

@@ -399,7 +399,7 @@ def test_guards_must_be_integers(monkeypatch, call, max_n):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the guard was checked")
     for module, name in ((partitions, "_gen_all"), (partitions, "_gen_nonoverlapping"),
-                         (patterns, "permutations")):
+                         (patterns, "accumulate")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(BoundError, match="max_n must be an integer >= 1"):
         call(max_n)

@@ -96,7 +96,7 @@ class TestDistribution:
 
     def test_guard(self):
         with pytest.raises(BoundError):
-            avoider_last_entry_distribution(10)
+            avoider_last_entry_distribution(301)
         with pytest.raises(BoundError):
             avoider_last_entry_distribution(3, max_n=2)
         with pytest.raises(BoundError):

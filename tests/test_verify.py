@@ -347,7 +347,7 @@ class TestDepthGuard:
     @pytest.mark.parametrize("n_max", [10, 12, 14])
     @pytest.mark.parametrize("check", [run_all, check_avoiders_match_v])
     def test_depth_past_the_factorial_guard_is_refused_up_front(self, no_work, check, n_max):
-        # the avoider scan takes n! * n steps: about 15 minutes at 12
+        # VERIFY_MAX_N, the ceiling of the avoider check and of run_all
         with pytest.raises(BoundError, match="guard 9"):
             check(n_max)
 

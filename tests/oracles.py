@@ -7,13 +7,14 @@ Pascal's rule instead of math.comb, bottom-up tabulation with the
 summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
-laminar scan, the joint tally keyed by (X, Y) pairs), and the fast paths
-must equal them item for item.
+laminar scan, the joint tally keyed by (X, Y) pairs, the avoiders found
+by testing all n! permutations), and the fast paths must equal them item
+for item.
 """
 
 import operator
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
+from partinv.patterns import _is_avoider
 from partinv.verify import Counterexample
 
 
@@ -295,6 +297,37 @@ def naive_contains_1_23adj(p) -> bool:
         for j in range(1, n - 1)
         for i in range(j)
     )
+
+
+def avoiders_by_scan(n: int) -> list[tuple[int, ...]]:
+    """The avoiders of [n] in lexicographic order, by testing each of the
+    n! permutations with the unchecked predicate kernel: the scan that
+    patterns.avoider_last_entry_distribution ran before it counted."""
+    return [p for p in permutations(range(1, n + 1)) if _is_avoider(p)]
+
+
+def avoiders_depth_first(n_max: int) -> dict[int, list[tuple[int, ...]]]:
+    """listed[m] = the avoiders of [m] for 1 <= m <= n_max, by a depth-first
+    search from (1,). Each avoider p of [m] is extended by every last entry
+    k (older entries >= k shift up by one) that completes no pattern, read
+    off p itself: k may not exceed an ascent top of p (12_3), nor p's last
+    entry unless that entry is the minimum, 1 (1_23). Deleting the last
+    entry of an avoider and closing the gap leaves an avoider, so the
+    search meets each avoider once."""
+    listed = {m: [] for m in range(1, n_max + 1)}
+    stack = [(1,)]
+    while stack:
+        p = stack.pop()
+        m = len(p)
+        listed[m].append(p)
+        if m == n_max:
+            continue
+        reach = min((hi for lo, hi in zip(p, p[1:]) if lo < hi), default=m + 1)
+        if p[-1] != 1:
+            reach = min(reach, p[-1])
+        for k in range(1, reach + 1):
+            stack.append(tuple(e + (e >= k) for e in p) + (k,))
+    return listed
 
 
 def preimage_map(n: int, sigma_fn=sigma) -> dict[SetPartition, list[SetPartition]]:

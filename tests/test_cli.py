@@ -249,6 +249,13 @@ class TestAvoiders:
         assert payload["count"] == 509
         assert payload["last_entry_distribution"][2] == [3, 100]
 
+    def test_row_100_is_the_triangle_row(self, capsys):
+        code_a, avoiders = run_json(capsys, "avoiders", "100", "--format", "json")
+        code_t, table = run_json(capsys, "table", "100", "--format", "json")
+        assert code_a == code_t == 0
+        assert [[k, int(v)] for k, v in enumerate(table["rows"][99], start=1)] == avoiders["last_entry_distribution"]
+        assert avoiders["count"] == int(table["row_sums"][99])
+
     def test_guard(self, capsys):
         code, _, err = run(capsys, "avoiders", "301")
         assert code == 1

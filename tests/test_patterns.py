@@ -2,6 +2,7 @@
 
 import collections
 import types
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -15,8 +16,9 @@ from partinv import (
     contains_1_23adj,
     is_avoider,
     v_compute,
+    v_table,
 )
-from oracles import naive_contains_1_23adj, naive_contains_12adj_3
+from oracles import avoiders_by_scan, avoiders_depth_first, naive_contains_1_23adj, naive_contains_12adj_3
 
 
 class TestPredicates:
@@ -101,3 +103,45 @@ class TestDistribution:
             avoider_last_entry_distribution(3, max_n=2)
         with pytest.raises(BoundError):
             avoider_last_entry_distribution(0)
+
+
+def by_last_entry(avoiders, n: int) -> dict[int, int]:
+    counts = Counter(p[-1] for p in avoiders)
+    return {k: counts[k] for k in range(1, n + 1)}
+
+
+class TestCount:
+    """The append-rule count against the patterns themselves: the n! scan
+    to n = 9, and past it the depth-first listing to n = 11."""
+
+    LISTED_MAX_N = 11
+
+    @pytest.fixture(scope="class")
+    def listed(self):
+        return avoiders_depth_first(self.LISTED_MAX_N)
+
+    def test_scan_listing_and_count_agree(self, listed):
+        for n in range(1, 10):
+            scan = avoiders_by_scan(n)
+            assert avoider_last_entry_distribution(n) == by_last_entry(scan, n)
+            assert sorted(listed[n]) == scan
+
+    def test_listed_avoiders_avoid(self, listed):
+        for n, avoiders in listed.items():
+            assert all(map(is_avoider, avoiders)), n
+
+    def test_listing_is_closed_under_reverse_complement(self, listed):
+        # reverse-complement maps an occurrence of 12_3 to one of 1_23
+        for n, avoiders in listed.items():
+            found = set(avoiders)
+            assert len(found) == len(avoiders)
+            assert {tuple(n + 1 - e for e in reversed(p)) for p in found} == found
+
+    def test_listing_counts_by_last_entry(self, listed):
+        for n, avoiders in listed.items():
+            assert avoider_last_entry_distribution(n) == by_last_entry(avoiders, n)
+
+    def test_rows_of_the_triangle_past_the_listing(self):
+        rows = v_table(60).rows
+        for n in range(1, 61):
+            assert avoider_last_entry_distribution(n) == dict(enumerate(rows[n - 1], start=1))

@@ -184,6 +184,21 @@ class TestMutationSensitivity:
         assert report.counterexample == counterexample
         assert report.n_range == (1, 6)
 
+    @pytest.mark.parametrize("outside, counterexample", [
+        (lambda n: {0: 3, n + 1: 7}, Counterexample(1, "last entry 0 over avoiders of [1]",
+                                                    "avoider last-entry distribution matches the v-triangle", "0", "3")),
+        (lambda n: {n + 1: 7}, Counterexample(1, "last entry 2 over avoiders of [1]",
+                                              "avoider last-entry distribution matches the v-triangle", "0", "7")),
+        (lambda n: {0: 0, n + 1: 0}, None),
+    ], ids=["below-and-above", "above", "zero-counts"])
+    def test_mass_outside_the_row_is_caught(self, monkeypatch, outside, counterexample):
+        # every cell k = 1..n is right; only keys outside 1..n are added
+        count = verify.avoider_last_entry_distribution
+        monkeypatch.setattr(verify, "avoider_last_entry_distribution", lambda n: {**count(n), **outside(n)})
+        report = check_avoiders_match_v(6)
+        assert report.counterexample == counterexample
+        assert report.n_range == (1, 6)
+
     def test_failure_is_reported_not_raised(self):
         report = check_involution(5, sigma_fn=lambda p: p)
         payload = report.to_json()

@@ -64,6 +64,9 @@ JOINT_ORACLE = (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",
 MOVED_FIXED_POINT = "tests/test_verify.py::TestMutationSensitivity::test_moved_fixed_point_is_caught"
 WRONG_TRIANGLE_CELL = "tests/test_verify.py::TestMutationSensitivity::test_wrong_triangle_cell_is_caught"
 MALFORMED_TEXT = "tests/test_partitions.py::TestParse::test_malformed_text"
+AVOIDER_COUNT = ("tests/test_patterns.py::TestCount::test_scan_listing_and_count_agree",
+                 "tests/test_patterns.py::TestCount::test_listing_counts_by_last_entry")
+OUTSIDE_KEYS = "tests/test_verify.py::TestMutationSensitivity::test_mass_outside_the_row_is_caught"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -149,6 +152,15 @@ MUTANTS = (
            'noun = "entry" if sep else "character"', 'noun = "character" if sep else "entry"', (MALFORMED_TEXT,)),
     Mutant("parse-position-skips-separator", "partitions.py", "parse",
            "epos += len(entry) + len(sep)", "epos += len(entry)", (MALFORMED_TEXT,)),
+    Mutant("count-drops-ascent-branch", "patterns.py", "avoider_last_entry_distribution",
+           "_suffix_sums(col) + [top]", "_suffix_sums(col) + [0]", AVOIDER_COUNT),
+    # a descent leads to (k, b), not (k, b + 1): column b feeds column b
+    Mutant("count-descent-keeps-b", "patterns.py", "avoider_last_entry_distribution",
+           "zip([[0], *cols], ones)", "zip([*cols, [0]], ones)", AVOIDER_COUNT),
+    Mutant("count-ascents-from-top-entry", "patterns.py", "avoider_last_entry_distribution",
+           "col[0] for col in cols", "col[-1] for col in cols", AVOIDER_COUNT),
+    Mutant("matches-v-ignores-outside-keys", "verify.py", "_matches_v",
+           "if dist[k]:", "if False:", (OUTSIDE_KEYS,)),
 )
 
 

@@ -16,7 +16,6 @@ from partinv import (
     contains_1_23adj,
     is_avoider,
     v_compute,
-    v_table,
 )
 from oracles import avoiders_by_scan, avoiders_depth_first, naive_contains_1_23adj, naive_contains_12adj_3
 
@@ -140,8 +139,3 @@ class TestCount:
     def test_listing_counts_by_last_entry(self, listed):
         for n, avoiders in listed.items():
             assert avoider_last_entry_distribution(n) == by_last_entry(avoiders, n)
-
-    def test_rows_of_the_triangle_past_the_listing(self):
-        rows = v_table(60).rows
-        for n in range(1, 61):
-            assert avoider_last_entry_distribution(n) == dict(enumerate(rows[n - 1], start=1))

@@ -220,9 +220,45 @@ def all_singletons(p):
     return SetPartition(tuple((i,) for i in range(1, p.n + 1)))
 
 
+def upper_identity(p):
+    """The identity where X > Y, sigma elsewhere: every fault lies on the
+    X > Y side, and is met from the X < Y side only as the partner's
+    failed sigma(sigma(p)) = p."""
+    return p if stat_x(p) > stat_y(p) else sigma(p)
+
+
+def raises_on_upper(p):
+    """sigma, except that it raises on 3/421, which has X > Y."""
+    if p == parse("3/421"):
+        raise ArithmeticError("no image for 3/421")
+    return sigma(p)
+
+
+def invalid_on_upper(p):
+    """sigma, except that it sends 4321, which has X > Y, to a block that is
+    not in standard form."""
+    return SetPartition(((1, 2, 3, 4),)) if p == parse("4321") else sigma(p)
+
+
+_LOWER, _UPPER, _GROWN = parse("2/31"), parse("321"), parse("321/4")
+
+
+def grows_one_image(p):
+    """sigma, except that 2/31 (X < Y) and 321/4 are swapped: the image of
+    2/31 is sigma's image 321 with the singleton {4} added, a partition of
+    [4] with the same X, Y and spans that maps back to 2/31. So 2/31 looks
+    right from its own side, and only 321 in [3] shows the fault."""
+    return {_LOWER: _GROWN, _GROWN: _LOWER}.get(p) or sigma(p)
+
+
 #: The first counterexample of each claim at depth 6, frozen from the
-#: checks as they stood when each ran its own loop over P_n; a claim not
-#: listed passes.
+#: checks as they stood when each ran its own loop over P_n (the maps from
+#: upper_identity on, from the sweep that checks every partition in full);
+#: a claim not listed passes. A claim that meets a raise of the map records
+#: the exception's type and text.
+NO_IMAGE = (ArithmeticError, "no image for 3/421")
+NOT_STANDARD = (PreconditionError, "sigma_fn must return a SetPartition in standard form, got "
+                "SetPartition(blocks=((1, 2, 3, 4),)): block (1, 2, 3, 4) is not strictly decreasing")
 FROZEN = {
     "sigma": {},
     "identity": {
@@ -237,9 +273,42 @@ FROZEN = {
         "nonoverlapping": Counterexample(4, "31/42", "nonoverlapping predicate preserved",
                                          "nonoverlapping=False", "nonoverlapping=True"),
     },
+    "upper_identity": {
+        "involution": Counterexample(3, "321", "X/Y interchange", "image with X=2, Y=3", "321 with X=3, Y=2"),
+    },
+    "raises_on_upper": dict.fromkeys(SWEPT[:3], NO_IMAGE),
+    "invalid_on_upper": dict.fromkeys(SWEPT[:3], NOT_STANDARD),
+    "grows_one_image": {
+        "involution": Counterexample(3, "321", "sigma(sigma(p)) = p", "321", "321/4"),
+    },
 }
 MAPS = {"sigma": sigma, "identity": lambda p: p, "skip_transfer": skip_transfer_mutant,
-        "all_singletons": all_singletons}
+        "all_singletons": all_singletons, "upper_identity": upper_identity, "raises_on_upper": raises_on_upper,
+        "invalid_on_upper": invalid_on_upper, "grows_one_image": grows_one_image}
+
+
+def outcome(run):
+    """The counterexample of each report run() returns, by claim, each
+    report checked to span n = 1..6; or the type and text of what run()
+    raised."""
+    try:
+        reports = list(run())
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert all(r.n_range == (1, 6) for r in reports)
+    return {r.check_name: r.counterexample for r in reports}
+
+
+def frozen_outcome(map_name, names):
+    """outcome() of the named claims run together at depth 6, as FROZEN
+    records them: the raise they meet, or each claim's counterexample."""
+    frozen = FROZEN[map_name]
+    raised = [frozen[name] for name in names if name in frozen and not isinstance(frozen[name], Counterexample)]
+    return raised[0] if raised else {name: frozen.get(name) for name in names}
+
+
+def swept(sigma_fn, names=SWEPT, n_max=6):
+    return verify._sweep(dict.fromkeys(names, n_max), sigma_fn).values()
 
 
 def standalone(name, n_max, sigma_fn):
@@ -251,14 +320,9 @@ class TestSharedSweep:
     @pytest.mark.parametrize("map_name", FROZEN)
     def test_same_reports_as_the_standalone_checks(self, map_name):
         sigma_fn = MAPS[map_name]
-        swept = verify._sweep(dict.fromkeys(SWEPT, 6), sigma_fn)
-        assert set(swept) == set(SWEPT)
+        assert outcome(lambda: swept(sigma_fn)) == frozen_outcome(map_name, SWEPT)
         for name in SWEPT:
-            alone = standalone(name, 6, sigma_fn)
-            expected = FROZEN[map_name].get(name)
-            assert (swept[name].status, swept[name].counterexample) == (alone.status, alone.counterexample)
-            assert alone.counterexample == expected
-            assert swept[name].n_range == (1, 6)
+            assert outcome(lambda: [standalone(name, 6, sigma_fn)]) == frozen_outcome(map_name, [name])
 
     def test_broken_y_trips_equidistribution(self, monkeypatch):
         monkeypatch.setattr(verify, "stat_y", lambda p: 1)
@@ -327,11 +391,9 @@ class TestSharedSweep:
     def test_fixed_point_path_agrees_with_the_full_path(self, map_name):
         # an equal copy of the image is never p itself, so every field of it is computed
         fn = MAPS[map_name]
-        fast = verify._sweep(dict.fromkeys(SWEPT, 6), fn)
-        full = verify._sweep(dict.fromkeys(SWEPT, 6), lambda p: SetPartition(*fn(p)))
-        for name in SWEPT:
-            assert (fast[name].status, fast[name].counterexample) == (full[name].status, full[name].counterexample)
-            assert fast[name].counterexample == FROZEN[map_name].get(name)
+        fast = outcome(lambda: swept(fn))
+        full = outcome(lambda: swept(lambda p: SetPartition(*fn(p))))
+        assert fast == full == frozen_outcome(map_name, SWEPT)
 
     def test_one_enumeration_site(self):
         tree = ast.parse(inspect.getsource(verify))

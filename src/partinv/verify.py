@@ -25,6 +25,22 @@ validated, and one that is not a SetPartition in standard form raises
 PreconditionError. The nonoverlapping claim reuses p's flag when the two
 span lists are equal. A report's elapsed time runs from the start of its
 sweep until its claim was settled.
+
+While the involution claim is live, the sweep checks each n in a paired
+pass first. sigma is to pair each X < Y partition p with the X > Y
+partition q = sigma_fn(p), so the paired pass checks every live claim at
+p, including sigma_fn(q) = p, and at the X = Y partitions, and reads of an
+X > Y partition only X, Y and, for the joint tallies, whether it is
+nonoverlapping. It settles nothing. If a check fails, sigma_fn raises, the
+image of an X < Y partition is not a partition of [n], or the X < Y and
+X > Y partitions of [n] differ in number, n is checked again by the full
+pass, which checks every partition on its own and so reports or raises
+exactly what it would have alone. Otherwise the full pass would find
+nothing at n either: since sigma_fn is a function, the checks at the X < Y
+partitions make it one-to-one from them into the X > Y partitions of [n],
+equal numbers make it onto, and each claim at q = sigma_fn(p) is the claim
+at p read backwards. Once the involution claim is settled, every later n
+runs the full pass alone, and so does a sweep without it.
 """
 
 from collections import Counter
@@ -165,6 +181,11 @@ def _validated(sigma_fn: SigmaFn) -> SigmaFn:
     return checked
 
 
+class _Unpaired(Exception):
+    """A check of the paired pass failed: the pass settles nothing, and its
+    n is checked again by the full pass."""
+
+
 def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
     """Check the named claims of SWEPT, each to its own depth, in one pass
     over P_1, P_2, ... that stops once every claim is settled."""
@@ -178,6 +199,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     reports = {}
 
     def settle(name, c=None):
+        if paired and c is not None:
+            raise _Unpaired
         reports[name] = _report(name, depths[name], t0, c)
         return False  # the claim's live flag from now on
 
@@ -186,40 +209,67 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     n = 0
     while inv or spn or nvl or eqd:
         n += 1
-        # joint[x][y] counts (X=x, Y=y); X and Y lie in 1..n
-        joint_all = [[0] * (n + 1) for _ in range(n + 1)]
-        joint_nov = [[0] * (n + 1) for _ in range(n + 1)]
-        for p in enumerate_all(n):
-            if not (inv or spn or nvl or eqd):
+        # while the involution claim is live, n is checked in the paired pass,
+        # and checked again in the full pass if any part of the paired pass fails
+        for paired in (True, False) if inv else (False,):
+            # joint[x][y] counts (X=x, Y=y); X and Y lie in 1..n
+            joint_all = [[0] * (n + 1) for _ in range(n + 1)]
+            joint_nov = [[0] * (n + 1) for _ in range(n + 1)]
+            sides = 0  # X < Y partitions less X > Y ones, in the paired pass
+            try:
+                for p in enumerate_all(n):
+                    if not (inv or spn or nvl or eqd):
+                        break
+                    if inv or eqd:
+                        x, y = stat_x(p), stat_y(p)
+                    if paired and x > y:
+                        # each claim at p is its X < Y partner's claim read backwards
+                        sides -= 1
+                        if eqd:
+                            joint_all[x][y] += 1
+                            if laminar(nonsingleton_spans(p)):
+                                joint_nov[x][y] += 1
+                        continue
+                    if inv or spn or nvl:
+                        q = sigma_fn(p)
+                    if paired and x < y:
+                        sides += 1
+                        if q.n != n:
+                            raise _Unpaired  # an image outside P_n pairs p with no partition of [n]
+                    if spn or nvl:
+                        sp = nonsingleton_spans(p)
+                        sq = sp if q is p else nonsingleton_spans(q)
+                    if nvl or eqd:
+                        nov = laminar(sp if spn or nvl else nonsingleton_spans(p))
+                    if inv:
+                        c = _involution(n, p, x, y, q, sigma_fn)
+                        if c is not None:
+                            inv = settle("involution", c)
+                    if spn and sp != sq:
+                        spn = settle("spans", Counterexample(n, format_partition(p),
+                                                             "non-singleton span multiset preserved", str(sp), str(sq)))
+                    # equal span lists give equal flags, so p's is reused
+                    if nvl and sq != sp and laminar(sq) != nov:
+                        nvl = settle("nonoverlapping", Counterexample(n, format_partition(p),
+                                                                      "nonoverlapping predicate preserved",
+                                                                      f"nonoverlapping={nov}",
+                                                                      f"nonoverlapping={not nov}"))
+                    if eqd:
+                        joint_all[x][y] += 1
+                        if nov:
+                            joint_nov[x][y] += 1
+                if sides:
+                    raise _Unpaired  # some X > Y partition is no X < Y partition's image
+                if eqd:
+                    c = _asymmetry(n, joint_all, "all") or _asymmetry(n, joint_nov, "nonoverlapping")
+                    if c is not None:
+                        eqd = settle("equidistribution", c)
+            except Exception:
+                # _Unpaired, or a raise of sigma_fn, which the full pass meets again where it is due
+                if not paired:
+                    raise
+            else:
                 break
-            if inv or eqd:
-                x, y = stat_x(p), stat_y(p)
-            if inv or spn or nvl:
-                q = sigma_fn(p)
-            if spn or nvl:
-                sp = nonsingleton_spans(p)
-                sq = sp if q is p else nonsingleton_spans(q)
-            if nvl or eqd:
-                nov = laminar(sp if spn or nvl else nonsingleton_spans(p))
-            if inv:
-                c = _involution(n, p, x, y, q, sigma_fn)
-                if c is not None:
-                    inv = settle("involution", c)
-            if spn and sp != sq:
-                spn = settle("spans", Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
-                                                     str(sp), str(sq)))
-            # equal span lists give equal flags, so p's is reused
-            if nvl and sq != sp and laminar(sq) != nov:
-                nvl = settle("nonoverlapping", Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
-                                                              f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))
-            if eqd:
-                joint_all[x][y] += 1
-                if nov:
-                    joint_nov[x][y] += 1
-        if eqd:
-            c = _asymmetry(n, joint_all, "all") or _asymmetry(n, joint_nov, "nonoverlapping")
-            if c is not None:
-                eqd = settle("equidistribution", c)
         # a claim still live at its depth has passed
         inv, spn, nvl, eqd = (live and (n < depths[name] or settle(name))
                               for name, live in zip(SWEPT, (inv, spn, nvl, eqd)))

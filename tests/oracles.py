@@ -8,8 +8,8 @@ summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
 laminar scan, the joint tally keyed by (X, Y) pairs, the avoiders found
-by testing all n! permutations), and the fast paths must equal them item
-for item.
+by testing all n! permutations, each swept claim checked on its own at
+every partition), and the fast paths must equal them item for item.
 """
 
 import operator
@@ -26,6 +26,7 @@ from partinv import (
     aux_r,
     aux_s,
     enumerate_all,
+    format_partition,
     normalize,
     sigma,
     stat_x,
@@ -110,6 +111,67 @@ def asymmetry_by_counter(n: int, pairs, scope: str) -> Counterexample | None:
             return Counterexample(n, f"joint cells (X={i}, Y={j}) vs (X={j}, Y={i}) over {scope} "
                                   f"partitions of [{n}]", "symmetric joint distribution",
                                   f"{count} = {count}", f"{count} != {joint[j, i]}")
+    return None
+
+
+def involution_by_loop(n_max: int, sigma_fn) -> Counterexample | None:
+    """The involution claim on its own, as the verify sweep reports it:
+    every p of [1..n_max] in enumeration order, X and Y of sigma_fn(p) and
+    sigma_fn(sigma_fn(p)) computed afresh, fixed points included."""
+    for n in range(1, n_max + 1):
+        for p in enumerate_all(n):
+            x, y, q = stat_x(p), stat_y(p), sigma_fn(p)
+            if (stat_x(q), stat_y(q)) != (y, x):
+                return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
+                                      f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
+            back = sigma_fn(q)
+            if back != p:
+                return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
+                                      format_partition(p), format_partition(back))
+            if (q == p) != (x == y):
+                return Counterexample(n, format_partition(p), "fixed point iff X = Y",
+                                      f"fixed={x == y}", f"fixed={q == p}")
+    return None
+
+
+def _spans(p: SetPartition) -> list[tuple[int, int]]:
+    return sorted((b[-1], b[0]) for b in p.blocks if len(b) > 1)
+
+
+def spans_by_loop(n_max: int, sigma_fn) -> Counterexample | None:
+    """The span claim on its own: the sorted non-singleton spans of every p
+    of [1..n_max] against those of sigma_fn(p)."""
+    for n in range(1, n_max + 1):
+        for p in enumerate_all(n):
+            before, after = _spans(p), _spans(sigma_fn(p))
+            if before != after:
+                return Counterexample(n, format_partition(p), "non-singleton span multiset preserved",
+                                      str(before), str(after))
+    return None
+
+
+def nonoverlapping_by_loop(n_max: int, sigma_fn) -> Counterexample | None:
+    """The nonoverlapping claim on its own: the all-pairs span test of every
+    p of [1..n_max] against that of sigma_fn(p)."""
+    for n in range(1, n_max + 1):
+        for p in enumerate_all(n):
+            before, after = naive_nonoverlapping(p), naive_nonoverlapping(sigma_fn(p))
+            if before != after:
+                return Counterexample(n, format_partition(p), "nonoverlapping predicate preserved",
+                                      f"nonoverlapping={before}", f"nonoverlapping={after}")
+    return None
+
+
+def equidistribution_by_loop(n_max: int) -> Counterexample | None:
+    """The equidistribution claim on its own: the (X, Y) pairs of all
+    partitions of [n], then of the nonoverlapping ones, tallied by
+    asymmetry_by_counter, for n = 1..n_max."""
+    for n in range(1, n_max + 1):
+        xy = [(stat_x(p), stat_y(p), naive_nonoverlapping(p)) for p in enumerate_all(n)]
+        c = (asymmetry_by_counter(n, [(x, y) for x, y, _ in xy], "all")
+             or asymmetry_by_counter(n, [(x, y) for x, y, nov in xy if nov], "nonoverlapping"))
+        if c is not None:
+            return c
     return None
 
 
@@ -371,6 +433,31 @@ def set_partitions(draw, min_n: int = 1, max_n: int = 40) -> SetPartition:
     for i, v in enumerate(labels, start=1):
         groups.setdefault(v, []).append(i)
     return normalize(groups.values())
+
+
+class Perturbed(Exception):
+    """Raised by a map from perturbed_sigmas on its raising partition."""
+
+
+@st.composite
+def perturbed_sigmas(draw, max_n: int = 6):
+    """(depth, map): sigma, changed on up to three partitions of [1..depth]
+    to the identity or to another partition of [1..max_n] (which may be a
+    partition of another size), and raising Perturbed on at most one, so
+    that every check meets the same raise, if any."""
+    depth = draw(st.integers(1, max_n))
+    every = [p for n in range(1, max_n + 1) for p in enumerate_all(n)]
+    domain = st.sampled_from([p for p in every if p.n <= depth])
+    changed = draw(st.dictionaries(domain, st.none() | st.sampled_from(every), max_size=3))
+    raiser = draw(st.none() | domain)
+
+    def perturbed(p: SetPartition) -> SetPartition:
+        if p == raiser:
+            raise Perturbed(format_partition(p))
+        if p in changed:
+            return p if changed[p] is None else changed[p]
+        return sigma(p)
+    return depth, perturbed
 
 
 @st.composite

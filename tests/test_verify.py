@@ -31,7 +31,8 @@ from partinv import (
     stat_y,
 )
 from partinv.verify import Counterexample
-from oracles import asymmetry_by_counter, skip_transfer_mutant, xy_multisets
+from oracles import (asymmetry_by_counter, equidistribution_by_loop, involution_by_loop, nonoverlapping_by_loop,
+                     perturbed_sigmas, skip_transfer_mutant, spans_by_loop, xy_multisets)
 
 
 ALL_AT_SIX = [
@@ -211,9 +212,11 @@ class TestMutationSensitivity:
 SWEPT = ("involution", "spans", "nonoverlapping", "equidistribution")
 STANDALONE = dict(ALL_CHECKS)
 
-#: |P_1| + ... + |P_6|, and how many of those sigma does not fix.
+#: |P_1| + ... + |P_6|, how many of those sigma does not fix, and how many
+#: have X < Y.
 PARTITIONS_TO_6 = 1 + 2 + 5 + 15 + 52 + 203
 MOVED_TO_6 = PARTITIONS_TO_6 - sum(sigma(p) == p for n in range(1, 7) for p in enumerate_all(n))
+LOWER_TO_6 = sum(stat_x(p) < stat_y(p) for n in range(1, 7) for p in enumerate_all(n))
 
 
 def all_singletons(p):
@@ -287,15 +290,15 @@ MAPS = {"sigma": sigma, "identity": lambda p: p, "skip_transfer": skip_transfer_
         "invalid_on_upper": invalid_on_upper, "grows_one_image": grows_one_image}
 
 
-def outcome(run):
+def outcome(run, n_max=6):
     """The counterexample of each report run() returns, by claim, each
-    report checked to span n = 1..6; or the type and text of what run()
+    report checked to span n = 1..n_max; or the type and text of what run()
     raised."""
     try:
         reports = list(run())
     except Exception as exc:
         return type(exc), str(exc)
-    assert all(r.n_range == (1, 6) for r in reports)
+    assert all(r.n_range == (1, n_max) for r in reports)
     return {r.check_name: r.counterexample for r in reports}
 
 
@@ -311,6 +314,19 @@ def swept(sigma_fn, names=SWEPT, n_max=6):
     return verify._sweep(dict.fromkeys(names, n_max), sigma_fn).values()
 
 
+#: Each swept claim checked on its own by a plain loop over P_1..P_n_max.
+BY_LOOP = {"involution": involution_by_loop, "spans": spans_by_loop, "nonoverlapping": nonoverlapping_by_loop,
+           "equidistribution": lambda n_max, sigma_fn: equidistribution_by_loop(n_max)}
+
+
+def by_loop(name, n_max, sigma_fn):
+    """outcome() of BY_LOOP[name]."""
+    try:
+        return {name: BY_LOOP[name](n_max, sigma_fn)}
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def standalone(name, n_max, sigma_fn):
     fn = STANDALONE[name]
     return fn(n_max, sigma_fn=sigma_fn) if "sigma_fn" in inspect.signature(fn).parameters else fn(n_max)
@@ -323,6 +339,18 @@ class TestSharedSweep:
         assert outcome(lambda: swept(sigma_fn)) == frozen_outcome(map_name, SWEPT)
         for name in SWEPT:
             assert outcome(lambda: [standalone(name, 6, sigma_fn)]) == frozen_outcome(map_name, [name])
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_sigmas())
+    def test_sweep_and_checks_agree_with_the_plain_loops(self, drawn):
+        depth, fn = drawn
+        expected = {name: by_loop(name, depth, fn) for name in SWEPT}
+        for name in SWEPT:
+            assert outcome(lambda: [standalone(name, depth, fn)], depth) == expected[name]
+        # the map raises on at most one partition, so every claim that meets a raise meets the same one
+        raised = [e for e in expected.values() if not isinstance(e, dict)]
+        together = {name: c for e in expected.values() if isinstance(e, dict) for name, c in e.items()}
+        assert outcome(lambda: swept(fn, n_max=depth), depth) == (raised[0] if raised else together)
 
     def test_broken_y_trips_equidistribution(self, monkeypatch):
         monkeypatch.setattr(verify, "stat_y", lambda p: 1)
@@ -356,9 +384,12 @@ class TestSharedSweep:
             return p
 
         swept = verify._sweep({"involution": 6, "equidistribution": 6}, identity)
-        # 1, then 21 and 1/2 are fixed with X = Y; 321, the first partition of [3], fails
+        # 1, then 21 and 1/2 are fixed with X = Y: 3 calls. The paired pass at
+        # n = 3 skips 321 (X > Y), calls it on 21/3 (fixed) and on 2/31 (X < Y),
+        # whose image fails the interchange: 2 calls. The full pass redoes n = 3
+        # and fails at 321, its first partition: 1 call. 3 + 2 + 1 = 6.
         assert swept["involution"].counterexample == FROZEN["identity"]["involution"]
-        assert calls == 4
+        assert calls == 6
         assert swept["equidistribution"].ok and swept["equidistribution"].n_range == (1, 6)
 
     def test_failed_claim_does_not_stop_the_others(self):
@@ -369,11 +400,11 @@ class TestSharedSweep:
         assert swept["involution"].elapsed <= swept["spans"].elapsed <= swept["nonoverlapping"].elapsed
 
     @pytest.mark.parametrize("run, sides", [
-        (lambda fn: [check_involution(6, sigma_fn=fn)], (1, 1)),
+        (lambda fn: [check_involution(6, sigma_fn=fn)], (1, 0)),
         (lambda fn: [check_spans(6, sigma_fn=fn)], (1, 0)),
         (lambda fn: [check_nonoverlapping(6, sigma_fn=fn)], (1, 0)),
         (lambda fn: verify._sweep({"equidistribution": 6}, fn).values(), (0, 0)),
-        (lambda fn: verify._sweep(dict.fromkeys(SWEPT, 6), fn).values(), (1, 1)),
+        (lambda fn: verify._sweep(dict.fromkeys(SWEPT, 6), fn).values(), (1, 0)),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
     def test_sigma_call_counts(self, run, sides):
         calls = 0
@@ -384,7 +415,11 @@ class TestSharedSweep:
             return sigma(p)
 
         assert all(r.ok for r in run(counting))
-        # sigma(p) for every p; sigma(q) only for an image q that is not p
+        # The full pass calls sigma(p) for every p and sigma(q) only for an
+        # image q that is not p. The paired pass, which runs while the
+        # involution claim is live, calls sigma(p) for X = Y, sigma(p) and
+        # sigma(q) for X < Y, and nothing for X > Y: as many X > Y as X < Y,
+        # so one call per partition.
         assert calls == sides[0] * PARTITIONS_TO_6 + sides[1] * MOVED_TO_6
 
     @pytest.mark.parametrize("map_name", MAPS)
@@ -477,14 +512,14 @@ class TestOneReading:
         monkeypatch.setattr(verify, "laminar", refuse)
         assert check_involution(6).ok
 
-    @pytest.mark.parametrize("run, sides", [
-        (lambda: [check_involution(6)], ((1, 1), (1, 1), (0, 0), (0, 0))),
-        (lambda: [check_spans(6)], ((0, 0), (0, 0), (1, 1), (0, 0))),
-        (lambda: [check_nonoverlapping(6)], ((0, 0), (0, 0), (1, 1), (1, 0))),
-        (lambda: [check_equidistribution(6)], ((1, 0), (1, 0), (1, 0), (1, 0))),
-        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), ((1, 1), (1, 1), (1, 1), (1, 0))),
+    @pytest.mark.parametrize("run, images, sides", [
+        (lambda: [check_involution(6)], LOWER_TO_6, ((1, 1), (1, 1), (0, 0), (0, 0))),
+        (lambda: [check_spans(6)], MOVED_TO_6, ((0, 0), (0, 0), (1, 1), (0, 0))),
+        (lambda: [check_nonoverlapping(6)], MOVED_TO_6, ((0, 0), (0, 0), (1, 1), (1, 0))),
+        (lambda: [check_equidistribution(6)], MOVED_TO_6, ((1, 0), (1, 0), (1, 0), (1, 0))),
+        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), LOWER_TO_6, ((1, 1), (1, 1), (1, 1), (1, 0))),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
-    def test_each_field_is_read_once_per_side(self, monkeypatch, run, sides):
+    def test_each_field_is_read_once_per_side(self, monkeypatch, run, images, sides):
         names = ("stat_x", "stat_y", "nonsingleton_spans", "laminar")
         calls = Counter()
 
@@ -498,6 +533,9 @@ class TestOneReading:
             counted(name, getattr(verify, name))
         assert all(r.ok for r in run())
         # p and its image are the two sides; a claim reads each at most once.
-        # The image side is read only where sigma moves p, and laminar never
-        # reads it: sigma keeps the span list, so p's flag is the image's.
-        assert [calls[name] for name in names] == [a * PARTITIONS_TO_6 + b * MOVED_TO_6 for a, b in sides]
+        # The full pass reads the image side only where sigma moves p. The
+        # paired pass, which runs while the involution claim is live, reads it
+        # only for the X < Y partitions, whose images are the X > Y ones. No
+        # pass reads it with laminar: sigma keeps the span list, so p's flag is
+        # the image's.
+        assert [calls[name] for name in names] == [a * PARTITIONS_TO_6 + b * images for a, b in sides]

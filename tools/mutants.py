@@ -67,6 +67,7 @@ MALFORMED_TEXT = "tests/test_partitions.py::TestParse::test_malformed_text"
 AVOIDER_COUNT = ("tests/test_patterns.py::TestCount::test_scan_listing_and_count_agree",
                  "tests/test_patterns.py::TestCount::test_listing_counts_by_last_entry")
 OUTSIDE_KEYS = "tests/test_verify.py::TestMutationSensitivity::test_mass_outside_the_row_is_caught"
+PLAIN_LOOPS = f"{SHARED_SWEEP}::test_sweep_and_checks_agree_with_the_plain_loops"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -96,7 +97,8 @@ MUTANTS = (
            "blocks[:k] + (block,) + blocks[k + 1:]", "blocks[:k] + (block,) + blocks[:len(blocks) - k - 1]",
            (ALL_ORACLE,)),
     Mutant("sweep-settles-only-at-depth", "verify.py", "_sweep",
-           "if c is not None:\n                eqd =", "if n == depths[\"equidistribution\"]:\n                eqd =",
+           "if c is not None:\n                        eqd =",
+           "if n == depths[\"equidistribution\"]:\n                        eqd =",
            (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",)),
     Mutant("failed-claim-kept-live", "verify.py", "_sweep",
            "inv = settle(\"involution\", c)", "settle(\"involution\", c)", (SHARED_SWEEP,)),
@@ -161,6 +163,14 @@ MUTANTS = (
            "col[0] for col in cols", "col[-1] for col in cols", AVOIDER_COUNT),
     Mutant("matches-v-ignores-outside-keys", "verify.py", "_matches_v",
            "if dist[k]:", "if False:", (OUTSIDE_KEYS,)),
+    # a broken Y leaves X > Y partitions with no X < Y partner, and only the count shows it
+    Mutant("paired-pass-ignores-side-counts", "verify.py", "_sweep",
+           "if sides:", "if False:", (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",)),
+    # X < Y partitions skip sigma(sigma(p)) = p, so in the paired pass no partition checks a pair's way back
+    Mutant("paired-pass-drops-back-check", "verify.py", "_involution",
+           "if back != p:", "if back != p and x > y:", (FROZEN_REPORTS, PLAIN_LOOPS)),
+    Mutant("paired-pass-trusts-image-size", "verify.py", "_sweep",
+           "if q.n != n:", "if False:", (FROZEN_REPORTS,)),
 )
 
 

@@ -200,7 +200,7 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
 
     def settle(name, c=None):
         if paired and c is not None:
-            raise _Unpaired
+            raise _Unpaired  # the paired pass settles nothing
         reports[name] = _report(name, depths[name], t0, c)
         return False  # the claim's live flag from now on
 

@@ -243,7 +243,7 @@ def invalid_on_upper(p):
     return SetPartition(((1, 2, 3, 4),)) if p == parse("4321") else sigma(p)
 
 
-_LOWER, _UPPER, _GROWN = parse("2/31"), parse("321"), parse("321/4")
+_LOWER, _GROWN = parse("2/31"), parse("321/4")
 
 
 def grows_one_image(p):
@@ -310,8 +310,8 @@ def frozen_outcome(map_name, names):
     return raised[0] if raised else {name: frozen.get(name) for name in names}
 
 
-def swept(sigma_fn, names=SWEPT, n_max=6):
-    return verify._sweep(dict.fromkeys(names, n_max), sigma_fn).values()
+def swept(sigma_fn, n_max=6):
+    return verify._sweep(dict.fromkeys(SWEPT, n_max), sigma_fn).values()
 
 
 #: Each swept claim checked on its own by a plain loop over P_1..P_n_max.

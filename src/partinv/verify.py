@@ -13,34 +13,39 @@ that deliberately broken variants can be shown to trip them.
 
 The four claims over all of P_n (SWEPT) are checked in one sweep that
 enumerates each partition once while any of them is live; a failed claim
-drops out and the others go on. Each claim has a live flag, and each
-field of p (X and Y, the image q, the spans of p and q, the
-nonoverlapping flag) is computed once per partition while a claim that
-reads it is live. sigma_fn is taken to be a function: when it returns p
-itself, the image's fields are p's (its spans, its X and Y, and its
-image, which is p again) and are taken from p, not computed again. An
-image that is merely equal to p is read in full. The package's sigma is
-trusted, as enumeration is; any other sigma_fn has each result
-validated, and one that is not a SetPartition in standard form raises
-PreconditionError. The nonoverlapping claim reuses p's flag when the two
-span lists are equal. A report's elapsed time runs from the start of its
-sweep until its claim was settled.
+drops out and the others go on. Its one read rule: of every partition p
+it reads X, Y, the spans of p's non-singleton blocks and whether p is
+nonoverlapping, and tallies both (X, Y) joints; only the image q =
+sigma_fn(p), q's fields and the checks that read them are gated, and run
+while the involution, spans or nonoverlapping claim is live. sigma_fn is
+taken to be a function: when it returns p itself, the image's fields are
+p's (its spans, its X and Y, and its image, which is p again) and are
+taken from p, not computed again. An image that is merely equal to p is
+read in full. The package's sigma is trusted, as enumeration is; any
+other sigma_fn has each result validated, and one that is not a
+SetPartition in standard form raises PreconditionError. The
+nonoverlapping claim reuses p's flag when the two span lists are equal.
+The sweep stops at the end of the n at which its last claim settled; the
+rest of that P_n reads only p's own fields. A report's elapsed time runs
+from the start of its sweep until its claim was settled.
 
 While the involution claim is live, the sweep checks each n in a paired
 pass first. sigma is to pair each X < Y partition p with the X > Y
 partition q = sigma_fn(p), so the paired pass checks every live claim at
-p, including sigma_fn(q) = p, and at the X = Y partitions, and reads of an
-X > Y partition only X, Y and, for the joint tallies, whether it is
-nonoverlapping. It settles nothing. If a check fails, sigma_fn raises, the
-image of an X < Y partition is not a partition of [n], or the X < Y and
-X > Y partitions of [n] differ in number, n is checked again by the full
-pass, which checks every partition on its own and so reports or raises
-exactly what it would have alone. Otherwise the full pass would find
-nothing at n either: since sigma_fn is a function, the checks at the X < Y
-partitions make it one-to-one from them into the X > Y partitions of [n],
-equal numbers make it onto, and each claim at q = sigma_fn(p) is the claim
-at p read backwards. Once the involution claim is settled, every later n
-runs the full pass alone, and so does a sweep without it.
+p, including sigma_fn(q) = p, and at the X = Y partitions, and only
+counts an X > Y partition. It settles nothing. n is checked again by the
+full pass, which checks every partition on its own and so reports or
+raises exactly what it would have alone, on any of three triggers: a
+check fails, sigma_fn raises, or the X < Y partitions whose image is a
+partition of [n] differ in number from the X > Y partitions of [n].
+Otherwise the full pass would find nothing at n either: since sigma_fn is
+a function, the checks at those X < Y partitions make it one-to-one from
+them into the X > Y partitions of [n], equal numbers make it onto, each
+claim at q = sigma_fn(p) is the claim at p read backwards, and any other
+partition is checked as the full pass would check it. With true X and Y
+the two sides of P_n are equinumerous, so the numbers agree exactly when
+no image falls outside P_n. Once the involution claim is settled, every
+later n runs the full pass alone, and so does a sweep without it.
 """
 
 from collections import Counter
@@ -188,7 +193,11 @@ class _Unpaired(Exception):
 
 def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
     """Check the named claims of SWEPT, each to its own depth, in one pass
-    over P_1, P_2, ... that stops once every claim is settled."""
+    over P_1, P_2, ... that stops at the end of the n at which the last
+    claim settled. X, Y, the spans and the nonoverlapping flag of every
+    partition are read and both joints tallied; sigma_fn is called, and
+    its image read, only while the involution, spans or nonoverlapping
+    claim is live."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -204,7 +213,7 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
         reports[name] = _report(name, depths[name], t0, c)
         return False  # the claim's live flag from now on
 
-    # one live flag per claim; a field of p is read only under the flags of the claims that read it
+    # one live flag per claim; only the map and the image's fields are read under them
     inv, spn, nvl, eqd = (name in depths for name in SWEPT)
     n = 0
     while inv or spn or nvl or eqd:
@@ -215,51 +224,36 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
             # joint[x][y] counts (X=x, Y=y); X and Y lie in 1..n
             joint_all = [[0] * (n + 1) for _ in range(n + 1)]
             joint_nov = [[0] * (n + 1) for _ in range(n + 1)]
-            sides = 0  # X < Y partitions less X > Y ones, in the paired pass
+            sides = 0  # X < Y partitions with an image in P_n less X > Y ones, in the paired pass
             try:
                 for p in enumerate_all(n):
-                    if not (inv or spn or nvl or eqd):
-                        break
-                    if inv or eqd:
-                        x, y = stat_x(p), stat_y(p)
+                    x, y = stat_x(p), stat_y(p)
+                    sp = nonsingleton_spans(p)
+                    nov = laminar(sp)
+                    joint_all[x][y] += 1
+                    if nov:
+                        joint_nov[x][y] += 1
                     if paired and x > y:
-                        # each claim at p is its X < Y partner's claim read backwards
-                        sides -= 1
-                        if eqd:
-                            joint_all[x][y] += 1
-                            if laminar(nonsingleton_spans(p)):
-                                joint_nov[x][y] += 1
-                        continue
-                    if inv or spn or nvl:
+                        sides -= 1  # each claim at p is its X < Y partner's claim read backwards
+                    elif inv or spn or nvl:
                         q = sigma_fn(p)
-                    if paired and x < y:
-                        sides += 1
-                        if q.n != n:
-                            raise _Unpaired  # an image outside P_n pairs p with no partition of [n]
-                    if spn or nvl:
-                        sp = nonsingleton_spans(p)
+                        if paired and x < y:
+                            sides += q.n == n  # an image outside P_n pairs p with no partition of [n]
                         sq = sp if q is p else nonsingleton_spans(q)
-                    if nvl or eqd:
-                        nov = laminar(sp if spn or nvl else nonsingleton_spans(p))
-                    if inv:
-                        c = _involution(n, p, x, y, q, sigma_fn)
-                        if c is not None:
-                            inv = settle("involution", c)
-                    if spn and sp != sq:
-                        spn = settle("spans", Counterexample(n, format_partition(p),
-                                                             "non-singleton span multiset preserved", str(sp), str(sq)))
-                    # equal span lists give equal flags, so p's is reused
-                    if nvl and sq != sp and laminar(sq) != nov:
-                        nvl = settle("nonoverlapping", Counterexample(n, format_partition(p),
-                                                                      "nonoverlapping predicate preserved",
-                                                                      f"nonoverlapping={nov}",
-                                                                      f"nonoverlapping={not nov}"))
-                    if eqd:
-                        joint_all[x][y] += 1
-                        if nov:
-                            joint_nov[x][y] += 1
+                        if inv:
+                            c = _involution(n, p, x, y, q, sigma_fn)
+                            if c is not None:
+                                inv = settle("involution", c)
+                        if spn and sp != sq:
+                            spn = settle("spans", Counterexample(
+                                n, format_partition(p), "non-singleton span multiset preserved", str(sp), str(sq)))
+                        # equal span lists give equal flags, so p's is reused
+                        if nvl and sq != sp and laminar(sq) != nov:
+                            nvl = settle("nonoverlapping", Counterexample(
+                                n, format_partition(p), "nonoverlapping predicate preserved",
+                                f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))
                 if sides:
-                    raise _Unpaired  # some X > Y partition is no X < Y partition's image
+                    raise _Unpaired  # some X > Y partition is no counted X < Y partition's image
                 if eqd:
                     c = _asymmetry(n, joint_all, "all") or _asymmetry(n, joint_nov, "nonoverlapping")
                     if c is not None:

@@ -146,6 +146,21 @@ def test_run_all_uses_per_check_defaults(monkeypatch):
     assert [r.n_range[1] for r in reports] == [3, 4, 5, 3, 4, 5]
 
 
+@pytest.mark.parametrize("n_max_override, depth", [(None, 10), (4, 4)])
+def test_run_all_sweeps_every_claim_to_one_depth(monkeypatch, n_max_override, depth):
+    # so every claim is live at every n of run_all's sweep, and gating a read on a live claim skips none there
+    calls = []
+    sweep = verify._sweep
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_sweep", recording)
+    assert all(r.ok for r in run_all(n_max_override))
+    assert calls == [((dict.fromkeys(SWEPT, depth),), {})]
+
+
 class TestMutationSensitivity:
     def test_identity_map_is_caught(self):
         report = check_involution(5, sigma_fn=lambda p: p)
@@ -494,32 +509,18 @@ class TestSigmaResult:
             check(3, sigma_fn=sigma_fn)
 
 
-def refuse(*args):
-    raise AssertionError("read a field no live claim reads")
-
-
 class TestOneReading:
-    """Each field of a partition is read only while a live claim reads it."""
+    """p's own fields are read once for every partition; the map is called,
+    and its image read, only while a claim that reads the image is live."""
 
-    @pytest.mark.parametrize("check", [check_spans, check_nonoverlapping])
-    def test_span_claims_read_neither_x_nor_y(self, monkeypatch, check):
-        monkeypatch.setattr(verify, "stat_x", refuse)
-        monkeypatch.setattr(verify, "stat_y", refuse)
-        assert check(6).ok
-
-    def test_involution_reads_no_spans(self, monkeypatch):
-        monkeypatch.setattr(verify, "nonsingleton_spans", refuse)
-        monkeypatch.setattr(verify, "laminar", refuse)
-        assert check_involution(6).ok
-
-    @pytest.mark.parametrize("run, images, sides", [
-        (lambda: [check_involution(6)], LOWER_TO_6, ((1, 1), (1, 1), (0, 0), (0, 0))),
-        (lambda: [check_spans(6)], MOVED_TO_6, ((0, 0), (0, 0), (1, 1), (0, 0))),
-        (lambda: [check_nonoverlapping(6)], MOVED_TO_6, ((0, 0), (0, 0), (1, 1), (1, 0))),
-        (lambda: [check_equidistribution(6)], MOVED_TO_6, ((1, 0), (1, 0), (1, 0), (1, 0))),
-        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), LOWER_TO_6, ((1, 1), (1, 1), (1, 1), (1, 0))),
+    @pytest.mark.parametrize("run, image_side", [
+        (lambda: [check_involution(6)], (LOWER_TO_6, LOWER_TO_6, LOWER_TO_6, 0)),
+        (lambda: [check_spans(6)], (0, 0, MOVED_TO_6, 0)),
+        (lambda: [check_nonoverlapping(6)], (0, 0, MOVED_TO_6, 0)),
+        (lambda: [check_equidistribution(6)], (0, 0, 0, 0)),
+        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), (LOWER_TO_6, LOWER_TO_6, LOWER_TO_6, 0)),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
-    def test_each_field_is_read_once_per_side(self, monkeypatch, run, images, sides):
+    def test_each_field_is_read_once_per_side(self, monkeypatch, run, image_side):
         names = ("stat_x", "stat_y", "nonsingleton_spans", "laminar")
         calls = Counter()
 
@@ -532,10 +533,11 @@ class TestOneReading:
         for name in names:
             counted(name, getattr(verify, name))
         assert all(r.ok for r in run())
-        # p and its image are the two sides; a claim reads each at most once.
-        # The full pass reads the image side only where sigma moves p. The
-        # paired pass, which runs while the involution claim is live, reads it
-        # only for the X < Y partitions, whose images are the X > Y ones. No
-        # pass reads it with laminar: sigma keeps the span list, so p's flag is
-        # the image's.
-        assert [calls[name] for name in names] == [a * PARTITIONS_TO_6 + b * images for a, b in sides]
+        # p and its image are the two sides. Every pass reads each field of p
+        # once. The image side is read only under the involution claim (X and
+        # Y, in _involution) and the span claims (its spans), and the full pass
+        # reads it only where sigma moves p. The paired pass, which runs while
+        # the involution claim is live, reads it only for the X < Y partitions,
+        # whose images are the X > Y ones. No pass reads it with laminar: sigma
+        # keeps the span list, so p's flag is the image's.
+        assert [calls[name] for name in names] == [PARTITIONS_TO_6 + k for k in image_side]

@@ -169,8 +169,13 @@ MUTANTS = (
     # X < Y partitions skip sigma(sigma(p)) = p, so in the paired pass no partition checks a pair's way back
     Mutant("paired-pass-drops-back-check", "verify.py", "_involution",
            "if back != p:", "if back != p and x > y:", (FROZEN_REPORTS, PLAIN_LOOPS)),
+    # an X < Y partition whose image lies outside P_n still counts as paired
     Mutant("paired-pass-trusts-image-size", "verify.py", "_sweep",
-           "if q.n != n:", "if False:", (FROZEN_REPORTS,)),
+           "sides += q.n == n", "sides += 1", (FROZEN_REPORTS,)),
+    Mutant("map-called-after-its-claims-settle", "verify.py", "_sweep",
+           "elif inv or spn or nvl:", "else:",
+           (f"{SHARED_SWEEP}::test_failed_claim_stops_the_reads_only_it_needed",
+            f"{SHARED_SWEEP}::test_sigma_call_counts")),
 )
 
 

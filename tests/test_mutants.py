@@ -47,3 +47,15 @@ def test_mutant_applies_and_names_real_tests(m):
         file, *names = test.split("::")
         assert (ROOT / file).is_file(), test
         assert _defines(ROOT / file, names), test
+
+
+@pytest.mark.parametrize("code, expected", [(0, "survived"), (1, "killed"), (2, "killed"), (4, "killed")],
+                         ids=["pass", "test-failure", "file-fails-to-import", "test-id-not-collected"])
+def test_exit_code_gives_status(code, expected):
+    assert mutants.status("m", code) == expected
+
+
+@pytest.mark.parametrize("code", [3, 5], ids=["internal-error", "no-tests-collected"])
+def test_exit_code_that_is_no_verdict_stops_the_run(code):
+    with pytest.raises(SystemExit, match=f"mutant m: pytest exit {code},"):
+        mutants.status("m", code)

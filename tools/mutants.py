@@ -7,7 +7,9 @@ still pass (survived).
 
 Each mutant is one textual edit inside one function or method of
 src/partinv. The named tests first run on the unmutated copy and must
-pass there. Prints one JSON object, {"mutants": [...], "survived": k},
+pass there. A mutant is killed when they fail, or when they can no
+longer be imported or collected (see status). Prints one JSON object,
+{"mutants": [...], "survived": k}, each mutant with pytest's exit code,
 and exits 1 if any mutant survived. It is not part of the test suite:
 each mutant costs a pytest run; tests/test_mutants.py checks, without
 running them, that every edit still applies and every named test still
@@ -204,6 +206,20 @@ def run_tests(copy: Path, tests) -> int:
     return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
+def status(name: str, code: int) -> str:
+    """Mutant name's status from pytest's exit code on the mutated copy,
+    once its named tests have passed on the unmutated one. 0 is a pass and
+    1 a test failure. 2 (a named test file fails to import) and 4 (a named
+    test id can no longer be collected) mean the mutant broke code that a
+    named test module runs at import, so it is killed too. Any other code
+    (3, an internal error; 5, no tests collected) stops the run."""
+    if code == 0:
+        return "survived"
+    if code in (1, 2, 4):
+        return "killed"
+    raise SystemExit(f"mutant {name}: pytest exit {code}, neither a pass, a test failure nor a failed import")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
@@ -228,10 +244,8 @@ def main(argv=None) -> int:
                 code = run_tests(copy, m.tests)
             finally:
                 path.write_text(original)
-            if code not in (0, 1):
-                raise SystemExit(f"mutant {m.name}: pytest exit {code}, neither a pass nor a test failure")
             results.append({"name": m.name, "file": f"src/partinv/{m.file}", "scope": m.scope,
-                            "tests": list(m.tests), "status": "survived" if code == 0 else "killed"})
+                            "tests": list(m.tests), "status": status(m.name, code), "exit": code})
     survived = sum(r["status"] == "survived" for r in results)
     print(json.dumps({"mutants": results, "survived": survived}, indent=2))
     return 1 if survived else 0

@@ -87,8 +87,6 @@ def is_avoider(p: Sequence[int]) -> bool:
 
 def _contains_12adj_3(p: tuple[int, ...]) -> bool:
     n = len(p)
-    if n < 3:
-        return False
     suffix_max = 0
     # scan ascents right to left so the suffix maximum is available
     for i in range(n - 3, -1, -1):

@@ -5,7 +5,7 @@
 A code line holds at least one token that is neither a comment nor part
 of a docstring (the string that opens a module, class or function); blank
 lines, comment lines and docstring lines are left out. Prints one JSON
-object, {"modules": {"cli.py": 206, ...}, "total": 847}.
+object, {"modules": {"cli.py": 208, ...}, "total": 865}.
 """
 
 import ast

@@ -148,7 +148,7 @@ def test_run_all_uses_per_check_defaults(monkeypatch):
 
 @pytest.mark.parametrize("n_max_override, depth", [(None, 10), (4, 4)])
 def test_run_all_sweeps_every_claim_to_one_depth(monkeypatch, n_max_override, depth):
-    # so every claim is live at every n of run_all's sweep, and gating a read on a live claim skips none there
+    # all four claims are then live at every n of run_all's sweep, so no gate on a live claim skips a read there
     calls = []
     sweep = verify._sweep
 

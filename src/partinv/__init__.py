@@ -28,7 +28,7 @@ from .patterns import (
     contains_1_23adj,
     is_avoider,
 )
-from .recurrence import VTable, bessel, v_compute, v_table
+from .recurrence import bessel, v_compute, v_table
 from .stats import aux_r, aux_s, stat_x, stat_y
 from .verify import (
     ALL_CHECKS,
@@ -57,7 +57,6 @@ __all__ = [
     "PartinvError",
     "PreconditionError",
     "SetPartition",
-    "VTable",
     "ValidationError",
     "aux_r",
     "aux_s",

@@ -112,15 +112,16 @@ def cmd_sigma(args) -> int:
 
 def cmd_table(args) -> int:
     table = v_table(args.n_max, max_n=args.max_n)
-    rows = [[str(v) for v in row] for row in table.rows]
-    sums = [str(v) for v in table.row_sums()]
+    n_max = len(table)
+    rows = [[str(v) for v in row] for row in table]
+    sums = [str(sum(row)) for row in table]
     if args.format == "json":
-        _emit_json({"n_max": table.n_max, "rows": rows, "row_sums": sums})
+        _emit_json({"n_max": n_max, "rows": rows, "row_sums": sums})
         return 0
-    label_w = max(3, len(str(table.n_max)))
+    label_w = max(3, len(str(n_max)))
     # column k holds the k-th entry of rows k..n_max
-    col_w = [max(len(str(k)), *(len(row[k - 1]) for row in rows[k - 1:])) for k in range(1, table.n_max + 1)]
-    header = "n\\k".rjust(label_w) + "".join(f"  {str(k).rjust(col_w[k - 1])}" for k in range(1, table.n_max + 1))
+    col_w = [max(len(str(k)), *(len(row[k - 1]) for row in rows[k - 1:])) for k in range(1, n_max + 1)]
+    header = "n\\k".rjust(label_w) + "".join(f"  {str(k).rjust(col_w[k - 1])}" for k in range(1, n_max + 1))
     print(header)
     for n, row in enumerate(rows, start=1):
         cells = "".join(f"  {v.rjust(col_w[k])}" for k, v in enumerate(row))

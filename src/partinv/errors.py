@@ -24,11 +24,16 @@ class ValidationError(PartinvError):
 
 
 class BoundError(PartinvError):
-    """Enumeration size outside the configured guard."""
+    """A size or guard refused before any work starts. check_bound raises it
+    for a size, check depth or max_n that is not an integer >= 1 and for a
+    size past the enumeration, triangle, avoider or verify guard; the
+    generators raise it for an n past their nesting ceiling."""
 
 
 class DomainError(PartinvError):
-    """Index outside the triangle 1 <= k <= n."""
+    """An argument outside the triangle: a cell (n, k) of v_compute outside
+    1 <= k <= n, or a row count of v_table or a row of bessel that is not
+    an integer >= 1."""
 
 
 class PreconditionError(PartinvError):

@@ -36,14 +36,14 @@ additions instead of O(n^4), with no recursion. The table is one value,
 the rows of v and the Pascal state of each diagonal, shared by every
 function here and grown on demand; nothing is computed at import. Each
 finished row is published whole as a new value, so an interrupt leaves
-the table as it stood after the last complete row. All arithmetic is
-exact: entries grow super-exponentially and leave 64-bit range near
-n = 25.
+the table as it stood after the last complete row. v_table returns the
+stored rows themselves, a tuple of row tuples, which no caller can alter.
+All arithmetic is exact: entries grow super-exponentially and leave
+64-bit range near n = 25.
 """
 
 import threading
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import DomainError, check_bound, is_int
 
@@ -92,26 +92,13 @@ def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
     return _table[0][n - 1][k - 1]
 
 
-class VTable(NamedTuple):
-    """The triangle v[n][k] for 1 <= k <= n <= n_max; rows[i] is row n=i+1,
-    and n_max is read off rows, not stored beside them."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
-
-def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> VTable:
-    """The full triangle up to row n_max."""
+def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> tuple[tuple[int, ...], ...]:
+    """Rows 1..n_max of the triangle, as the stored tuples: row n is
+    (v[n][1], ..., v[n][n]) at index n-1, and the row count is n_max."""
     if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
-    return VTable(_table[0][:n_max])
+    return _table[0][:n_max]
 
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:

@@ -57,7 +57,7 @@ from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          laminar, nonsingleton_spans)
 from .patterns import avoider_last_entry_distribution
-from .recurrence import v_compute
+from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check depth keeping each run under a minute on commodity hardware.
@@ -293,21 +293,19 @@ def check_equidistribution(n_max: int = DEFAULT_LIMITS["equidistribution"]) -> C
 
 def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> CheckReport:
     """distribution(n), a dict k -> count, equals row n of the v-triangle
-    for n = 1..n_max; item names the offending cell by n and k. The cells
-    k = 1..n are compared first, then the first key outside them (in
-    sorted order) with a nonzero count is reported against 0. So a row
-    that passes totals Bessel(n), the triangle's row sum."""
+    for n = 1..n_max; item names the offending cell by n and k. The rows
+    are read once, and each n is one loop over the keys with one report
+    site: the cells k = 1..n against the row, then each key outside them,
+    in sorted order, against 0. The first key whose count differs is
+    reported, so a row that passes totals Bessel(n), the triangle's row
+    sum."""
     t0 = perf_counter()
-    for n in range(1, n_max + 1):
+    for n, row in enumerate(v_table(n_max), start=1):
         dist = distribution(n)
-        for k in range(1, n + 1):
-            expected = v_compute(n, k)
+        for k, expected in (*enumerate(row, start=1), *((k, 0) for k in sorted(dist.keys() - range(1, n + 1)))):
             if dist.get(k, 0) != expected:
                 c = Counterexample(n, item.format(n=n, k=k), claim, str(expected), str(dist.get(k, 0)))
                 return _report(name, n_max, t0, c)
-        for k in sorted(dist.keys() - range(1, n + 1)):
-            if dist[k]:
-                return _report(name, n_max, t0, Counterexample(n, item.format(n=n, k=k), claim, "0", str(dist[k])))
     return _report(name, n_max, t0)
 
 

@@ -180,7 +180,7 @@ class TestTable:
         lines = out.splitlines()
         assert lines[0].split() == ["n\\k", "1", "2", "3", "4", "5", "6", "7"]
         values = [[int(v) for v in line.split()[1:]] for line in lines[1:8]]
-        assert values == [list(r) for r in v_table(7).rows]
+        assert values == [list(r) for r in v_table(7)]
         assert lines[8] == ""
         assert lines[9] == "row sums"
         sums = [int(line.split()[1]) for line in lines[10:17]]

@@ -165,6 +165,11 @@ class TestConstructors:
             SetPartition(((1, 2),)).validate()
         with pytest.raises(ValidationError, match="do not partition"):
             SetPartition(((3, 1),)).validate()
+        # without the empty-block check, reading an empty block's first entry raises IndexError
+        with pytest.raises(ValidationError, match="empty block"):
+            SetPartition(((2, 1), ())).validate()
+        with pytest.raises(ValidationError, match="empty block"):
+            SetPartition.from_blocks([[]])
 
     @pytest.mark.parametrize("blocks", [([3, 2, 1],), [(3, 2, 1)], 5, ({1, 2, 3},)],
                              ids=["list-block", "list-of-blocks", "not-iterable", "set-block"])

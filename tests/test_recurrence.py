@@ -15,7 +15,6 @@ from partinv import (
     BoundError,
     DomainError,
     PartinvError,
-    VTable,
     bessel,
     enumerate_nonoverlapping,
     v_compute,
@@ -55,10 +54,10 @@ def alt60():
     return v_alt_table(60)
 
 
-def assert_matches_oracle(t: VTable, alt: dict) -> None:
-    for n in range(1, t.n_max + 1):
+def assert_matches_oracle(rows: tuple, alt: dict) -> None:
+    for n in range(1, len(rows) + 1):
         for k in range(1, n + 1):
-            assert t.rows[n - 1][k - 1] == alt[(n, k)], (n, k)
+            assert rows[n - 1][k - 1] == alt[(n, k)], (n, k)
 
 
 class TestVCompute:
@@ -79,39 +78,34 @@ class TestVCompute:
 
 class TestVTable:
     def test_reproduces_seven_rows(self):
-        assert [list(r) for r in v_table(7).rows] == TRIANGLE_7
+        assert [list(r) for r in v_table(7)] == TRIANGLE_7
 
     def test_small_tables(self):
-        assert [list(r) for r in v_table(3).rows] == [[1], [1, 1], [2, 2, 1]]
-        assert v_table(1).rows == ((1,),)
+        assert [list(r) for r in v_table(3)] == [[1], [1, 1], [2, 2, 1]]
+        assert v_table(1) == ((1,),)
 
-    def test_accessors(self):
-        t = v_table(7)
-        assert t.n_max == 7
-        assert t.rows[7 - 1][5 - 1] == 39
-        assert t.rows[6 - 1] == (43, 43, 29, 18, 9, 1)
-        assert t.row_sums() == (1, 2, 5, 14, 43, 143, 509)
+    def test_rows(self):
+        rows = v_table(7)
+        assert len(rows) == 7
+        assert rows[7 - 1][5 - 1] == 39
+        assert rows[6 - 1] == (43, 43, 29, 18, 9, 1)
+        assert tuple(sum(row) for row in rows) == (1, 2, 5, 14, 43, 143, 509)
 
-    def test_n_max_is_read_off_rows(self):
-        rows = v_table(7).rows
-        assert VTable(rows).n_max == 7 == len(VTable(rows).row_sums())
-        assert VTable(rows) == v_table(7) == (rows,)
-        with pytest.raises(TypeError):
-            VTable(5, rows)
-        with pytest.raises(TypeError):
-            VTable(n_max=5, rows=rows)
-        with pytest.raises(AttributeError):
-            v_table(7).n_max = 5
+    def test_rows_are_the_stored_tuples(self):
+        # tuples all the way down, so no caller can alter the shared table
+        rows = v_table(7)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert rows == recurrence._table[0][:7]
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             v_table(0)
 
     def test_shape_and_positivity(self):
-        t = v_table(12)
-        assert isinstance(t, VTable)
+        rows = v_table(12)
+        assert len(rows) == 12
         for n in range(1, 13):
-            row = t.rows[n - 1]
+            row = rows[n - 1]
             assert len(row) == n
             assert row[-1] == 1
             assert all(value >= 1 for value in row)
@@ -143,13 +137,13 @@ def test_large_table_exact_arithmetic():
     """Entries near n = 40 overflow 64-bit arithmetic; recomputing the
     whole triangle with the summations nested the other way must agree
     bit for bit."""
-    t = v_table(40)
+    rows = v_table(40)
     alt = v_alt_table(40)
-    assert t.rows[40 - 1][20 - 1] == alt[(40, 20)]
-    assert t.rows[40 - 1][20 - 1] > 2**64
+    assert rows[40 - 1][20 - 1] == alt[(40, 20)]
+    assert rows[40 - 1][20 - 1] > 2**64
     for n in range(1, 41):
         for k in range(1, n + 1):
-            assert t.rows[n - 1][k - 1] == alt[(n, k)]
+            assert rows[n - 1][k - 1] == alt[(n, k)]
 
 
 def test_matches_oracle_cell_for_cell_to_60(alt60):
@@ -162,7 +156,7 @@ def test_build_order_does_not_matter(fresh_table, alt60):
     t60 = v_table(60)
     assert_matches_oracle(t60, alt60)
     assert bessel(45) == sum(alt60[(45, k)] for k in range(1, 46))
-    assert v_table(30).rows == t60.rows[:30]
+    assert v_table(30) == t60[:30]
     assert len(recurrence._table[0]) == 60
 
 
@@ -195,7 +189,7 @@ def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60):
             v_table(n)
         rows = recurrence._table[0]
         assert len(rows) < n and rows == expected[:len(rows)], stop
-        assert v_table(n).rows == expected, stop
+        assert v_table(n) == expected, stop
 
 
 def test_pascal_state_is_one_anti_diagonal_per_diagonal(fresh_table):
@@ -241,7 +235,7 @@ def test_concurrent_growth(fresh_table, alt60):
 
 def test_reads_share_the_stored_rows():
     t30, t60 = v_table(30), v_table(60)
-    assert all(t30.rows[i] is t60.rows[i] for i in range(30))
+    assert all(t30[i] is t60[i] for i in range(30))
 
 
 def test_no_cache_decorator_and_no_recursion():
@@ -288,12 +282,12 @@ class TestGuard:
             call()
 
     def test_lower_guard_admits_its_own_row(self):
-        assert v_compute(9, 3, max_n=9) == v_table(9, max_n=9).rows[9 - 1][3 - 1]
+        assert v_compute(9, 3, max_n=9) == v_table(9, max_n=9)[9 - 1][3 - 1]
         assert bessel(9, max_n=9) == 7651
 
     def test_max_n_lifts_the_guard(self, fresh_table):
         n = TRIANGLE_MAX_N + 1
-        t = v_table(n, max_n=n)
-        assert t.rows[n - 1][-1] == 1
-        assert bessel(n, max_n=n) == sum(t.rows[n - 1]) > bessel(TRIANGLE_MAX_N)
+        rows = v_table(n, max_n=n)
+        assert rows[n - 1][-1] == 1
+        assert bessel(n, max_n=n) == sum(rows[n - 1]) > bessel(TRIANGLE_MAX_N)
         assert v_compute(n, 1, max_n=n) == bessel(TRIANGLE_MAX_N)

@@ -194,8 +194,10 @@ class TestMutationSensitivity:
                                                 "avoider last-entry distribution matches the v-triangle", "6", "5")),
     ])
     def test_wrong_triangle_cell_is_caught(self, monkeypatch, check, counterexample):
-        v_compute = verify.v_compute
-        monkeypatch.setattr(verify, "v_compute", lambda n, k: v_compute(n, k) + ((n, k) == (4, 2)))
+        v_table = verify.v_table
+        monkeypatch.setattr(verify, "v_table", lambda n_max: tuple(
+            tuple(v + ((n, k) == (4, 2)) for k, v in enumerate(row, start=1))
+            for n, row in enumerate(v_table(n_max), start=1)))
         report = check(6)
         assert report.counterexample == counterexample
         assert report.n_range == (1, 6)

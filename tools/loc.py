@@ -5,7 +5,8 @@
 A code line holds at least one token that is neither a comment nor part
 of a docstring (the string that opens a module, class or function); blank
 lines, comment lines and docstring lines are left out. Prints one JSON
-object, {"modules": {"cli.py": 208, ...}, "total": 865}.
+object of the shape {"modules": {"<module>.py": <code lines>, ...},
+"total": <their sum>}, modules in name order.
 """
 
 import ast

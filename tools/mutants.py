@@ -50,6 +50,7 @@ RECURRENCE = "tests/test_recurrence.py"
 INTEGER_RULE = ("tests/test_partitions.py::test_sizes_must_be_integers",
                 "tests/test_partitions.py::test_guards_must_be_integers")
 BLOCK_SHAPE = "tests/test_partitions.py::TestConstructors::test_validate_refuses_blocks_that_are_not_a_tuple_of_tuples"
+EMPTY_BLOCK = "tests/test_partitions.py::TestConstructors::test_validate_names_violation"
 PERMUTATION_JUNK = "tests/test_patterns.py::test_non_permutation_is_refused"
 IDENTITY_CAUGHT = "tests/test_verify.py::TestMutationSensitivity::test_identity_map_is_caught"
 FROZEN_REPORTS = f"{SHARED_SWEEP}::test_same_reports_as_the_standalone_checks"
@@ -113,8 +114,6 @@ MUTANTS = (
     Mutant("pascal-advanced-in-place", "recurrence.py", "_build",
            "[list(accumulate(a, initial=seed)) for", "[a.__setitem__(slice(None), accumulate(a, initial=seed)) or a for",
            (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
-    Mutant("vtable-n-max-off-by-one", "recurrence.py", "n_max",
-           "return len(self.rows)", "return len(self.rows) - 1", (RECURRENCE, CLI_CORPUS)),
     Mutant("outside-sigma-fn-trusted", "verify.py", "_sweep",
            "sigma_fn = _validated(sigma_fn)", "pass", (SIGMA_RESULT,)),
     Mutant("fixed-point-test-inverted", "verify.py", "_sweep",
@@ -123,6 +122,8 @@ MUTANTS = (
            "if q is p and x == y:", "if q is p:", (IDENTITY_CAUGHT, FROZEN_REPORTS)),
     Mutant("nonoverlapping-always-reuses-flag", "verify.py", "_sweep",
            "laminar(sq) != nov", "nov != nov", (FROZEN_REPORTS,)),
+    Mutant("validate-accepts-empty-block", "partitions.py", "validate",
+           "if not block:", "if False:", (EMPTY_BLOCK,)),
     Mutant("validate-accepts-any-block-shape", "partitions.py", "validate",
            "if not isinstance(self.blocks, tuple) or not all(isinstance(block, tuple) for block in self.blocks):",
            "if False:", (BLOCK_SHAPE,)),
@@ -136,6 +137,8 @@ MUTANTS = (
            "if stat_x(p) < stat_x(q):", "if stat_x(p) <= stat_x(q):", (INVERSE_SIDE,)),
     Mutant("distribution-marginal-reversed", "cli.py", "cmd_distribution",
            "sorted(counts.items())", "sorted(counts.items(), reverse=True)", (CLI_CORPUS,)),
+    Mutant("table-row-sums-drop-last-entry", "cli.py", "cmd_table",
+           "str(sum(row))", "str(sum(row[:-1]))", (CLI_CORPUS,)),
     Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",
            'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
     Mutant("usage-error-keeps-argparse-code", "cli.py", "main",
@@ -163,8 +166,9 @@ MUTANTS = (
            "zip([[0], *cols], ones)", "zip([*cols, [0]], ones)", AVOIDER_COUNT),
     Mutant("count-ascents-from-top-entry", "patterns.py", "avoider_last_entry_distribution",
            "col[0] for col in cols", "col[-1] for col in cols", AVOIDER_COUNT),
+    # the loop compares only the cells k = 1..n
     Mutant("matches-v-ignores-outside-keys", "verify.py", "_matches_v",
-           "if dist[k]:", "if False:", (OUTSIDE_KEYS,)),
+           "sorted(dist.keys() - range(1, n + 1))", "()", (OUTSIDE_KEYS,)),
     # a broken Y leaves X > Y partitions with no X < Y partner, and only the count shows it
     Mutant("paired-pass-ignores-side-counts", "verify.py", "_sweep",
            "if sides:", "if False:", (f"{SHARED_SWEEP}::test_broken_y_trips_equidistribution",)),

@@ -11,7 +11,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .involution import OrbitClass, orbit_class, sigma, sigma_inverse
+from .involution import sigma
 from .partitions import (
     DEFAULT_MAX_N,
     SetPartition,
@@ -52,7 +52,6 @@ __all__ = [
     "Counterexample",
     "DEFAULT_MAX_N",
     "DomainError",
-    "OrbitClass",
     "ParseError",
     "PartinvError",
     "PreconditionError",
@@ -76,11 +75,9 @@ __all__ = [
     "is_avoider",
     "is_nonoverlapping",
     "normalize",
-    "orbit_class",
     "parse",
     "run_all",
     "sigma",
-    "sigma_inverse",
     "stat_x",
     "stat_y",
     "v_compute",

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from .errors import PartinvError
-from .involution import orbit_class, sigma
+from .involution import sigma
 from .partitions import (
     DEFAULT_MAX_N,
     enumerate_all,
@@ -96,17 +96,18 @@ def cmd_stats(args) -> int:
 def cmd_sigma(args) -> int:
     p = parse(args.partition)
     image = sigma(p)
-    orbit = orbit_class(p)
+    x, y = stat_x(p), stat_y(p)
+    orbit = "fixed" if x == y else "lower" if x < y else "upper"
     if args.format == "json":
         _emit_json({
             "input": p.to_json(),
             "image": image.to_json(),
             "image_text": format_partition(image),
-            "orbit": orbit.value,
+            "orbit": orbit,
         })
     else:
         print(format_partition(image))
-        print(f"orbit: {orbit.value}")
+        print(f"orbit: {orbit}")
     return 0
 
 

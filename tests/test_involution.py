@@ -1,6 +1,5 @@
-"""The involution: worked examples, exhaustive properties, the
-reconstructed inverse against a brute-force preimage oracle, and random
-large-n probes."""
+"""The involution: worked examples, exhaustive properties, both moves
+against their set-algebra oracles, and random large-n probes."""
 
 from collections import Counter
 
@@ -9,9 +8,7 @@ from hypothesis import given, settings
 
 import partinv.involution as involution
 from partinv import (
-    OrbitClass,
     PartinvError,
-    PreconditionError,
     SetPartition,
     ValidationError,
     aux_r,
@@ -19,20 +16,19 @@ from partinv import (
     enumerate_all,
     format_partition,
     is_nonoverlapping,
-    orbit_class,
     parse,
     sigma,
-    sigma_inverse,
     stat_x,
     stat_y,
 )
-from oracles import preimage_map, set_partitions, sigma_by_sets, sigma_inverse_by_sets
+from oracles import set_partitions, sigma_by_sets, sigma_inverse_by_sets
 
 FORWARD_EXAMPLES = [
     ("3/4/7/852/961", "6/7/852/9431"),
     ("2/431", "3/421"),
     ("3/4/652/7/981", "652/7/98431"),
     ("2/3/4/51", "54321"),
+    ("2/31", "321"),
 ]
 
 
@@ -48,22 +44,7 @@ class TestExamples:
     def test_fixed_point(self):
         assert sigma(parse("21")) == parse("21")
 
-    def test_inverse_examples(self):
-        assert format_partition(sigma_inverse(parse("6/7/852/9431"))) == "3/4/7/852/961"
-        assert format_partition(sigma_inverse(parse("54321"))) == "2/3/4/51"
-        assert format_partition(sigma_inverse(parse("321"))) == "2/31"
-
-    def test_inverse_rejects_non_upper_input(self):
-        with pytest.raises(PreconditionError):
-            sigma_inverse(parse("2/431"))   # X < Y
-        with pytest.raises(PreconditionError):
-            sigma_inverse(parse("21"))      # X = Y
-        with pytest.raises(PreconditionError):
-            sigma_inverse(parse("1/32"))    # {1} alone: X = Y = 1
-        with pytest.raises(PreconditionError):
-            sigma_inverse(parse("1"))
-
-    def test_inverse_scans_once(self, monkeypatch):
+    def test_sigma_scans_once(self, monkeypatch):
         calls = 0
         scan = involution.rs_blocks
 
@@ -75,10 +56,7 @@ class TestExamples:
         monkeypatch.setattr(involution, "rs_blocks", counting)
         for text in ("6/7/852/9431", "2/431", "21"):
             calls = 0
-            try:
-                sigma_inverse(parse(text))
-            except PreconditionError:
-                pass
+            sigma(parse(text))
             assert calls == 1, text
 
     def test_malformed_input_is_caught_by_validation_not_by_sigma(self):
@@ -99,19 +77,9 @@ class TestExamples:
         # these do not validate, but where the shared scan for r's block and
         # the block holding 1 runs off the blocks, or finds 1 in a
         # singleton, it still raises one of the package's errors
-        for fn in (sigma, sigma_inverse, stat_y, aux_s):
+        for fn in (sigma, stat_y, aux_s):
             with pytest.raises(PartinvError):
                 fn(SetPartition(blocks))
-
-    def test_orbit_class(self):
-        assert orbit_class(parse("21")) is OrbitClass.FIXED
-        assert orbit_class(parse("3/4/7/852/961")) is OrbitClass.LOWER
-        assert orbit_class(parse("6/7/852/9431")) is OrbitClass.UPPER
-
-    def test_orbit_class_values(self):
-        assert OrbitClass.FIXED.value == "fixed"
-        assert OrbitClass.LOWER.value == "lower"
-        assert OrbitClass.UPPER.value == "upper"
 
 
 def _span_multiset(p):
@@ -146,25 +114,13 @@ def test_exhaustive_properties():
 
 
 def test_agrees_with_set_algebra_oracle():
-    """sigma and sigma_inverse equal the set-algebra moves they replaced
-    on every partition of [n], n <= 10."""
+    """sigma equals the set-algebra moves it replaced, the forward one on
+    every partition of [n] and the inverse one on the X > Y side, n <= 10."""
     for n in range(1, 11):
         for p in enumerate_all(n):
             assert sigma(p) == sigma_by_sets(p), format_partition(p)
             if stat_x(p) > stat_y(p):
-                assert sigma_inverse(p) == sigma_inverse_by_sets(p), format_partition(p)
-
-
-def test_inverse_matches_brute_force_preimages():
-    """sigma_inverse agrees with the unique preimage found by forward
-    search, for every X > Y partition, n <= 6."""
-    for n in range(1, 7):
-        preimages = preimage_map(n)
-        uppers = [p for p in enumerate_all(n) if stat_x(p) > stat_y(p)]
-        assert set(preimages) == set(uppers)
-        for q in uppers:
-            assert len(preimages[q]) == 1
-            assert sigma_inverse(q) == preimages[q][0]
+                assert sigma(p) == sigma_inverse_by_sets(p), format_partition(p)
 
 
 @settings(max_examples=250)
@@ -179,4 +135,4 @@ def test_random_large_partitions(p):
     assert is_nonoverlapping(q) == is_nonoverlapping(p)
     assert q == sigma_by_sets(p)
     if x > y:
-        assert sigma_inverse(p) == sigma_inverse_by_sets(p)
+        assert sigma(p) == sigma_inverse_by_sets(p)

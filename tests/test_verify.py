@@ -5,6 +5,7 @@ that the four claims over all of P_n run in."""
 import ast
 import inspect
 from collections import Counter
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -47,12 +48,14 @@ ALL_AT_SIX = [
 
 @pytest.mark.parametrize("check", ALL_AT_SIX)
 def test_passes_at_small_depth(check):
+    t0 = perf_counter()
     report = check(6)
+    wall = perf_counter() - t0
     assert report.ok
     assert report.status == "pass"
     assert report.counterexample is None
     assert report.n_range == (1, 6)
-    assert report.elapsed >= 0
+    assert 0 <= report.elapsed <= wall
 
 
 def test_equidistribution_trivial_depth():
@@ -217,6 +220,16 @@ class TestMutationSensitivity:
         assert report.counterexample == counterexample
         assert report.n_range == (1, 6)
 
+    def test_missing_row_cell_is_caught(self):
+        # v[3][3] = 1, so a distribution with no key 3 at n = 3 is one count short
+        def distribution(n):
+            return {k: v for k, v in enumerate(verify.v_table(n)[-1], start=1) if (n, k) != (3, 3)}
+
+        report = verify._matches_v("y_matches_v", 6, distribution, "Y={k} over nonoverlapping partitions of [{n}]",
+                                   "Y-distribution matches the v-triangle")
+        assert report.counterexample == Counterexample(3, "Y=3 over nonoverlapping partitions of [3]",
+                                                       "Y-distribution matches the v-triangle", "1", "0")
+
     def test_failure_is_reported_not_raised(self):
         report = check_involution(5, sigma_fn=lambda p: p)
         payload = report.to_json()
@@ -380,6 +393,17 @@ class TestSharedSweep:
         assert swept["spans"].ok and swept["nonoverlapping"].ok
         for name in SWEPT:
             assert swept[name].counterexample == standalone(name, 6, sigma).counterexample
+
+    def test_crossing_lower_side_trips_the_nonoverlapping_tally(self, monkeypatch):
+        # sigma keeps spans, so only the spans read off p can break the
+        # nonoverlapping side: here every X < Y partition reads as crossing
+        spans = verify.nonsingleton_spans
+        monkeypatch.setattr(verify, "nonsingleton_spans",
+                            lambda p: [(1, 3), (2, 4)] if stat_x(p) < stat_y(p) else spans(p))
+        swept = verify._sweep({"equidistribution": 6})
+        assert swept["equidistribution"].counterexample == Counterexample(
+            3, "joint cells (X=3, Y=2) vs (X=2, Y=3) over nonoverlapping partitions of [3]",
+            "symmetric joint distribution", "1 = 1", "1 != 0")
 
     @settings(max_examples=300, deadline=None)
     @given(xy_multisets(), st.sampled_from(["all", "nonoverlapping"]))

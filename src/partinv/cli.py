@@ -114,24 +114,31 @@ def cmd_sigma(args) -> int:
 def cmd_table(args) -> int:
     table = v_table(args.n_max, max_n=args.max_n)
     n_max = len(table)
-    rows = [[str(v) for v in row] for row in table]
-    sums = [str(sum(row)) for row in table]
+    sums = [sum(row) for row in table]
     if args.format == "json":
-        _emit_json({"n_max": n_max, "rows": rows, "row_sums": sums})
+        # streamed one row at a time, and the bytes written are those of
+        # json.dumps(payload, indent=2): decimal strings need no escaping,
+        # and n_max >= 1, so no list is empty
+        write = sys.stdout.write
+        write(f'{{\n  "n_max": {n_max},\n  "rows": [')
+        sep = "\n    "
+        for row in table:
+            write(sep + '[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]')
+            sep = ",\n    "
+        write('\n  ],\n  "row_sums": [\n    "' + '",\n    "'.join(map(str, sums)) + '"\n  ]\n}\n')
         return 0
     label_w = max(3, len(str(n_max)))
-    # column k holds the k-th entry of rows k..n_max
-    col_w = [max(len(str(k)), *(len(row[k - 1]) for row in rows[k - 1:])) for k in range(1, n_max + 1)]
-    header = "n\\k".rjust(label_w) + "".join(f"  {str(k).rjust(col_w[k - 1])}" for k in range(1, n_max + 1))
-    print(header)
-    for n, row in enumerate(rows, start=1):
-        cells = "".join(f"  {v.rjust(col_w[k])}" for k, v in enumerate(row))
-        print(str(n).rjust(label_w) + cells)
+    # column k holds the k-th entry of rows k..n_max; every entry is
+    # positive, so the widest decimal is that of the largest
+    col_w = [max(len(str(k)), len(str(max(row[k - 1] for row in table[k - 1:])))) for k in range(1, n_max + 1)]
+    print("n\\k".rjust(label_w) + "".join(f"  {k:>{w}}" for k, w in enumerate(col_w, start=1)))
+    for n, row in enumerate(table, start=1):
+        print(f"{n:>{label_w}}" + "".join(f"  {v:>{w}}" for v, w in zip(row, col_w)))
     print()
     print("row sums")
-    sum_w = max(map(len, sums))
+    sum_w = len(str(max(sums)))
     for n, total in enumerate(sums, start=1):
-        print(str(n).rjust(label_w) + "  " + total.rjust(sum_w))
+        print(f"{n:>{label_w}}  {total:>{sum_w}}")
     return 0
 
 

@@ -49,9 +49,11 @@ from .errors import DomainError, check_bound, is_int
 
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
 #: additions on numbers of O(n log n) digits. On a 2-core AMD EPYC VM
-#: (three runs each) a cold `partinv table 300 --format json` takes
-#: 0.25-0.27 s, peaks at 69 MiB and writes 11 MB; at 400 rows that is
-#: 0.69-0.74 s, 152 MiB and 27 MB.
+#: (three runs each, stdout to /dev/null) a cold `partinv table 300`
+#: takes 0.21-0.22 s, peaks at 42 MiB and writes 11 MB with
+#: `--format json`, and takes 0.22-0.24 s at 42 MiB for 18 MB of text; at
+#: 400 rows that is 0.59-0.69 s, 76 MiB and 27 MB of JSON, or
+#: 0.64-0.66 s, 76 MiB and 45 MB of text.
 TRIANGLE_MAX_N = 300
 
 #: _table = (rows, pascal): rows[n-1] = (v[n][1], ..., v[n][n]) for the

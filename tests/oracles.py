@@ -9,9 +9,11 @@ than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
 laminar scan, the joint tally keyed by (X, Y) pairs, the avoiders found
 by testing all n! permutations, each swept claim checked on its own at
-every partition), and the fast paths must equal them item for item.
+every partition, the CLI's v-triangle rendered whole before a byte is
+written), and the fast paths must equal them item for item.
 """
 
+import json
 import operator
 from collections import Counter
 from itertools import combinations, permutations
@@ -341,6 +343,28 @@ def v_alt_table(n_max: int) -> dict[tuple[int, int], int]:
                 total += v[(n - 1, i)]
             v[(n, k)] = total
     return v
+
+
+def table_output(table, fmt: str) -> str:
+    """The stdout of `partinv table` for the rows in table, rendered whole:
+    every cell a string first, the JSON document from one json.dumps, and
+    each text column's width from the lengths of its strings."""
+    n_max = len(table)
+    rows = [[str(v) for v in row] for row in table]
+    sums = [str(sum(row)) for row in table]
+    if fmt == "json":
+        return json.dumps({"n_max": n_max, "rows": rows, "row_sums": sums}, indent=2) + "\n"
+    label_w = max(3, len(str(n_max)))
+    # column k holds the k-th entry of rows k..n_max
+    col_w = [max(len(str(k)), *(len(row[k - 1]) for row in rows[k - 1:])) for k in range(1, n_max + 1)]
+    lines = ["n\\k".rjust(label_w) + "".join(f"  {str(k).rjust(col_w[k - 1])}" for k in range(1, n_max + 1))]
+    for n, row in enumerate(rows, start=1):
+        lines.append(str(n).rjust(label_w) + "".join(f"  {v.rjust(col_w[k])}" for k, v in enumerate(row)))
+    lines += ["", "row sums"]
+    sum_w = max(map(len, sums))
+    for n, total in enumerate(sums, start=1):
+        lines.append(str(n).rjust(label_w) + "  " + total.rjust(sum_w))
+    return "\n".join(lines) + "\n"
 
 
 def naive_contains_12adj_3(p) -> bool:

@@ -233,6 +233,27 @@ def test_concurrent_growth(fresh_table, alt60):
     assert len(recurrence._table[0]) == 40
 
 
+def test_reads_of_built_rows_take_no_lock(fresh_table, monkeypatch):
+    """Only a build takes the lock: a read of rows already built neither
+    waits on a concurrent build nor republishes the table."""
+    class Recorder:
+        entered = 0
+
+        def __enter__(self):
+            self.entered += 1
+
+        def __exit__(self, *exc_info):
+            return None
+
+    v_table(10)
+    lock = Recorder()
+    monkeypatch.setattr(recurrence, "_grow_lock", lock)
+    v_table(10), v_table(4), v_compute(10, 3), bessel(10)
+    assert lock.entered == 0
+    v_table(11)
+    assert lock.entered == 1
+
+
 def test_reads_share_the_stored_rows():
     t30, t60 = v_table(30), v_table(60)
     assert all(t30[i] is t60[i] for i in range(30))

@@ -70,6 +70,8 @@ AVOIDER_COUNT = ("tests/test_patterns.py::TestCount::test_scan_listing_and_count
                  "tests/test_patterns.py::TestCount::test_listing_counts_by_last_entry")
 OUTSIDE_KEYS = "tests/test_verify.py::TestMutationSensitivity::test_mass_outside_the_row_is_caught"
 PLAIN_LOOPS = f"{SHARED_SWEEP}::test_sweep_and_checks_agree_with_the_plain_loops"
+TABLE_OUTPUT = (CLI_CORPUS, "tests/test_cli.py::TestTable::test_streamed_output_matches_whole_document_oracle")
+NO_LOCK_ON_READ = f"{RECURRENCE}::test_reads_of_built_rows_take_no_lock"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -110,6 +112,11 @@ MUTANTS = (
            "above[d] + a[-1]", "above[d] + a[0]", (RECURRENCE,)),
     Mutant("suffix-sum-above-one-place-late", "recurrence.py", "_build",
            "above[d] + a[-1]", "above[d - 1] + a[-1]", (RECURRENCE,)),
+    # the two below change only cost: a read of rows already built takes the lock and republishes the table
+    Mutant("build-early-return-strict", "recurrence.py", "_build",
+           "n <= len(_table[0])", "n < len(_table[0])", (NO_LOCK_ON_READ,)),
+    Mutant("build-early-return-reads-pascal", "recurrence.py", "_build",
+           "len(_table[0])", "len(_table[1])", (NO_LOCK_ON_READ,)),
     Mutant("pascal-advanced-in-place", "recurrence.py", "_build",
            "[list(accumulate(a, initial=seed)) for", "[a.__setitem__(slice(None), accumulate(a, initial=seed)) or a for",
            (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
@@ -135,7 +142,12 @@ MUTANTS = (
     Mutant("distribution-marginal-reversed", "cli.py", "cmd_distribution",
            "sorted(counts.items())", "sorted(counts.items(), reverse=True)", (CLI_CORPUS,)),
     Mutant("table-row-sums-drop-last-entry", "cli.py", "cmd_table",
-           "str(sum(row))", "str(sum(row[:-1]))", (CLI_CORPUS,)),
+           "sum(row)", "sum(row[:-1])", TABLE_OUTPUT),
+    Mutant("table-json-rows-lose-comma", "cli.py", "cmd_table",
+           r'sep = ",\n    "', r'sep = "\n    "', TABLE_OUTPUT),
+    # v[k][k] = 1 heads column k, so the width falls to that of the label k
+    Mutant("table-text-width-from-first-entry", "cli.py", "cmd_table",
+           "max(row[k - 1] for row in table[k - 1:])", "table[k - 1][k - 1]", TABLE_OUTPUT),
     Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",
            'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
     Mutant("usage-error-keeps-argparse-code", "cli.py", "main",

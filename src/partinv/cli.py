@@ -29,7 +29,7 @@ from .partitions import (
 from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
 from .recurrence import TRIANGLE_MAX_N, v_table
 from .stats import aux_r, aux_s, stat_x, stat_y
-from .verify import VERIFY_MAX_N, run_all
+from .verify import run_all
 
 
 def _emit_json(payload) -> None:
@@ -128,15 +128,15 @@ def cmd_table(args) -> int:
         write('\n  ],\n  "row_sums": [\n    "' + '",\n    "'.join(map(str, sums)) + '"\n  ]\n}\n')
         return 0
     label_w = max(3, len(str(n_max)))
-    # column k holds the k-th entry of rows k..n_max; every entry is
-    # positive, so the widest decimal is that of the largest
-    col_w = [max(len(str(k)), len(str(max(row[k - 1] for row in table[k - 1:])))) for k in range(1, n_max + 1)]
+    # no column of the triangle decreases going down, and the row sums
+    # increase, so the last row and the last sum are the widest
+    col_w = [max(len(str(k)), len(str(table[-1][k - 1]))) for k in range(1, n_max + 1)]
     print("n\\k".rjust(label_w) + "".join(f"  {k:>{w}}" for k, w in enumerate(col_w, start=1)))
     for n, row in enumerate(table, start=1):
         print(f"{n:>{label_w}}" + "".join(f"  {v:>{w}}" for v, w in zip(row, col_w)))
     print()
     print("row sums")
-    sum_w = len(str(max(sums)))
+    sum_w = len(str(sums[-1]))
     for n, total in enumerate(sums, start=1):
         print(f"{n:>{label_w}}  {total:>{sum_w}}")
     return 0
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_avoiders, "avoider guard override (default %(default)s)", AVOIDER_MAX_N)
 
     p = sub.add_parser("verify", help="run every exhaustive check")
-    common(p, cmd_verify, f"run all checks to this depth (at most {VERIFY_MAX_N}) instead of their defaults")
+    common(p, cmd_verify, f"run all checks to this depth (at most {DEFAULT_MAX_N}) instead of their defaults")
 
     return parser
 

@@ -26,14 +26,13 @@ class ValidationError(PartinvError):
 class BoundError(PartinvError):
     """A size or guard refused before any work starts. check_bound raises it
     for a size, check depth or max_n that is not an integer >= 1 and for a
-    size past the enumeration, triangle, avoider or verify guard; the
-    generators raise it for an n past their nesting ceiling."""
+    size past the enumeration, triangle or avoider guard; the generators
+    raise it for an n past their nesting ceiling."""
 
 
 class DomainError(PartinvError):
-    """An argument outside the triangle: a cell (n, k) of v_compute outside
-    1 <= k <= n, or a row count of v_table or a row of bessel that is not
-    an integer >= 1."""
+    """A cell (n, k) of v_compute outside the triangle: n and k not
+    integers with 1 <= k <= n."""
 
 
 class PreconditionError(PartinvError):

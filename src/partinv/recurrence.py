@@ -97,15 +97,11 @@ def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
 def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> tuple[tuple[int, ...], ...]:
     """Rows 1..n_max of the triangle, as the stored tuples: row n is
     (v[n][1], ..., v[n][n]) at index n-1, and the row count is n_max."""
-    if not is_int(n_max) or n_max < 1:
-        raise DomainError(f"n_max must be an integer >= 1, got {n_max!r}")
     _build(n_max, max_n)
     return _table[0][:n_max]
 
 
 def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
     """Row sum of the triangle: the number of nonoverlapping partitions of [n]."""
-    if not is_int(n) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     _build(n, max_n)
     return sum(_table[0][n - 1])

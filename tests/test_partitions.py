@@ -379,8 +379,8 @@ class TestEnumeration:
     (lambda: enumerate_nonoverlapping(3.0), BoundError),
     (lambda: v_compute(3.0, 1), DomainError),
     (lambda: v_compute(3, True), DomainError),
-    (lambda: v_table(2.5), DomainError),
-    (lambda: bessel(True), DomainError),
+    (lambda: v_table(2.5), BoundError),
+    (lambda: bessel(True), BoundError),
     (lambda: avoider_last_entry_distribution(3.0), BoundError),
 ], ids=["enumerate_all-float", "enumerate_all-bool", "enumerate_nonoverlapping", "v_compute-n",
         "v_compute-k", "v_table", "bessel", "avoider_last_entry_distribution"])

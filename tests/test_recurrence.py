@@ -308,6 +308,15 @@ class TestGuard:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("call, value", [
+        (lambda: v_table(-1), -1),
+        (lambda: bessel(0, max_n=0), 0),
+    ], ids=["v_table", "bessel"])
+    def test_row_count_checked_before_its_guard(self, call, value):
+        # a bad n is named before a bad max_n, by check_bound
+        with pytest.raises(BoundError, match=f"^n must be an integer >= 1, got {value}$"):
+            call()
+
     def test_lower_guard_admits_its_own_row(self):
         assert v_compute(9, 3, max_n=9) == v_table(9, max_n=9)[9 - 1][3 - 1]
         assert bessel(9, max_n=9) == 7651

@@ -504,6 +504,17 @@ class TestDepthGuard:
             check_avoiders_match_v(301)
         assert str(info.value) == "check depth 301 exceeds the avoider guard 300"
 
+    @pytest.mark.parametrize("n_max", [10, 12, 14])
+    def test_avoider_check_runs_past_the_enumeration_depths(self, n_max):
+        # the O(n^3) count is not bounded by the n! scan it replaced
+        assert check_avoiders_match_v(n_max).ok
+
+    @pytest.mark.parametrize("n_max", [10, 12, 14])
+    def test_depth_within_the_enumeration_guard_reaches_the_work(self, no_work, n_max):
+        # no ceiling below the enumeration guard refuses run_all
+        with pytest.raises(AssertionError, match="work started"):
+            run_all(n_max)
+
     @pytest.mark.parametrize("sigma_fn", [None, 5, "sigma"])
     @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
     def test_sigma_fn_that_cannot_be_called_is_refused_up_front(self, no_work, check, sigma_fn):

@@ -47,6 +47,13 @@ partition is checked as the full pass would check it. With true X and Y
 the two sides of P_n are equinumerous, so the numbers agree exactly when
 no image falls outside P_n. Once the involution claim is settled, every
 later n runs the full pass alone, and so does a sweep without it.
+
+The Y check needs the Y distribution over the nonoverlapping partitions
+of [n], which is the Y marginal of the sweep's nonoverlapping joint. So
+run_all hands it, for each n the sweep finished, that marginal from the
+pass that completed n (the full pass, if the paired pass fell back), and
+the check enumerates nonoverlapping partitions only for the n past them.
+check_y_matches_v on its own enumerates them for every n.
 """
 
 from collections import Counter
@@ -190,13 +197,16 @@ class _Unpaired(Exception):
     n is checked again by the full pass."""
 
 
-def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
+def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma, y_by_n: list | None = None) -> dict[str, CheckReport]:
     """Check the named claims of SWEPT, each to its own depth, in one pass
     over P_1, P_2, ... that stops at the end of the n at which the last
     claim settled. X, Y, the spans and the nonoverlapping flag of every
     partition are read and both joints tallied; sigma_fn is called, and
     its image read, only while the involution, spans or nonoverlapping
-    claim is live."""
+    claim is live. Given a list y_by_n, the sweep appends to it, for each
+    n it finishes, the Y distribution over the nonoverlapping partitions of
+    [n] (a dict Y -> count of its nonzero counts), read off that n's
+    completed pass."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -263,6 +273,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                     raise
             else:
                 break
+        if y_by_n is not None:
+            y_by_n.append({y: total for y, total in enumerate(map(sum, zip(*joint_nov))) if total})
         # a claim still live at its depth has passed
         inv, spn, nvl, eqd = (live and (n < depths[name] or settle(name))
                               for name, live in zip(SWEPT, (inv, spn, nvl, eqd)))
@@ -308,11 +320,22 @@ def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> Ch
     return _report(name, n_max, t0)
 
 
-def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
-    """Y on nonoverlapping partitions of [n] has distribution v[n][k]."""
+def _y_matches_v(n_max: int, tallied: list[dict[int, int]]) -> CheckReport:
+    """check_y_matches_v, with the Y distribution of each n that tallied
+    covers read from tallied[n - 1], as _sweep hands it over, and that of
+    each later n counted over enumerate_nonoverlapping(n)."""
     check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
-    return _matches_v("y_matches_v", n_max, lambda n: Counter(stat_y(p) for p in enumerate_nonoverlapping(n)),
+    return _matches_v("y_matches_v", n_max, lambda n: tallied[n - 1] if n <= len(tallied) else
+                      Counter(stat_y(p) for p in enumerate_nonoverlapping(n)),
                       "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
+
+
+def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
+    """Y on nonoverlapping partitions of [n] has distribution v[n][k]. On
+    its own the check counts Y over enumerate_nonoverlapping(n) for each n;
+    run_all reads the distributions for the n its sweep finished from the
+    sweep's nonoverlapping tally, and enumerates only past them."""
+    return _y_matches_v(n_max, [])
 
 
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
@@ -339,7 +362,11 @@ ALL_CHECKS = (
 def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     """Run every check at its default depth, or all at the given depth;
     the four claims over all of P_n share one sweep, which runs first and
-    so refuses a depth past the enumeration guard before any work."""
+    so refuses a depth past the enumeration guard before any work. The Y
+    check reads the sweep's nonoverlapping tally for every n the sweep
+    finished, and enumerates nonoverlapping partitions only past that."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
-    swept = _sweep({name: depths[name] for name in SWEPT})
-    return [swept[name] if name in swept else fn(depths[name]) for name, fn in ALL_CHECKS]
+    tallied = []
+    reports = _sweep({name: depths[name] for name in SWEPT}, y_by_n=tallied)
+    reports["y_matches_v"] = _y_matches_v(depths["y_matches_v"], tallied)
+    return [reports[name] if name in reports else fn(depths[name]) for name, fn in ALL_CHECKS]

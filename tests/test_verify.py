@@ -25,6 +25,7 @@ from partinv import (
     check_spans,
     check_y_matches_v,
     enumerate_all,
+    enumerate_nonoverlapping,
     parse,
     run_all,
     sigma,
@@ -161,7 +162,9 @@ def test_run_all_sweeps_every_claim_to_one_depth(monkeypatch, n_max_override, de
 
     monkeypatch.setattr(verify, "_sweep", recording)
     assert all(r.ok for r in run_all(n_max_override))
-    assert calls == [((dict.fromkeys(SWEPT, depth),), {})]
+    [(args, kwargs)] = calls
+    # the one keyword is the list the sweep hands its Y tallies back in
+    assert args == (dict.fromkeys(SWEPT, depth),) and list(kwargs) == ["y_by_n"]
 
 
 class TestMutationSensitivity:
@@ -476,6 +479,53 @@ class TestSharedSweep:
         sites = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name) and node.func.id == "enumerate_all"]
         assert len(sites) == 1
+
+
+class TestYFromTheSweep:
+    """run_all's Y check reads the sweep's nonoverlapping tally for each n
+    the sweep finished, and enumerates nonoverlapping partitions only past
+    them."""
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        """The n of each call to verify.enumerate_nonoverlapping, in order."""
+        calls = []
+        enumerate_nonoverlapping = verify.enumerate_nonoverlapping
+
+        def recording(n):
+            calls.append(n)
+            return enumerate_nonoverlapping(n)
+
+        monkeypatch.setattr(verify, "enumerate_nonoverlapping", recording)
+        return calls
+
+    # each map past sigma fails a claim, so the n it fails at is handed over from the full pass
+    @pytest.mark.parametrize("map_name, n_max", [("sigma", 10)] + [
+        (name, 6) for name in ("identity", "skip_transfer", "all_singletons", "upper_identity", "grows_one_image")])
+    def test_tally_matches_the_enumerated_distribution(self, map_name, n_max):
+        tallied = []
+        verify._sweep(dict.fromkeys(SWEPT, n_max), MAPS[map_name], y_by_n=tallied)
+        assert tallied == [Counter(stat_y(p) for p in enumerate_nonoverlapping(n)) for n in range(1, n_max + 1)]
+
+    @pytest.mark.parametrize("n_max_override, enumerated_n", [(None, [11]), (6, [])])
+    def test_enumerates_only_past_the_sweep(self, enumerated, n_max_override, enumerated_n):
+        assert all(r.ok for r in run_all(n_max_override))
+        assert enumerated == enumerated_n
+
+    def test_enumerates_from_where_the_sweep_stopped(self, monkeypatch, enumerated):
+        monkeypatch.setattr(verify, "DEFAULT_LIMITS", {**dict.fromkeys(SWEPT, 3), "y_matches_v": 6,
+                                                       "avoiders_match_v": 3})
+        report = run_all()[4]
+        assert enumerated == [4, 5, 6]
+        assert report._replace(elapsed=0) == check_y_matches_v(6)._replace(elapsed=0)
+
+    def test_same_counterexample_as_the_standalone_check(self, monkeypatch):
+        # Y stays in 1..n, with its values 2 and 3 swapped from n = 4 on
+        y = verify.stat_y
+        monkeypatch.setattr(verify, "stat_y", lambda p: {2: 3, 3: 2}.get(y(p), y(p)) if p.n >= 4 else y(p))
+        report = run_all(6)[4]
+        assert report.counterexample == check_y_matches_v(6).counterexample == Counterexample(
+            4, "Y=2 over nonoverlapping partitions of [4]", "Y-distribution matches the v-triangle", "5", "3")
 
 
 class TestDepthGuard:

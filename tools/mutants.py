@@ -72,6 +72,7 @@ OUTSIDE_KEYS = "tests/test_verify.py::TestMutationSensitivity::test_mass_outside
 PLAIN_LOOPS = f"{SHARED_SWEEP}::test_sweep_and_checks_agree_with_the_plain_loops"
 TABLE_OUTPUT = (CLI_CORPUS, "tests/test_cli.py::TestTable::test_streamed_output_matches_whole_document_oracle")
 NO_LOCK_ON_READ = f"{RECURRENCE}::test_reads_of_built_rows_take_no_lock"
+Y_FROM_THE_SWEEP = "tests/test_verify.py::TestYFromTheSweep"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -213,6 +214,17 @@ MUTANTS = (
     Mutant("avoider-check-drops-its-guard", "verify.py", "check_avoiders_match_v",
            'check_bound(n_max, AVOIDER_MAX_N, "avoider", "check depth")', "pass",
            ("tests/test_verify.py::TestDepthGuard::test_avoider_depth_is_checked_against_the_avoider_guard",)),
+    Mutant("y-tally-from-all-partitions", "verify.py", "_sweep",
+           "map(sum, zip(*joint_nov))", "map(sum, zip(*joint_all))",
+           (f"{Y_FROM_THE_SWEEP}::test_tally_matches_the_enumerated_distribution",)),
+    # at n = 1 the check reads the last tallied n
+    Mutant("y-check-reads-tally-one-n-early", "verify.py", "_y_matches_v",
+           "lambda n: tallied[n - 1]", "lambda n: tallied[n - 2]",
+           (f"{Y_FROM_THE_SWEEP}::test_same_counterexample_as_the_standalone_check",)),
+    # changes only cost: the last tallied n is enumerated again
+    Mutant("y-check-enumerates-last-tallied-n", "verify.py", "_y_matches_v",
+           "n <= len(tallied)", "n < len(tallied)",
+           (f"{Y_FROM_THE_SWEEP}::test_enumerates_only_past_the_sweep",)),
 )
 
 

@@ -69,8 +69,9 @@ from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core AMD EPYC VM the whole run_all()
-#: takes about 0.44 s in process at these depths: the shared sweep to
-#: n = 10 about 0.27 s, y_matches_v to 11 about 0.17 s, avoiders_match_v
+#: takes about 0.40 s in process at these depths: the shared sweep to
+#: n = 10 about 0.27 s, y_matches_v about 0.13 s, all of it the enumeration
+#: of n = 11 (n <= 10 is read from the sweep's tally), avoiders_match_v
 #: under 1 ms. Each further n of the sweep costs five to seven times more.
 DEFAULT_LIMITS = {
     "involution": 10,
@@ -362,9 +363,8 @@ ALL_CHECKS = (
 def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     """Run every check at its default depth, or all at the given depth;
     the four claims over all of P_n share one sweep, which runs first and
-    so refuses a depth past the enumeration guard before any work. The Y
-    check reads the sweep's nonoverlapping tally for every n the sweep
-    finished, and enumerates nonoverlapping partitions only past that."""
+    so refuses a depth past the enumeration guard before any work, and
+    hands the Y check its nonoverlapping tally."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
     tallied = []
     reports = _sweep({name: depths[name] for name in SWEPT}, y_by_n=tallied)

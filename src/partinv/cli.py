@@ -8,6 +8,11 @@ success, 1 usage or input error or stdout closed early (as by
 `partinv enumerate 10 | head -1`), 2 verification failure. main decides
 every one of them except verify's 2: it maps argparse's exits (0 after
 --help, 2 on a usage error) to 0 and 1.
+
+Every JSON document is the bytes of one json.dumps(payload, indent=2)
+and a newline. Those of enumerate and table are written one entry (a
+partition, a row) at a time by _stream_json, so neither holds its list;
+the others are printed whole.
 """
 
 import argparse
@@ -36,27 +41,39 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _stream_json(payload, key, entries) -> None:
+    """Write json.dumps(payload, indent=2) and a newline, with the list
+    payload[key], empty in payload, filled from entries one at a time. Each
+    entry is the text json.dumps(indent=2) writes for one element of that
+    list, so its later lines are indented four spaces more than its own
+    dump's. entries is not empty, as json.dumps writes an empty list as []."""
+    mark = json.dumps(key) + ": []"
+    head, tail = json.dumps(payload, indent=2).split(mark)
+    write = sys.stdout.write
+    write(head + mark[:-1])
+    sep = "\n    "
+    for entry in entries:
+        write(sep + entry)
+        sep = ",\n    "
+    write("\n  ]" + tail + "\n")
+
+
+def _partition_entry(p) -> str:
+    """The text of p.to_json() as an entry of _stream_json: integers need
+    no escaping."""
+    return ('{\n      "blocks": [\n        [\n          '
+            + "\n        ],\n        [\n          ".join([",\n          ".join(map(str, b)) for b in p.blocks])
+            + "\n        ]\n      ]\n    }")
+
+
 def cmd_enumerate(args) -> int:
     gen = enumerate_nonoverlapping if args.nonoverlapping else enumerate_all
     if args.format == "json":
-        # streamed, so neither the partitions nor the text are held: the
-        # count comes from a first pass, and the bytes written are those of
-        # json.dumps(payload, indent=2) (n >= 1, so the list is never empty)
+        # the count comes from a first pass, so neither the partitions nor
+        # the text are held; n >= 1, so there is at least one partition
         count = sum(1 for _ in gen(args.n, max_n=args.max_n))
-        head = json.dumps({
-            "n": args.n,
-            "nonoverlapping": args.nonoverlapping,
-            "count": count,
-            "partitions": [],
-        }, indent=2)
-        encode = json.JSONEncoder(indent=2).encode
-        write = sys.stdout.write
-        write(head.removesuffix("]\n}"))
-        sep = "\n    "
-        for p in gen(args.n, max_n=args.max_n):
-            write(sep + encode(p.to_json()).replace("\n", "\n    "))
-            sep = ",\n    "
-        write("\n  ]\n}\n")
+        _stream_json({"n": args.n, "nonoverlapping": args.nonoverlapping, "count": count, "partitions": []},
+                     "partitions", map(_partition_entry, gen(args.n, max_n=args.max_n)))
     else:
         for p in gen(args.n, max_n=args.max_n):
             print(format_partition(p))
@@ -116,16 +133,9 @@ def cmd_table(args) -> int:
     n_max = len(table)
     sums = [sum(row) for row in table]
     if args.format == "json":
-        # streamed one row at a time, and the bytes written are those of
-        # json.dumps(payload, indent=2): decimal strings need no escaping,
-        # and n_max >= 1, so no list is empty
-        write = sys.stdout.write
-        write(f'{{\n  "n_max": {n_max},\n  "rows": [')
-        sep = "\n    "
-        for row in table:
-            write(sep + '[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]')
-            sep = ",\n    "
-        write('\n  ],\n  "row_sums": [\n    "' + '",\n    "'.join(map(str, sums)) + '"\n  ]\n}\n')
+        # decimal strings need no escaping, and n_max >= 1, so there is a row
+        _stream_json({"n_max": n_max, "rows": [], "row_sums": list(map(str, sums))}, "rows",
+                     ('[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]' for row in table))
         return 0
     label_w = max(3, len(str(n_max)))
     # no column of the triangle decreases going down, and the row sums

@@ -11,12 +11,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import partinv
 import partinv.cli as cli
 from partinv import SetPartition, parse, v_table
 from partinv.verify import CheckReport, Counterexample
-from oracles import table_output
+from oracles import set_partitions, table_output
 
 NONOVERLAPPING_9_SHA256 = "3f6a6ec5035a50fdca76a4fbbffc6bef840914967c6d195807780947404bf2c2"
 ALL_9_SHA256 = "8edfc596b218161eb93af89069c673fc768965a2ae598c441ade79167ea960c8"
@@ -74,8 +75,12 @@ class TestEnumerate:
         parts = [SetPartition.from_json(obj) for obj in payload["partitions"]]
         assert parts == list(map(parse, ["321", "21/3", "2/31", "1/32", "1/2/3"]))
 
-    @pytest.mark.parametrize("flags", [(), ("--nonoverlapping",)], ids=["all", "nonoverlapping"])
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n, flags", [
+        *(pytest.param(n, flags, id=f"{n}-{name}") for n in range(1, 8)
+          for name, flags in (("all", ()), ("nonoverlapping", ("--nonoverlapping",)))),
+        # the first n whose entries hold two-digit numbers, at a cost that fits Tier-1
+        pytest.param(10, ("--nonoverlapping",), id="10-nonoverlapping"),
+    ])
     def test_json_is_the_bytes_of_one_dump(self, capsys, n, flags):
         gen = partinv.enumerate_nonoverlapping if flags else partinv.enumerate_all
         parts = [p.to_json() for p in gen(n)]
@@ -83,6 +88,12 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", str(n), *flags, "--format", "json")
         assert (code, err) == (0, "")
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(set_partitions(max_n=40))
+    def test_partition_entry_is_the_indented_dump(self, p):
+        # the slow path the template stands for stays as the oracle
+        assert cli._partition_entry(p) == json.dumps(p.to_json(), indent=2).replace("\n", "\n    ")
 
     @pytest.mark.parametrize("flags", [(), ("--nonoverlapping",)], ids=["all", "nonoverlapping"])
     def test_json_streams(self, monkeypatch, flags):

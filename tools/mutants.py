@@ -71,6 +71,8 @@ AVOIDER_COUNT = ("tests/test_patterns.py::TestCount::test_scan_listing_and_count
 OUTSIDE_KEYS = "tests/test_verify.py::TestMutationSensitivity::test_mass_outside_the_row_is_caught"
 PLAIN_LOOPS = f"{SHARED_SWEEP}::test_sweep_and_checks_agree_with_the_plain_loops"
 TABLE_OUTPUT = (CLI_CORPUS, "tests/test_cli.py::TestTable::test_streamed_output_matches_whole_document_oracle")
+JSON_BYTES = (CLI_CORPUS, "tests/test_cli.py::TestEnumerate::test_json_is_the_bytes_of_one_dump")
+PARTITION_ENTRY = "tests/test_cli.py::TestEnumerate::test_partition_entry_is_the_indented_dump"
 NO_LOCK_ON_READ = f"{RECURRENCE}::test_reads_of_built_rows_take_no_lock"
 Y_FROM_THE_SWEEP = "tests/test_verify.py::TestYFromTheSweep"
 
@@ -144,8 +146,13 @@ MUTANTS = (
            "sorted(counts.items())", "sorted(counts.items(), reverse=True)", (CLI_CORPUS,)),
     Mutant("table-row-sums-drop-last-entry", "cli.py", "cmd_table",
            "sum(row)", "sum(row[:-1])", TABLE_OUTPUT),
-    Mutant("table-json-rows-lose-comma", "cli.py", "cmd_table",
-           r'sep = ",\n    "', r'sep = "\n    "', TABLE_OUTPUT),
+    Mutant("table-json-cells-lose-comma", "cli.py", "cmd_table",
+           r"""'",\n      "'""", r"""'"\n      "'""", TABLE_OUTPUT),
+    # the two below break the JSON form of enumerate; the first breaks that of table too
+    Mutant("stream-json-entries-lose-comma", "cli.py", "_stream_json",
+           r'sep = ",\n    "', r'sep = "\n    "', (*JSON_BYTES, TABLE_OUTPUT[1])),
+    Mutant("partition-entry-numbers-lose-comma", "cli.py", "_partition_entry",
+           r'",\n          "', r'"\n          "', (*JSON_BYTES, PARTITION_ENTRY)),
     # v[k][k] = 1 heads column k, so the width falls to that of the label k
     Mutant("table-text-width-from-first-entry", "cli.py", "cmd_table",
            "table[-1][k - 1]", "table[k - 1][k - 1]", TABLE_OUTPUT),

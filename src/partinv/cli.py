@@ -47,10 +47,10 @@ def _stream_json(payload, key, entries) -> None:
     entry is the text json.dumps(indent=2) writes for one element of that
     list, so its later lines are indented four spaces more than its own
     dump's. entries is not empty, as json.dumps writes an empty list as []."""
-    mark = json.dumps(key) + ": []"
-    head, tail = json.dumps(payload, indent=2).split(mark)
+    opening = json.dumps(key) + ": ["
+    head, tail = json.dumps(payload, indent=2).split(opening + "]")
     write = sys.stdout.write
-    write(head + mark[:-1])
+    write(head + opening)
     sep = "\n    "
     for entry in entries:
         write(sep + entry)

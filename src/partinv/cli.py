@@ -82,29 +82,19 @@ def cmd_enumerate(args) -> int:
 
 def cmd_stats(args) -> int:
     p = parse(args.partition)
-    r, s = aux_r(p), aux_s(p)
-    spans = [(b[-1], b[0]) for b in p.blocks]
+    # both formats read the fields from here, keyed by their text labels;
+    # r and s are None when undefined: null in JSON, left out of the text
+    fields = {"n": p.n, "X": stat_x(p), "Y": stat_y(p), "r": aux_r(p), "s": aux_s(p)}
+    spans = [[b[-1], b[0]] for b in p.blocks]
     nonov = is_nonoverlapping(p)
     if args.format == "json":
-        _emit_json({
-            "partition": p.to_json(),
-            "n": p.n,
-            "x": stat_x(p),
-            "y": stat_y(p),
-            "r": r,
-            "s": s,
-            "spans": [[lo, hi] for lo, hi in spans],
-            "nonoverlapping": nonov,
-        })
+        _emit_json({"partition": p.to_json(), **{label.lower(): v for label, v in fields.items()},
+                    "spans": spans, "nonoverlapping": nonov})
     else:
         print(f"partition: {format_partition(p)}")
-        print(f"n: {p.n}")
-        print(f"X: {stat_x(p)}")
-        print(f"Y: {stat_y(p)}")
-        if r is not None:
-            print(f"r: {r}")
-        if s is not None:
-            print(f"s: {s}")
+        for label, v in fields.items():
+            if v is not None:
+                print(f"{label}: {v}")
         print("spans: " + " ".join(f"[{lo},{hi}]" for lo, hi in spans))
         print(f"nonoverlapping: {str(nonov).lower()}")
     return 0

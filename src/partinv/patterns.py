@@ -37,7 +37,7 @@ with BoundError before its count starts.
 """
 
 from collections.abc import Set
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, zip_longest
 from typing import Sequence
 
 from .errors import NOT_ENTRIES, ValidationError, check_bound, is_int
@@ -118,20 +118,36 @@ def _suffix_sums(values: list[int]) -> list[int]:
     return [*accumulate(reversed(values))][::-1]
 
 
-def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[int, int]:
-    """Count avoiders of [n] by final value; keys are all of 1..n.
-
-    Applies the append rule of the module docstring n - 1 times to the one
-    avoider of [1]. cols[b - 2][l - 1] counts the avoiders of the current
-    length m in state (l, b), for 2 <= b <= m + 1. An append turns column
-    b - 1 (none when b = 2) into column b: its suffix sums count the
-    descents, k <= l, and on top of them goes the count of the ascents to
-    k = b, the avoiders that end in 1 and have an ascent top of b or more.
-    """
-    check_bound(n, max_n, "avoider")
+def _avoider_columns():
+    """The count's state for avoiders of length m = 1, 2, ... in turn,
+    without end. Applies the append rule of the module docstring to the one
+    avoider of [1]. cols[b - 2][l - 1] counts the avoiders of length m in
+    state (l, b), for 2 <= b <= m + 1. An append turns column b - 1 (none
+    when b = 2) into column b: its suffix sums count the descents, k <= l,
+    and on top of them goes the count of the ascents to k = b, the avoiders
+    that end in 1 and have an ascent top of b or more."""
     cols = [[1]]
-    for _ in range(n - 1):
+    while True:
+        yield cols
         # ones[b - 2]: the avoiders ending in 1 whose smallest ascent top is b or more
         ones = _suffix_sums([col[0] for col in cols]) + [0]
         cols = [_suffix_sums(col) + [top] for col, top in zip([[0], *cols], ones)]
+
+
+def _by_last_entry(cols: list[list[int]]) -> dict[int, int]:
     return {k: sum(cells) for k, cells in enumerate(zip_longest(*cols, fillvalue=0), start=1)}
+
+
+def _last_entry_distributions():
+    """avoider_last_entry_distribution(m) for m = 1, 2, ... in turn, without
+    end and unguarded, from one run of the count: O(n^3) big-integer
+    additions to reach n, where calling avoider_last_entry_distribution
+    for each m <= n takes O(n^4)."""
+    return map(_by_last_entry, _avoider_columns())
+
+
+def avoider_last_entry_distribution(n: int, max_n: int = AVOIDER_MAX_N) -> dict[int, int]:
+    """Count avoiders of [n] by final value; keys are all of 1..n. The count
+    runs n - 1 appends (see _avoider_columns) and sums only the last state."""
+    check_bound(n, max_n, "avoider")
+    return _by_last_entry(next(islice(_avoider_columns(), n - 1, None)))

@@ -64,7 +64,7 @@ from .errors import PreconditionError, ValidationError, check_bound
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          laminar, nonsingleton_spans)
-from .patterns import AVOIDER_MAX_N, avoider_last_entry_distribution
+from .patterns import AVOIDER_MAX_N, _last_entry_distributions
 from .recurrence import v_table
 from .stats import stat_x, stat_y
 
@@ -303,17 +303,18 @@ def check_equidistribution(n_max: int = DEFAULT_LIMITS["equidistribution"]) -> C
     return _sweep({"equidistribution": n_max})["equidistribution"]
 
 
-def _matches_v(name: str, n_max: int, distribution, item: str, claim: str) -> CheckReport:
-    """distribution(n), a dict k -> count, equals row n of the v-triangle
-    for n = 1..n_max; item names the offending cell by n and k. The rows
-    are read once, and each n is one loop over the keys with one report
-    site: the cells k = 1..n against the row, then each key outside them,
-    in sorted order, against 0. The first key whose count differs is
+def _matches_v(name: str, n_max: int, distributions, item: str, claim: str) -> CheckReport:
+    """The distributions, dicts k -> count that distributions yields for
+    n = 1, 2, ... in turn, equal the rows of the v-triangle for n = 1..n_max;
+    item names the offending cell by n and k. The rows are read once, and a
+    distribution is drawn only as its row is compared, so none past the
+    first failing n or past n_max. Each n is one loop over the keys with one
+    report site: the cells k = 1..n against the row, then each key outside
+    them, in sorted order, against 0. The first key whose count differs is
     reported, so a row that passes totals Bessel(n), the triangle's row
     sum."""
     t0 = perf_counter()
-    for n, row in enumerate(v_table(n_max), start=1):
-        dist = distribution(n)
+    for n, (row, dist) in enumerate(zip(v_table(n_max), distributions), start=1):
         for k, expected in (*enumerate(row, start=1), *((k, 0) for k in sorted(dist.keys() - range(1, n + 1)))):
             if dist.get(k, 0) != expected:
                 c = Counterexample(n, item.format(n=n, k=k), claim, str(expected), str(dist.get(k, 0)))
@@ -326,8 +327,8 @@ def _y_matches_v(n_max: int, tallied: list[dict[int, int]]) -> CheckReport:
     covers read from tallied[n - 1], as _sweep hands it over, and that of
     each later n counted over enumerate_nonoverlapping(n)."""
     check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
-    return _matches_v("y_matches_v", n_max, lambda n: tallied[n - 1] if n <= len(tallied) else
-                      Counter(stat_y(p) for p in enumerate_nonoverlapping(n)),
+    return _matches_v("y_matches_v", n_max, map(lambda n: tallied[n - 1] if n <= len(tallied) else
+                      Counter(stat_y(p) for p in enumerate_nonoverlapping(n)), range(1, n_max + 1)),
                       "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
 
 
@@ -341,11 +342,12 @@ def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport
 
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
     """The avoiders' last-entry distribution matches the v-triangle, to at
-    most AVOIDER_MAX_N, the guard of the count it reads. The distribution
-    is the append-rule count of patterns, which lists no permutation; the
-    tests tie that count to the pattern predicates."""
+    most AVOIDER_MAX_N, the guard of the count it reads. The distributions
+    of every n come from one run of the append-rule count of patterns,
+    which lists no permutation; the tests tie that count to the pattern
+    predicates."""
     check_bound(n_max, AVOIDER_MAX_N, "avoider", "check depth")
-    return _matches_v("avoiders_match_v", n_max, avoider_last_entry_distribution,
+    return _matches_v("avoiders_match_v", n_max, _last_entry_distributions(),
                       "last entry {k} over avoiders of [{n}]",
                       "avoider last-entry distribution matches the v-triangle")
 

@@ -1,6 +1,7 @@
 """The command-line surface: output of every subcommand, both formats,
 and the exit-code contract (0 ok, 1 usage/input error, 2 failed check)."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 
 import partinv
 import partinv.cli as cli
-from partinv import SetPartition, parse, v_table
+from partinv import SetPartition, format_partition, parse, v_table
 from partinv.verify import CheckReport, Counterexample
 from oracles import set_partitions, table_output
 
@@ -164,6 +165,29 @@ class TestStats:
         _, payload = run_json(capsys, "stats", "31/62/7/854", "--format", "json")
         assert payload["spans"] == [[1, 3], [2, 6], [7, 7], [4, 8]]
         assert payload["nonoverlapping"] is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(set_partitions(max_n=40))
+    def test_text_and_json_agree_field_by_field(self, p):
+        def stats(*flags):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["stats", format_partition(p), *flags]) == 0
+            return out.getvalue()
+
+        payload = json.loads(stats("--format", "json"))
+        lines = dict(line.split(": ", 1) for line in stats().splitlines())
+        assert parse(lines.pop("partition")).to_json() == payload["partition"]
+        assert int(lines.pop("n")) == payload["n"] == p.n
+        assert int(lines.pop("X")) == payload["x"]
+        assert int(lines.pop("Y")) == payload["y"]
+        for label in ("r", "s"):
+            # the text line is there exactly when the JSON value is not null
+            text = lines.pop(label, None)
+            assert (text if text is None else int(text)) == payload[label]
+        assert lines.pop("spans") == " ".join(f"[{lo},{hi}]" for lo, hi in payload["spans"])
+        assert lines.pop("nonoverlapping") == json.dumps(payload["nonoverlapping"])
+        assert lines == {}
 
 
 class TestSigma:

@@ -4,6 +4,7 @@ exists. Running the mutants is left to the tool; this runs no pytest."""
 
 import ast
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,10 +50,31 @@ def test_mutant_applies_and_names_real_tests(m):
         assert _defines(ROOT / file, names), test
 
 
-@pytest.mark.parametrize("code, expected", [(0, "survived"), (1, "killed"), (2, "killed"), (4, "killed")],
-                         ids=["pass", "test-failure", "file-fails-to-import", "test-id-not-collected"])
+@pytest.mark.parametrize("code, expected", [(0, "survived"), (1, "killed"), (2, "killed"), (4, "killed"),
+                                           (mutants.TIME_CAP, "killed"), (mutants.MEMORY_CAP, "killed")],
+                         ids=["pass", "test-failure", "file-fails-to-import", "test-id-not-collected",
+                              "time-cap", "memory-cap"])
 def test_exit_code_gives_status(code, expected):
     assert mutants.status("m", code) == expected
+
+
+@pytest.mark.parametrize("outcome, expected", [
+    ((0, b""), 0),
+    ((1, b"E   AssertionError"), 1),
+    ((1, b"E   MemoryError"), mutants.MEMORY_CAP),
+    (None, mutants.TIME_CAP),
+], ids=["pass", "test-failure", "memory-cap", "time-cap"])
+def test_run_names_the_cap_it_hit(monkeypatch, outcome, expected):
+    # pytest's run is stood in for: outcome is its exit code and report, or None when it overran
+    def run(cmd, stdout, timeout, preexec_fn, **kwargs):
+        assert (timeout, preexec_fn) == (mutants.TIME_CAP_S, mutants._cap_memory)
+        if outcome is None:
+            raise subprocess.TimeoutExpired(cmd, timeout)
+        stdout.write(outcome[1])
+        return subprocess.CompletedProcess(cmd, outcome[0])
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    assert mutants.run_tests(ROOT, ["tests/test_mutants.py"]) == expected
 
 
 @pytest.mark.parametrize("code", [3, 5], ids=["internal-error", "no-tests-collected"])

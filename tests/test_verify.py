@@ -5,12 +5,14 @@ that the four claims over all of P_n run in."""
 import ast
 import inspect
 from collections import Counter
+from itertools import count
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partinv.patterns as patterns
 import partinv.verify as verify
 from partinv import (
     ALL_CHECKS,
@@ -45,6 +47,14 @@ ALL_AT_SIX = [
     check_y_matches_v,
     check_avoiders_match_v,
 ]
+
+
+def raise_triangle_cell(monkeypatch, cell):
+    """Make the v_table that verify reads one more at cell (n, k), if any."""
+    v_table = verify.v_table
+    monkeypatch.setattr(verify, "v_table", lambda n_max: tuple(
+        tuple(v + ((n, k) == cell) for k, v in enumerate(row, start=1))
+        for n, row in enumerate(v_table(n_max), start=1)))
 
 
 @pytest.mark.parametrize("check", ALL_AT_SIX)
@@ -200,10 +210,7 @@ class TestMutationSensitivity:
                                                 "avoider last-entry distribution matches the v-triangle", "6", "5")),
     ])
     def test_wrong_triangle_cell_is_caught(self, monkeypatch, check, counterexample):
-        v_table = verify.v_table
-        monkeypatch.setattr(verify, "v_table", lambda n_max: tuple(
-            tuple(v + ((n, k) == (4, 2)) for k, v in enumerate(row, start=1))
-            for n, row in enumerate(v_table(n_max), start=1)))
+        raise_triangle_cell(monkeypatch, (4, 2))
         report = check(6)
         assert report.counterexample == counterexample
         assert report.n_range == (1, 6)
@@ -217,8 +224,9 @@ class TestMutationSensitivity:
     ], ids=["below-and-above", "above", "zero-counts"])
     def test_mass_outside_the_row_is_caught(self, monkeypatch, outside, counterexample):
         # every cell k = 1..n is right; only keys outside 1..n are added
-        count = verify.avoider_last_entry_distribution
-        monkeypatch.setattr(verify, "avoider_last_entry_distribution", lambda n: {**count(n), **outside(n)})
+        distributions = verify._last_entry_distributions
+        monkeypatch.setattr(verify, "_last_entry_distributions", lambda: (
+            {**dist, **outside(n)} for n, dist in enumerate(distributions(), start=1)))
         report = check_avoiders_match_v(6)
         assert report.counterexample == counterexample
         assert report.n_range == (1, 6)
@@ -228,8 +236,8 @@ class TestMutationSensitivity:
         def distribution(n):
             return {k: v for k, v in enumerate(verify.v_table(n)[-1], start=1) if (n, k) != (3, 3)}
 
-        report = verify._matches_v("y_matches_v", 6, distribution, "Y={k} over nonoverlapping partitions of [{n}]",
-                                   "Y-distribution matches the v-triangle")
+        report = verify._matches_v("y_matches_v", 6, map(distribution, range(1, 7)),
+                                   "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
         assert report.counterexample == Counterexample(3, "Y=3 over nonoverlapping partitions of [3]",
                                                        "Y-distribution matches the v-triangle", "1", "0")
 
@@ -528,12 +536,57 @@ class TestYFromTheSweep:
             4, "Y=2 over nonoverlapping partitions of [4]", "Y-distribution matches the v-triangle", "5", "3")
 
 
+class TestAvoidersFromOneCount:
+    """check_avoiders_match_v reads the distribution of every n from one
+    run of the append-rule count, not from a fresh count per n."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """One list per run of the count, of the lengths it reached."""
+        runs = []
+        columns = patterns._avoider_columns
+
+        def recording():
+            runs.append([])
+            for m, cols in enumerate(columns(), start=1):
+                runs[-1].append(m)
+                yield cols
+
+        monkeypatch.setattr(patterns, "_avoider_columns", recording)
+        return runs
+
+    @staticmethod
+    def per_n(monkeypatch):
+        monkeypatch.setattr(verify, "_last_entry_distributions",
+                            lambda: map(patterns.avoider_last_entry_distribution, count(1)))
+
+    @pytest.mark.parametrize("cell", [None, (1, 1), (4, 2), (40, 40)], ids=["none", "1-1", "4-2", "40-40"])
+    def test_same_reports_as_the_per_n_path(self, monkeypatch, cell):
+        raise_triangle_cell(monkeypatch, cell)
+        reports = [check_avoiders_match_v(n_max)._replace(elapsed=0) for n_max in range(1, 41)]
+        self.per_n(monkeypatch)
+        assert reports == [check_avoiders_match_v(n_max)._replace(elapsed=0) for n_max in range(1, 41)]
+        assert reports[-1].ok == (cell is None)
+
+    @pytest.mark.parametrize("cell, reached", [(None, 40), ((4, 2), 4)], ids=["pass", "stops-at-first-failure"])
+    def test_the_count_runs_once(self, monkeypatch, steps, cell, reached):
+        raise_triangle_cell(monkeypatch, cell)
+        check_avoiders_match_v(40)
+        assert steps == [list(range(1, reached + 1))]
+
+    def test_per_n_path_counts_once_per_n(self, monkeypatch, steps):
+        # the path the check replaced, as the recording fixture sees it
+        self.per_n(monkeypatch)
+        check_avoiders_match_v(5)
+        assert steps == [list(range(1, n + 1)) for n in range(1, 6)]
+
+
 class TestDepthGuard:
     @pytest.fixture
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the depth was checked")
-        for name in ("enumerate_all", "enumerate_nonoverlapping", "avoider_last_entry_distribution"):
+        for name in ("enumerate_all", "enumerate_nonoverlapping", "_last_entry_distributions"):
             monkeypatch.setattr(verify, name, refuse)
 
     @pytest.mark.parametrize("n_max", [0, -3, 2.5, True, "5"])

@@ -9,17 +9,20 @@ Each mutant is one textual edit inside one function or method of
 src/partinv. The named tests first run on the unmutated copy and must
 pass there. A mutant is killed when they fail, or when they can no
 longer be imported or collected (see status). Prints one JSON object,
-{"mutants": [...], "survived": k}, each mutant with pytest's exit code,
-and exits 1 if any mutant survived. It is not part of the test suite:
-each mutant costs a pytest run; tests/test_mutants.py checks, without
-running them, that every edit still applies and every named test still
-exists.
+{"mutants": [...], "survived": k}, each mutant with pytest's exit code
+or the cap its run hit, and exits 1 if any mutant survived. Each pytest
+run is capped in wall time and address space (TIME_CAP_S,
+MEMORY_CAP_BYTES), and a mutated copy that hits a cap is killed. It is
+not part of the test suite: each mutant costs a pytest run;
+tests/test_mutants.py checks, without running them, that every edit
+still applies and every named test still exists.
 """
 
 import argparse
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,6 +31,16 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Caps on each pytest child. A mutant can make a test run without end or
+#: grow without bound: NESTING_MAX_N = 501 lets the corpus case `enumerate
+#: 501 --max-n 600` stream Bell(501) partitions into captured stdout. All
+#: the named tests together take about 10 s and pass under a 256 MiB cap.
+TIME_CAP_S = 300
+MEMORY_CAP_BYTES = 1 << 30
+#: The "exit" of a run that hit a cap, in place of pytest's exit code.
+TIME_CAP = "time cap"
+MEMORY_CAP = "memory cap"
 
 
 class Mutant(NamedTuple):
@@ -176,13 +189,21 @@ MUTANTS = (
            'noun = "entry" if sep else "character"', 'noun = "character" if sep else "entry"', (MALFORMED_TEXT,)),
     Mutant("parse-position-skips-separator", "partitions.py", "parse",
            "epos += len(entry) + len(sep)", "epos += len(entry)", (MALFORMED_TEXT,)),
-    Mutant("count-drops-ascent-branch", "patterns.py", "avoider_last_entry_distribution",
+    Mutant("count-drops-ascent-branch", "patterns.py", "_avoider_columns",
            "_suffix_sums(col) + [top]", "_suffix_sums(col) + [0]", AVOIDER_COUNT),
     # a descent leads to (k, b), not (k, b + 1): column b feeds column b
-    Mutant("count-descent-keeps-b", "patterns.py", "avoider_last_entry_distribution",
+    Mutant("count-descent-keeps-b", "patterns.py", "_avoider_columns",
            "zip([[0], *cols], ones)", "zip([*cols, [0]], ones)", AVOIDER_COUNT),
-    Mutant("count-ascents-from-top-entry", "patterns.py", "avoider_last_entry_distribution",
+    Mutant("count-ascents-from-top-entry", "patterns.py", "_avoider_columns",
            "col[0] for col in cols", "col[-1] for col in cols", AVOIDER_COUNT),
+    # the count of [n] reads the state of length n + 1
+    Mutant("distribution-reads-one-length-late", "patterns.py", "avoider_last_entry_distribution",
+           "n - 1, None", "n, None", AVOIDER_COUNT),
+    # changes only cost: the avoider check counts afresh for each n, O(n^4) in all
+    Mutant("avoider-check-counts-each-n-afresh", "patterns.py", "_last_entry_distributions",
+           "map(_by_last_entry, _avoider_columns())",
+           "map(avoider_last_entry_distribution, range(1, AVOIDER_MAX_N + 1))",
+           ("tests/test_verify.py::TestAvoidersFromOneCount::test_the_count_runs_once",)),
     # the loop compares only the cells k = 1..n
     Mutant("matches-v-ignores-outside-keys", "verify.py", "_matches_v",
            "sorted(dist.keys() - range(1, n + 1))", "()", (OUTSIDE_KEYS,)),
@@ -254,22 +275,41 @@ def copy_tree(dst: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dst / "pyproject.toml")
 
 
-def run_tests(copy: Path, tests) -> int:
+def _cap_memory() -> None:
+    """Runs in the pytest child before it starts: an allocation past the
+    cap raises MemoryError there, not in this process."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
+
+
+def run_tests(copy: Path, tests) -> int | str:
+    """pytest's exit code on the named tests of copy, or the name of the
+    cap the run hit: TIME_CAP when it overran TIME_CAP_S, MEMORY_CAP when
+    it failed with a MemoryError in its report, which is how an allocation
+    past the cap shows. Captured output is left out of the report, so the
+    report stays small when a test has filled its capture."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--show-capture=no", *tests]
+    with tempfile.TemporaryFile() as report:
+        try:
+            code = subprocess.run(cmd, cwd=copy, env=env, stdout=report, stderr=subprocess.STDOUT,
+                                  preexec_fn=_cap_memory, timeout=TIME_CAP_S).returncode
+        except subprocess.TimeoutExpired:
+            return TIME_CAP
+        report.seek(0)
+        return MEMORY_CAP if code != 0 and b"MemoryError" in report.read() else code
 
 
-def status(name: str, code: int) -> str:
+def status(name: str, code: int | str) -> str:
     """Mutant name's status from pytest's exit code on the mutated copy,
     once its named tests have passed on the unmutated one. 0 is a pass and
     1 a test failure. 2 (a named test file fails to import) and 4 (a named
     test id can no longer be collected) mean the mutant broke code that a
-    named test module runs at import, so it is killed too. Any other code
-    (3, an internal error; 5, no tests collected) stops the run."""
+    named test module runs at import, so it is killed too, as is a run
+    that hit a cap (TIME_CAP or MEMORY_CAP). Any other code (3, an internal
+    error; 5, no tests collected) stops the run."""
     if code == 0:
         return "survived"
-    if code in (1, 2, 4):
+    if code in (1, 2, 4, TIME_CAP, MEMORY_CAP):
         return "killed"
     raise SystemExit(f"mutant {name}: pytest exit {code}, neither a pass, a test failure nor a failed import")
 

@@ -55,7 +55,9 @@ def check_bound(n, max_n, guard: str, size: str = "n") -> None:
     """Refuse, before any work starts, a size n or a guard max_n that is not
     an integer >= 1 (bool excluded), and an n past the named guard. size is
     what the messages call n. Only under the default, "n", is max_n the
-    caller's own argument, so only then does the message offer raising it."""
+    caller's own argument, so only then does the message offer raising it.
+    The other labels in use are "check depth" (the verify checks) and
+    "row" (v_compute and bessel)."""
     for name, value in ((size, n), ("max_n", max_n)):
         if not is_int(value) or value < 1:
             raise BoundError(f"{name} must be an integer >= 1, got {value!r}")

@@ -33,11 +33,12 @@ big-integer addition, with no multiplication and no binomial coefficient.
 
 The triangle is built bottom-up, one row at a time, in O(n^3) big-integer
 additions instead of O(n^4), with no recursion. The table is one value,
-the rows of v and the Pascal state of each diagonal, shared by every
-function here and grown on demand; nothing is computed at import. Each
-finished row is published whole as a new value, so an interrupt leaves
-the table as it stood after the last complete row. v_table returns the
-stored rows themselves, a tuple of row tuples, which no caller can alter.
+the rows of v and the Pascal state of each diagonal, grown on demand by
+v_table alone; v_compute and bessel read their row through it, and
+nothing is computed at import. Each finished row is published whole as a
+new value, so an interrupt leaves the table as it stood after the last
+complete row. v_table returns the stored rows themselves, a tuple of row
+tuples, which no caller can alter.
 All arithmetic is exact: entries grow super-exponentially and leave
 64-bit range near n = 25.
 """
@@ -58,7 +59,7 @@ TRIANGLE_MAX_N = 300
 
 #: _table = (rows, pascal): rows[n-1] = (v[n][1], ..., v[n][n]) for the
 #: rows built so far, and pascal[d] = A_N[0..N] for the binomial transform
-#: of diagonal d of suf, at the order N the latest row used. _build
+#: of diagonal d of suf, at the order N the latest row used. v_table
 #: publishes both whole after each row and never changes them after.
 _table: tuple[tuple[tuple[int, ...], ...], list[list[int]]] = ((), [])
 
@@ -67,41 +68,40 @@ _table: tuple[tuple[tuple[int, ...], ...], list[list[int]]] = ((), [])
 _grow_lock = threading.Lock()
 
 
-def _build(n: int, max_n: int) -> None:
-    """Grow the table to row n, or raise BoundError above the guard."""
-    global _table
-    check_bound(n, max_n, "triangle")
-    if n <= len(_table[0]):
-        return
-    with _grow_lock:
-        rows, pascal = _table
-        for m in range(len(rows) + 1, n + 1):
-            # suf[m-1][k] and the seeds suf[m-2][k-1], for k = m-1 down
-            above = list(accumulate(reversed(rows[m - 2]))) if m > 1 else []
-            seeds = accumulate(reversed(rows[m - 3])) if m > 2 else ()
-            # diagonal m-3 of suf starts at row m, from an empty state
-            pascal = [list(accumulate(a, initial=seed)) for a, seed in zip([*pascal, []], seeds)]
-            row = [above[d] + a[-1] for d, a in enumerate(pascal)]
-            rows = (*rows, (*above[-1:], *reversed(row), 1))
-            _table = rows, pascal
-
-
-def v_compute(n: int, k: int, max_n: int = TRIANGLE_MAX_N) -> int:
-    """Entry v[n][k] of the triangle."""
-    if not (is_int(n) and is_int(k) and 1 <= k <= n):
-        raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
-    _build(n, max_n)
-    return _table[0][n - 1][k - 1]
-
-
 def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> tuple[tuple[int, ...], ...]:
     """Rows 1..n_max of the triangle, as the stored tuples: row n is
-    (v[n][1], ..., v[n][n]) at index n-1, and the row count is n_max."""
-    _build(n_max, max_n)
+    (v[n][1], ..., v[n][n]) at index n-1, and the row count is n_max. The
+    one function that grows the table: it raises BoundError past max_n,
+    and reads rows already built without taking the lock."""
+    global _table
+    check_bound(n_max, max_n, "triangle")
+    if n_max > len(_table[0]):
+        with _grow_lock:
+            rows, pascal = _table
+            for m in range(len(rows) + 1, n_max + 1):
+                # suf[m-1][k] and the seeds suf[m-2][k-1], for k = m-1 down
+                above = list(accumulate(reversed(rows[m - 2]))) if m > 1 else []
+                seeds = accumulate(reversed(rows[m - 3])) if m > 2 else ()
+                # diagonal m-3 of suf starts at row m, from an empty state
+                pascal = [list(accumulate(a, initial=seed)) for a, seed in zip([*pascal, []], seeds)]
+                row = [above[d] + a[-1] for d, a in enumerate(pascal)]
+                rows = (*rows, (*above[-1:], *reversed(row), 1))
+                _table = rows, pascal
     return _table[0][:n_max]
 
 
-def bessel(n: int, max_n: int = TRIANGLE_MAX_N) -> int:
-    """Row sum of the triangle: the number of nonoverlapping partitions of [n]."""
-    _build(n, max_n)
-    return sum(_table[0][n - 1])
+def v_compute(n: int, k: int) -> int:
+    """Entry v[n][k] of the triangle, for rows up to TRIANGLE_MAX_N; read a
+    row past it as v_table(n, max_n=n)[n - 1][k - 1]."""
+    if not (is_int(n) and is_int(k) and 1 <= k <= n):
+        raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
+    check_bound(n, TRIANGLE_MAX_N, "triangle", "row")
+    return v_table(n)[n - 1][k - 1]
+
+
+def bessel(n: int) -> int:
+    """Row sum of the triangle: the number of nonoverlapping partitions of
+    [n], for rows up to TRIANGLE_MAX_N; read a row past it as
+    sum(v_table(n, max_n=n)[n - 1])."""
+    check_bound(n, TRIANGLE_MAX_N, "triangle", "row")
+    return sum(v_table(n)[n - 1])

@@ -10,7 +10,10 @@ than repetition. The slow paths that fast ones replaced live on here too
 laminar scan, the joint tally keyed by (X, Y) pairs, the avoiders found
 by testing all n! permutations, each swept claim checked on its own at
 every partition, the CLI's v-triangle rendered whole before a byte is
-written), and the fast paths must equal them item for item.
+written), and the fast paths must equal them item for item. The
+open-block scan reads a partition element by element, as a word and as
+a transfer model that counts the (X, Y) joint without listing any
+partition.
 """
 
 import json
@@ -441,6 +444,94 @@ def skip_transfer_mutant(p: SetPartition) -> SetPartition:
             target |= b
         return normalize([b for b in blocks if b not in lead])
     return sigma(p)
+
+
+def scan_word(p: SetPartition) -> tuple:
+    """The open-block scan of p (Flajolet & Schott 1990): for e = 1..n,
+    with the open non-singleton blocks listed oldest first, "S" for a
+    singleton, "O" for the least element of a non-singleton block, which
+    opens, ("J", i) for an element that joins the i-th open block, which
+    stays open, and ("C", i) for the greatest element of the i-th open
+    block, which closes."""
+    block_of = {e: b for b in p.blocks for e in b}
+    open_blocks: list[tuple[int, ...]] = []
+    word: list = []
+    for e in range(1, p.n + 1):
+        b = block_of[e]
+        if len(b) == 1:
+            word.append("S")
+        elif e == b[-1]:
+            open_blocks.append(b)
+            word.append("O")
+        elif e == b[0]:
+            word.append(("C", open_blocks.index(b) + 1))
+            open_blocks.remove(b)
+        else:
+            word.append(("J", open_blocks.index(b) + 1))
+    return tuple(word)
+
+
+def from_scan_word(word) -> SetPartition:
+    """The partition whose scan word is word: any ("C", i) closes the i-th
+    open block, oldest first."""
+    blocks: list[list[int]] = []
+    open_blocks: list[list[int]] = []
+    for e, letter in enumerate(word, start=1):
+        if letter == "S":
+            blocks.append([e])
+        elif letter == "O":
+            open_blocks.append([e])
+        else:
+            kind, i = letter
+            open_blocks[i - 1].append(e)
+            if kind == "C":
+                blocks.append(open_blocks.pop(i - 1))
+    return normalize(blocks)
+
+
+def finish_table(r_max: int, nonoverlapping: bool) -> list[list[int]]:
+    """finish[r][k] for r <= r_max and k <= r_max + 1: the ways to place r
+    more elements of the open-block scan with k blocks open and leave none
+    open. Each element is a singleton or joins one of the k (1 + k ways),
+    opens a block (1 way) or closes one: any of the k over all partitions,
+    only the newest over nonoverlapping ones."""
+    width = r_max + 2
+    finish = [[1] + [0] * (width - 1)]
+    for _ in range(r_max):
+        prev = [*finish[-1], 0]
+        finish.append([(1 + k) * prev[k] + prev[k + 1] + (min(k, 1) if nonoverlapping else k) * prev[k - 1]
+                       for k in range(width)])
+    return finish
+
+
+def transfer_joint(n: int, finish: list[list[int]], nonoverlapping: bool) -> Counter:
+    """The (X, Y) joint over the partitions of [n], or the nonoverlapping
+    ones, counted by the open-block scan without listing a partition.
+    X is the time of the first singleton or the first close. Y is 1 when
+    {1} is a singleton; otherwise it is the time of the first close, or of
+    the first join to 1's block if that comes first. While Y is unknown,
+    1's block is open and the oldest, so over nonoverlapping partitions it
+    can close only when k = 1, and any close makes Y known. A state
+    (k, X, Y), X and Y None while unknown, goes to cell (X, Y) once both
+    are known, times finish[r][k] for the r elements left; finish is
+    finish_table(r_max, nonoverlapping) for some r_max >= n - 1."""
+    joint = Counter({(1, 1): finish[n - 1][0]})  # 1 is a singleton
+    states = {(1, None, None): 1}  # or it opens the oldest block
+    for e in range(2, n + 1):
+        after: Counter = Counter()
+        for (k, x, y), count in states.items():
+            closes = min(k, 1) if nonoverlapping else k
+            moves = [((k, x or e, y), 1), ((k + 1, x, y), 1), ((k - 1, x or e, y or e), closes)]
+            moves += [((k, x, y), k)] if y else [((k, x, e), 1), ((k, x, y), k - 1)]
+            for (k2, x2, y2), ways in moves:
+                if not ways:
+                    continue
+                if x2 and y2:
+                    joint[x2, y2] += count * ways * finish[n - e][k2]
+                else:
+                    after[k2, x2, y2] += count * ways
+        states = after
+    return joint
 
 
 @st.composite

@@ -31,9 +31,9 @@ BOUNDARY = {
     "enumerate_all": (partinv.enumerate_all, {"n": 3, "max_n": 10}),
     "enumerate_nonoverlapping": (partinv.enumerate_nonoverlapping, {"n": 3, "max_n": 10}),
     "avoider_last_entry_distribution": (partinv.avoider_last_entry_distribution, {"n": 3, "max_n": 9}),
-    "v_compute": (partinv.v_compute, {"n": 3, "k": 2, "max_n": 300}),
+    "v_compute": (partinv.v_compute, {"n": 3, "k": 2}),
     "v_table": (partinv.v_table, {"n_max": 3, "max_n": 300}),
-    "bessel": (partinv.bessel, {"n": 3, "max_n": 300}),
+    "bessel": (partinv.bessel, {"n": 3}),
     "check_involution": (partinv.check_involution, {"n_max": 3, "sigma_fn": partinv.sigma}),
     "check_spans": (partinv.check_spans, {"n_max": 3, "sigma_fn": partinv.sigma}),
     "check_nonoverlapping": (partinv.check_nonoverlapping, {"n_max": 3, "sigma_fn": partinv.sigma}),

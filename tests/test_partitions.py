@@ -393,12 +393,9 @@ def test_sizes_must_be_integers(call, error):
 @pytest.mark.parametrize("call", [
     lambda max_n: enumerate_all(3, max_n=max_n),
     lambda max_n: enumerate_nonoverlapping(3, max_n=max_n),
-    lambda max_n: v_compute(3, 1, max_n=max_n),
     lambda max_n: v_table(3, max_n=max_n),
-    lambda max_n: bessel(3, max_n=max_n),
     lambda max_n: avoider_last_entry_distribution(3, max_n=max_n),
-], ids=["enumerate_all", "enumerate_nonoverlapping", "v_compute", "v_table", "bessel",
-        "avoider_last_entry_distribution"])
+], ids=["enumerate_all", "enumerate_nonoverlapping", "v_table", "avoider_last_entry_distribution"])
 def test_guards_must_be_integers(monkeypatch, call, max_n):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the guard was checked")

@@ -293,7 +293,7 @@ class TestGuard:
         lambda: v_compute(TRIANGLE_MAX_N + 1, 1),
         lambda: v_table(TRIANGLE_MAX_N + 1),
         lambda: bessel(TRIANGLE_MAX_N + 1),
-        lambda: v_compute(9, 3, max_n=8),
+        lambda: v_table(9, max_n=8),
         lambda: v_table(100000),
     ])
     def test_bound(self, call):
@@ -301,29 +301,56 @@ class TestGuard:
             call()
 
     @pytest.mark.parametrize("call", [
-        lambda: v_compute(0, 0, max_n=0),
+        lambda: v_compute(TRIANGLE_MAX_N + 1, TRIANGLE_MAX_N + 2),
         lambda: v_compute(3, 4),
     ])
     def test_domain_checked_first(self, call):
         with pytest.raises(DomainError):
             call()
 
-    @pytest.mark.parametrize("call, value", [
-        (lambda: v_table(-1), -1),
-        (lambda: bessel(0, max_n=0), 0),
+    @pytest.mark.parametrize("call, size, value", [
+        (lambda: v_table(-1), "n", -1),
+        (lambda: bessel(0), "row", 0),
     ], ids=["v_table", "bessel"])
-    def test_row_count_checked_before_its_guard(self, call, value):
+    def test_row_count_checked_before_its_guard(self, call, size, value):
         # a bad n is named before a bad max_n, by check_bound
-        with pytest.raises(BoundError, match=f"^n must be an integer >= 1, got {value}$"):
+        with pytest.raises(BoundError, match=f"^{size} must be an integer >= 1, got {value}$"):
             call()
 
     def test_lower_guard_admits_its_own_row(self):
-        assert v_compute(9, 3, max_n=9) == v_table(9, max_n=9)[9 - 1][3 - 1]
-        assert bessel(9, max_n=9) == 7651
+        assert v_table(9, max_n=9)[9 - 1][3 - 1] == v_compute(9, 3)
+        assert sum(v_table(9, max_n=9)[9 - 1]) == 7651
 
     def test_max_n_lifts_the_guard(self, fresh_table):
         n = TRIANGLE_MAX_N + 1
         rows = v_table(n, max_n=n)
         assert rows[n - 1][-1] == 1
-        assert bessel(n, max_n=n) == sum(rows[n - 1]) > bessel(TRIANGLE_MAX_N)
-        assert v_compute(n, 1, max_n=n) == bessel(TRIANGLE_MAX_N)
+        assert sum(rows[n - 1]) > bessel(TRIANGLE_MAX_N)
+        assert rows[n - 1][0] == bessel(TRIANGLE_MAX_N)
+
+
+class TestOneDoor:
+    """v_table is the one function that grows the table; v_compute and
+    bessel read their row through it and keep the default guard."""
+
+    def test_cells_and_sums_read_the_table(self):
+        for n in range(1, 61):
+            row = v_table(n)[n - 1]
+            assert [v_compute(n, k) for k in range(1, n + 1)] == list(row), n
+            assert bessel(n) == sum(row), n
+
+    @pytest.mark.parametrize("call", [lambda: v_compute(TRIANGLE_MAX_N + 1, 1),
+                                      lambda: bessel(TRIANGLE_MAX_N + 1)], ids=["v_compute", "bessel"])
+    def test_past_the_guard_names_no_max_n(self, call):
+        # neither takes max_n, so neither message may offer raising it
+        with pytest.raises(BoundError, match=f"^row {TRIANGLE_MAX_N + 1} exceeds the triangle guard "
+                                             f"{TRIANGLE_MAX_N}$") as raised:
+            call()
+        assert "max_n" not in str(raised.value)
+
+    def test_v_table_lifts_its_guard(self, fresh_table):
+        rows = v_table(400, max_n=400)
+        assert len(rows) == 400 and rows[-1][-1] == 1
+        assert rows[:TRIANGLE_MAX_N] == v_table(TRIANGLE_MAX_N)
+        # v[n][1] = bessel(n-1), past the guard too
+        assert rows[TRIANGLE_MAX_N][0] == bessel(TRIANGLE_MAX_N)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 import partinv.partitions as partitions
 import partinv.patterns as patterns
+import partinv.recurrence as recurrence
 from partinv import (
     BoundError,
     DomainError,
@@ -389,18 +390,28 @@ def test_sizes_must_be_integers(call, error):
         call()
 
 
+GUARD_REFUSAL = (BoundError, "max_n must be an integer >= 1")
+# v_compute and bessel take no guard override (rows past it are read through
+# v_table), so any max_n passed to them is refused at the call.
+NO_OVERRIDE = (TypeError, "unexpected keyword argument 'max_n'")
+
+
 @pytest.mark.parametrize("max_n", [None, "a", 2.5, True, 0, -1])
-@pytest.mark.parametrize("call", [
-    lambda max_n: enumerate_all(3, max_n=max_n),
-    lambda max_n: enumerate_nonoverlapping(3, max_n=max_n),
-    lambda max_n: v_table(3, max_n=max_n),
-    lambda max_n: avoider_last_entry_distribution(3, max_n=max_n),
-], ids=["enumerate_all", "enumerate_nonoverlapping", "v_table", "avoider_last_entry_distribution"])
-def test_guards_must_be_integers(monkeypatch, call, max_n):
+@pytest.mark.parametrize("call, refusal", [
+    (lambda max_n: enumerate_all(3, max_n=max_n), GUARD_REFUSAL),
+    (lambda max_n: enumerate_nonoverlapping(3, max_n=max_n), GUARD_REFUSAL),
+    (lambda max_n: v_compute(3, 1, max_n=max_n), NO_OVERRIDE),
+    (lambda max_n: v_table(3, max_n=max_n), GUARD_REFUSAL),
+    (lambda max_n: bessel(3, max_n=max_n), NO_OVERRIDE),
+    (lambda max_n: avoider_last_entry_distribution(3, max_n=max_n), GUARD_REFUSAL),
+], ids=["enumerate_all", "enumerate_nonoverlapping", "v_compute", "v_table", "bessel",
+        "avoider_last_entry_distribution"])
+def test_guards_must_be_integers(monkeypatch, call, refusal, max_n):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the guard was checked")
     for module, name in ((partitions, "_gen_all"), (partitions, "_gen_nonoverlapping"),
-                         (patterns, "accumulate")):
+                         (patterns, "accumulate"), (recurrence, "v_table")):
         monkeypatch.setattr(module, name, refuse)
-    with pytest.raises(BoundError, match="max_n must be an integer >= 1"):
+    error, message = refusal
+    with pytest.raises(error, match=message):
         call(max_n)

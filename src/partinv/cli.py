@@ -195,9 +195,11 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # max_help_position=16 holds the subcommand help where 3.10-3.12 put it; 3.13 moves it to column 18
     parser = argparse.ArgumentParser(prog="partinv",
                                      description="Set-partition statistics, the X/Y-swapping involution, "
-                                                 "the v-triangle, and brute-force verification.")
+                                                 "the v-triangle, and brute-force verification.",
+                                     formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=16))
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def common(p, func, max_n_help=None, max_n=None):

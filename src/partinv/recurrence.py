@@ -32,18 +32,15 @@ A_N is the running sum of A_{N-1} seeded with a_N. So each term costs one
 big-integer addition, with no multiplication and no binomial coefficient.
 
 The triangle is built bottom-up, one row at a time, in O(n^3) big-integer
-additions instead of O(n^4), with no recursion. The table is one value,
-the rows of v and the Pascal state of each diagonal, grown on demand by
-v_table alone; v_compute and bessel read their row through it, and
-nothing is computed at import. Each finished row is published whole as a
-new value, so an interrupt leaves the table as it stood after the last
-complete row. v_table returns the stored rows themselves, a tuple of row
-tuples, which no caller can alter.
+additions instead of O(n^4), with no recursion. v_table builds rows
+1..n_max afresh on each call and keeps nothing between calls, so read
+many cells from one v_table(n); v_compute and bessel read their row
+through it, and nothing is computed at import. v_table returns a tuple
+of row tuples, which no caller can alter.
 All arithmetic is exact: entries grow super-exponentially and leave
 64-bit range near n = 25.
 """
 
-import threading
 from itertools import accumulate
 
 from .errors import DomainError, check_bound, is_int
@@ -57,42 +54,30 @@ from .errors import DomainError, check_bound, is_int
 #: 0.64-0.66 s, 76 MiB and 45 MB of text.
 TRIANGLE_MAX_N = 300
 
-#: _table = (rows, pascal): rows[n-1] = (v[n][1], ..., v[n][n]) for the
-#: rows built so far, and pascal[d] = A_N[0..N] for the binomial transform
-#: of diagonal d of suf, at the order N the latest row used. v_table
-#: publishes both whole after each row and never changes them after.
-_table: tuple[tuple[tuple[int, ...], ...], list[list[int]]] = ((), [])
-
-#: Held while the table grows, so concurrent callers never build a row
-#: twice and a shorter build never publishes over a longer one.
-_grow_lock = threading.Lock()
-
 
 def v_table(n_max: int, max_n: int = TRIANGLE_MAX_N) -> tuple[tuple[int, ...], ...]:
-    """Rows 1..n_max of the triangle, as the stored tuples: row n is
-    (v[n][1], ..., v[n][n]) at index n-1, and the row count is n_max. The
-    one function that grows the table: it raises BoundError past max_n,
-    and reads rows already built without taking the lock."""
-    global _table
+    """Rows 1..n_max of the triangle, built afresh on each call: row n is
+    (v[n][1], ..., v[n][n]) at index n-1, and the row count is n_max. It
+    raises BoundError past max_n. pascal[d] holds A_N[0..N] for diagonal d
+    of suf, at the order N the latest row used."""
     check_bound(n_max, max_n, "triangle")
-    if n_max > len(_table[0]):
-        with _grow_lock:
-            rows, pascal = _table
-            for m in range(len(rows) + 1, n_max + 1):
-                # suf[m-1][k] and the seeds suf[m-2][k-1], for k = m-1 down
-                above = list(accumulate(reversed(rows[m - 2]))) if m > 1 else []
-                seeds = accumulate(reversed(rows[m - 3])) if m > 2 else ()
-                # diagonal m-3 of suf starts at row m, from an empty state
-                pascal = [list(accumulate(a, initial=seed)) for a, seed in zip([*pascal, []], seeds)]
-                row = [above[d] + a[-1] for d, a in enumerate(pascal)]
-                rows = (*rows, (*above[-1:], *reversed(row), 1))
-                _table = rows, pascal
-    return _table[0][:n_max]
+    rows, pascal = (), []
+    for m in range(1, n_max + 1):
+        # suf[m-1][k] and the seeds suf[m-2][k-1], for k = m-1 down
+        above = list(accumulate(reversed(rows[m - 2]))) if m > 1 else []
+        seeds = accumulate(reversed(rows[m - 3])) if m > 2 else ()
+        # diagonal m-3 of suf starts at row m, from an empty state
+        pascal = [list(accumulate(a, initial=seed)) for a, seed in zip([*pascal, []], seeds)]
+        row = [above[d] + a[-1] for d, a in enumerate(pascal)]
+        rows = (*rows, (*above[-1:], *reversed(row), 1))
+    return rows
 
 
 def v_compute(n: int, k: int) -> int:
     """Entry v[n][k] of the triangle, for rows up to TRIANGLE_MAX_N; read a
-    row past it as v_table(n, max_n=n)[n - 1][k - 1]."""
+    row past it as v_table(n, max_n=n)[n - 1][k - 1]. Each call builds rows
+    1..n in O(n^3) big-integer additions and keeps nothing, so read many
+    cells from one v_table(n)."""
     if not (is_int(n) and is_int(k) and 1 <= k <= n):
         raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     check_bound(n, TRIANGLE_MAX_N, "triangle", "row")
@@ -102,6 +87,8 @@ def v_compute(n: int, k: int) -> int:
 def bessel(n: int) -> int:
     """Row sum of the triangle: the number of nonoverlapping partitions of
     [n], for rows up to TRIANGLE_MAX_N; read a row past it as
-    sum(v_table(n, max_n=n)[n - 1])."""
+    sum(v_table(n, max_n=n)[n - 1]). Each call builds rows 1..n in O(n^3)
+    big-integer additions and keeps nothing, so read many sums from one
+    v_table(n)."""
     check_bound(n, TRIANGLE_MAX_N, "triangle", "row")
     return sum(v_table(n)[n - 1])

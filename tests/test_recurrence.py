@@ -1,12 +1,11 @@
 """The v-triangle, row sums, exact big-integer arithmetic, the guard on
-the rows built, and the shared table that grows on demand."""
+the rows built, and a build that keeps no table between calls."""
 
 import ast
 import inspect
 import sys
 import threading
 import time
-from math import comb
 
 import pytest
 
@@ -40,12 +39,6 @@ TRIANGLE_7 = [
 # recurrence and the span-laminarity enumeration count (also OEIS
 # A006789, which this sequence is).
 BESSEL_12 = [1, 2, 5, 14, 43, 143, 509, 1922, 7651, 31965, 139685, 636712]
-
-
-@pytest.fixture
-def fresh_table(monkeypatch):
-    """An empty table for the test; the shared one is restored after."""
-    monkeypatch.setattr(recurrence, "_table", ((), []))
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +85,9 @@ class TestVTable:
         assert tuple(sum(row) for row in rows) == (1, 2, 5, 14, 43, 143, 509)
 
     def test_rows_are_the_stored_tuples(self):
-        # tuples all the way down, so no caller can alter the shared table
+        # tuples all the way down, so no caller can alter the rows it reads
         rows = v_table(7)
         assert type(rows) is tuple and all(type(row) is tuple for row in rows)
-        assert rows == recurrence._table[0][:7]
 
     def test_rejects_empty(self):
         with pytest.raises(BoundError):
@@ -158,65 +150,7 @@ def test_matches_oracle_cell_for_cell_to_60(alt60):
     assert_matches_oracle(v_table(60), alt60)
 
 
-def test_build_order_does_not_matter(fresh_table, alt60):
-    assert v_compute(25, 3) == alt60[(25, 3)]
-    assert len(recurrence._table[0]) == 25
-    t60 = v_table(60)
-    assert_matches_oracle(t60, alt60)
-    assert bessel(45) == sum(alt60[(45, k)] for k in range(1, 46))
-    assert v_table(30) == t60[:30]
-    assert len(recurrence._table[0]) == 60
-
-
-def test_interrupted_row_is_rebuilt(fresh_table, monkeypatch, alt60):
-    """An interrupt anywhere in a build leaves the table as it stood after
-    some complete row, and the retry builds the rest. Every accumulate
-    call of a 20-row build is interrupted in turn: rows 2..20 make one
-    call for the suffix sums of the row above, rows 3..20 one for those
-    of the row two above, and row m one per Pascal advance, m - 2."""
-    n = 20
-    expected = tuple(tuple(alt60[(m, k)] for k in range(1, m + 1)) for m in range(1, n + 1))
-    real = recurrence.accumulate
-    calls = stop = 0
-
-    def interrupted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        if calls == stop:
-            raise KeyboardInterrupt
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(recurrence, "accumulate", interrupted)
-    v_table(n)
-    total = calls
-    assert total == 19 + 18 + sum(range(1, 19))
-    for stop in range(1, total + 1):
-        monkeypatch.setattr(recurrence, "_table", ((), []))
-        calls = 0
-        with pytest.raises(KeyboardInterrupt):
-            v_table(n)
-        rows = recurrence._table[0]
-        assert len(rows) < n and rows == expected[:len(rows)], stop
-        assert v_table(n) == expected, stop
-
-
-def test_pascal_state_is_one_anti_diagonal_per_diagonal(fresh_table):
-    """After row n, diagonal d <= n-3 has been transformed at order n-d-3:
-    its Pascal state holds n-d-2 entries, the last being the binomial sum
-    sum_j C(n-d-3, j) * D[d][j+1] the last row read, where
-    D[d][i] = suf[i+d][i] is diagonal d of the suffix sums."""
-    n = 12
-    v_table(n)
-    rows, pascal = recurrence._table
-    assert len(pascal) == n - 2
-    for d, a in enumerate(pascal):
-        order = n - d - 3
-        assert len(a) == order + 1
-        diag = [sum(rows[i + d - 1][i - 1:]) for i in range(1, order + 2)]
-        assert a[-1] == sum(comb(order, j) * diag[j] for j in range(order + 1))
-
-
-def test_concurrent_growth(fresh_table, alt60):
+def test_concurrent_growth(alt60):
     results = []
 
     def worker(sizes):
@@ -238,33 +172,6 @@ def test_concurrent_growth(fresh_table, alt60):
     assert len(results) == 80
     for table in results:
         assert_matches_oracle(table, alt60)
-    assert len(recurrence._table[0]) == 40
-
-
-def test_reads_of_built_rows_take_no_lock(fresh_table, monkeypatch):
-    """Only a build takes the lock: a read of rows already built neither
-    waits on a concurrent build nor republishes the table."""
-    class Recorder:
-        entered = 0
-
-        def __enter__(self):
-            self.entered += 1
-
-        def __exit__(self, *exc_info):
-            return None
-
-    v_table(10)
-    lock = Recorder()
-    monkeypatch.setattr(recurrence, "_grow_lock", lock)
-    v_table(10), v_table(4), v_compute(10, 3), bessel(10)
-    assert lock.entered == 0
-    v_table(11)
-    assert lock.entered == 1
-
-
-def test_reads_share_the_stored_rows():
-    t30, t60 = v_table(30), v_table(60)
-    assert all(t30[i] is t60[i] for i in range(30))
 
 
 def test_no_cache_decorator_and_no_recursion():
@@ -275,6 +182,15 @@ def test_no_cache_decorator_and_no_recursion():
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "functools" not in imported | modules
     assert not {"cache", "lru_cache"} & imported
+    # no table, lock or global state: each call builds its rows afresh
+    assert "threading" not in imported | modules
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+    t30, t60 = v_table(30), v_table(60)
+    assert t30 == t60[:30]
+    state = (list, tuple, dict, set, type(threading.Lock()), type(threading.RLock()))
+    kept = {name for name, value in vars(recurrence).items()
+            if isinstance(value, state) and not name.startswith("__")}
+    assert not kept - imported - {"TRIANGLE_MAX_N"}, kept
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             called = {node.func.id for node in ast.walk(fn)
@@ -321,7 +237,7 @@ class TestGuard:
         assert v_table(9, max_n=9)[9 - 1][3 - 1] == v_compute(9, 3)
         assert sum(v_table(9, max_n=9)[9 - 1]) == 7651
 
-    def test_max_n_lifts_the_guard(self, fresh_table):
+    def test_max_n_lifts_the_guard(self):
         n = TRIANGLE_MAX_N + 1
         rows = v_table(n, max_n=n)
         assert rows[n - 1][-1] == 1
@@ -330,7 +246,7 @@ class TestGuard:
 
 
 class TestOneDoor:
-    """v_table is the one function that grows the table; v_compute and
+    """v_table is the one function that builds the triangle; v_compute and
     bessel read their row through it and keep the default guard."""
 
     def test_cells_and_sums_read_the_table(self):
@@ -348,7 +264,7 @@ class TestOneDoor:
             call()
         assert "max_n" not in str(raised.value)
 
-    def test_v_table_lifts_its_guard(self, fresh_table):
+    def test_v_table_lifts_its_guard(self):
         rows = v_table(400, max_n=400)
         assert len(rows) == 400 and rows[-1][-1] == 1
         assert rows[:TRIANGLE_MAX_N] == v_table(TRIANGLE_MAX_N)

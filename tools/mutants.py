@@ -86,7 +86,6 @@ PLAIN_LOOPS = f"{SHARED_SWEEP}::test_sweep_and_checks_agree_with_the_plain_loops
 TABLE_OUTPUT = (CLI_CORPUS, "tests/test_cli.py::TestTable::test_streamed_output_matches_whole_document_oracle")
 JSON_BYTES = (CLI_CORPUS, "tests/test_cli.py::TestEnumerate::test_json_is_the_bytes_of_one_dump")
 PARTITION_ENTRY = "tests/test_cli.py::TestEnumerate::test_partition_entry_is_the_indented_dump"
-NO_LOCK_ON_READ = f"{RECURRENCE}::test_reads_of_built_rows_take_no_lock"
 ONE_DOOR = f"{RECURRENCE}::TestOneDoor"
 Y_FROM_THE_SWEEP = "tests/test_verify.py::TestYFromTheSweep"
 
@@ -129,14 +128,6 @@ MUTANTS = (
            "above[d] + a[-1]", "above[d] + a[0]", (RECURRENCE,)),
     Mutant("suffix-sum-above-one-place-late", "recurrence.py", "v_table",
            "above[d] + a[-1]", "above[d - 1] + a[-1]", (RECURRENCE,)),
-    # the two below change only cost: a read of rows already built takes the lock and republishes the table
-    Mutant("build-early-return-strict", "recurrence.py", "v_table",
-           "n_max > len(_table[0])", "n_max >= len(_table[0])", (NO_LOCK_ON_READ,)),
-    Mutant("build-early-return-reads-pascal", "recurrence.py", "v_table",
-           "len(_table[0])", "len(_table[1])", (NO_LOCK_ON_READ,)),
-    Mutant("pascal-advanced-in-place", "recurrence.py", "v_table",
-           "[list(accumulate(a, initial=seed)) for", "[a.__setitem__(slice(None), accumulate(a, initial=seed)) or a for",
-           (f"{RECURRENCE}::test_interrupted_row_is_rebuilt",)),
     Mutant("v-compute-reads-row-above", "recurrence.py", "v_compute",
            "v_table(n)[n - 1]", "v_table(n)[n - 2]", (f"{ONE_DOOR}::test_cells_and_sums_read_the_table",)),
     Mutant("bessel-sums-row-above", "recurrence.py", "bessel",

@@ -1,6 +1,7 @@
 """The command-line surface: output of every subcommand, both formats,
 and the exit-code contract (0 ok, 1 usage/input error, 2 failed check)."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -367,6 +368,17 @@ class TestErrorPaths:
         code, out, err = run(capsys)
         assert code == 1
         assert "usage:" in err
+
+    def test_help_column_is_held_at_16_on_the_top_level_only(self, monkeypatch):
+        # 3.13's argparse would move the subcommand help of `partinv --help`
+        # from column 16 to 18; the subcommands keep argparse's default
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser()
+        assert parser._get_formatter()._max_help_position == 16
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        default = argparse.HelpFormatter("partinv")._max_help_position
+        assert default != 16
+        assert all(p._get_formatter()._max_help_position == default for p in sub.choices.values())
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "nosuch")

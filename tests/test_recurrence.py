@@ -6,6 +6,7 @@ import inspect
 import sys
 import threading
 import time
+from math import comb
 
 import pytest
 
@@ -148,6 +149,74 @@ def test_large_table_exact_arithmetic():
 
 def test_matches_oracle_cell_for_cell_to_60(alt60):
     assert_matches_oracle(v_table(60), alt60)
+
+
+def test_build_order_does_not_matter(alt60):
+    assert v_compute(25, 3) == alt60[(25, 3)]
+    t60 = v_table(60)
+    assert_matches_oracle(t60, alt60)
+    assert bessel(45) == sum(alt60[(45, k)] for k in range(1, 46))
+    assert v_table(30) == t60[:30]
+
+
+def test_interrupted_row_is_rebuilt(monkeypatch, alt60):
+    """An interrupt anywhere in a build leaves nothing behind, and the
+    retry builds every row afresh. Every accumulate call of a 20-row
+    build is interrupted in turn: rows 2..20 make one call for the suffix
+    sums of the row above, rows 3..20 one for those of the row two above,
+    and row m one per Pascal advance, m - 2."""
+    n = 20
+    expected = tuple(tuple(alt60[(m, k)] for k in range(1, m + 1)) for m in range(1, n + 1))
+    real = recurrence.accumulate
+    calls = stop = 0
+
+    def interrupted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == stop:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "accumulate", interrupted)
+    assert v_table(n) == expected
+    total = calls
+    assert total == 19 + 18 + sum(range(1, 19))
+    for stop in range(1, total + 1):
+        calls = 0
+        with pytest.raises(KeyboardInterrupt):
+            v_table(n)
+        assert calls == stop
+        assert v_table(n) == expected, stop
+        assert calls == stop + total, stop
+
+
+def test_pascal_state_is_one_anti_diagonal_per_diagonal(monkeypatch):
+    """After row n, diagonal d <= n-3 has been transformed at order n-d-3:
+    its Pascal state holds n-d-2 entries, the last being the binomial sum
+    sum_j C(n-d-3, j) * D[d][j+1] the last row read, where
+    D[d][i] = suf[i+d][i] is diagonal d of the suffix sums. The state is
+    local to the build, so it is read off the seeded accumulate calls,
+    one per Pascal advance: row m makes m - 2, and the last n - 2 are
+    row n's."""
+    n = 12
+    real = recurrence.accumulate
+    advances = []
+
+    def recorded(*args, **kwargs):
+        out = list(real(*args, **kwargs))
+        if "initial" in kwargs:
+            advances.append(out)
+        return iter(out)
+
+    monkeypatch.setattr(recurrence, "accumulate", recorded)
+    rows = v_table(n)
+    assert len(advances) == sum(range(1, n - 1))
+    pascal = advances[-(n - 2):]
+    for d, a in enumerate(pascal):
+        order = n - d - 3
+        assert len(a) == order + 1
+        diag = [sum(rows[i + d - 1][i - 1:]) for i in range(1, order + 2)]
+        assert a[-1] == sum(comb(order, j) * diag[j] for j in range(order + 1))
 
 
 def test_concurrent_growth(alt60):

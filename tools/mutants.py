@@ -87,6 +87,8 @@ TABLE_OUTPUT = (CLI_CORPUS, "tests/test_cli.py::TestTable::test_streamed_output_
 JSON_BYTES = (CLI_CORPUS, "tests/test_cli.py::TestEnumerate::test_json_is_the_bytes_of_one_dump")
 PARTITION_ENTRY = "tests/test_cli.py::TestEnumerate::test_partition_entry_is_the_indented_dump"
 ONE_DOOR = f"{RECURRENCE}::TestOneDoor"
+ORACLE_60 = f"{RECURRENCE}::test_matches_oracle_cell_for_cell_to_60"
+HELP_COLUMN = "tests/test_cli.py::TestErrorPaths::test_help_column_is_held_at_16_on_the_top_level_only"
 Y_FROM_THE_SWEEP = "tests/test_verify.py::TestYFromTheSweep"
 
 MUTANTS = (
@@ -128,6 +130,15 @@ MUTANTS = (
            "above[d] + a[-1]", "above[d] + a[0]", (RECURRENCE,)),
     Mutant("suffix-sum-above-one-place-late", "recurrence.py", "v_table",
            "above[d] + a[-1]", "above[d - 1] + a[-1]", (RECURRENCE,)),
+    Mutant("new-diagonal-never-opened", "recurrence.py", "v_table",
+           "zip([*pascal, []], seeds)", "zip(pascal, seeds)", (ORACLE_60,)),
+    Mutant("seeds-read-row-above", "recurrence.py", "v_table",
+           "reversed(rows[m - 3])", "reversed(rows[m - 2])", (ORACLE_60,)),
+    Mutant("first-column-reads-last-suffix-sum", "recurrence.py", "v_table",
+           "(*above[-1:],", "(*above[:1],", (ORACLE_60,)),
+    Mutant("v-table-guard-one-row-late", "recurrence.py", "v_table",
+           'check_bound(n_max, max_n, "triangle")', 'check_bound(n_max, max_n + 1, "triangle")',
+           (f"{RECURRENCE}::TestGuard::test_bound",)),
     Mutant("v-compute-reads-row-above", "recurrence.py", "v_compute",
            "v_table(n)[n - 1]", "v_table(n)[n - 2]", (f"{ONE_DOOR}::test_cells_and_sums_read_the_table",)),
     Mutant("bessel-sums-row-above", "recurrence.py", "bessel",
@@ -174,6 +185,8 @@ MUTANTS = (
            "table[-1][k - 1]", "table[k - 1][k - 1]", TABLE_OUTPUT),
     Mutant("avoiders-text-tab-separated", "cli.py", "cmd_avoiders",
            'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
+    Mutant("help-column-left-to-argparse", "cli.py", "build_parser",
+           "HelpFormatter(prog, max_help_position=16)", "HelpFormatter(prog)", (HELP_COLUMN,)),
     Mutant("usage-error-keeps-argparse-code", "cli.py", "main",
            "return 1 if exc.code else 0", "return exc.code", (CLI_CORPUS,)),
     Mutant("handler-not-registered", "cli.py", "common",

@@ -3,14 +3,7 @@ involution that swaps them, and the v-triangle of nonoverlapping-partition
 counts, all backed by exhaustive brute-force verification.
 """
 
-from .errors import (
-    BoundError,
-    DomainError,
-    ParseError,
-    PartinvError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import BoundError, ParseError, PartinvError, ValidationError
 from .involution import sigma
 from .partitions import (
     DEFAULT_MAX_N,
@@ -51,10 +44,8 @@ __all__ = [
     "CheckReport",
     "Counterexample",
     "DEFAULT_MAX_N",
-    "DomainError",
     "ParseError",
     "PartinvError",
-    "PreconditionError",
     "SetPartition",
     "ValidationError",
     "aux_r",

@@ -1,6 +1,13 @@
 """Exception types shared across the package, the integer rule and the
 type rule every boundary check applies, and the size guard that raises
-BoundError."""
+BoundError.
+
+The package raises three kinds of PartinvError: ParseError for partition
+text that does not parse, ValidationError for a value of the wrong type
+or shape (SetPartition, the permutation and family boundaries, and a
+sigma_fn under check and its results), and BoundError for a size, depth,
+guard or triangle cell out of range (check_bound, the generators'
+nesting ceilings, and v_compute's cell)."""
 
 from collections import UserString
 from collections.abc import Mapping
@@ -20,23 +27,18 @@ class ParseError(PartinvError):
 
 
 class ValidationError(PartinvError):
-    """Structurally well-formed input that violates a standard-form invariant."""
+    """A value of the wrong type or shape: a partition not in standard form,
+    an entry that is not an integer, a sigma_fn that cannot be called or
+    that returns anything but a SetPartition in standard form."""
 
 
 class BoundError(PartinvError):
     """A size or guard refused before any work starts. check_bound raises it
     for a size, check depth or max_n that is not an integer >= 1 and for a
     size past the enumeration, triangle or avoider guard; the generators
-    raise it for an n past their nesting ceiling."""
-
-
-class DomainError(PartinvError):
-    """A cell (n, k) of v_compute outside the triangle: n and k not
-    integers with 1 <= k <= n."""
-
-
-class PreconditionError(PartinvError):
-    """Operation called outside its stated precondition."""
+    raise it for an n past their nesting ceiling; v_compute raises it for a
+    cell (n, k) outside the triangle, n and k not integers with
+    1 <= k <= n."""
 
 
 #: The one type rule: text, bytes, byte views and mappings iterate, but not

@@ -43,7 +43,7 @@ All arithmetic is exact: entries grow super-exponentially and leave
 
 from itertools import accumulate
 
-from .errors import DomainError, check_bound, is_int
+from .errors import BoundError, check_bound, is_int
 
 #: Default ceiling on the rows built. The build costs O(n^3) big-integer
 #: additions on numbers of O(n log n) digits. On a 2-core AMD EPYC VM
@@ -79,7 +79,7 @@ def v_compute(n: int, k: int) -> int:
     1..n in O(n^3) big-integer additions and keeps nothing, so read many
     cells from one v_table(n)."""
     if not (is_int(n) and is_int(k) and 1 <= k <= n):
-        raise DomainError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
+        raise BoundError(f"need integers 1 <= k <= n, got n={n!r}, k={k!r}")
     check_bound(n, TRIANGLE_MAX_N, "triangle", "row")
     return v_table(n)[n - 1][k - 1]
 

@@ -24,7 +24,7 @@ p's (its spans, its X and Y, and its image, which is p again) and are
 taken from p, not computed again. An image that is merely equal to p is
 read in full. The package's sigma is trusted, as enumeration is; any
 other sigma_fn has each result validated, and one that is not a
-SetPartition in standard form raises PreconditionError. The
+SetPartition in standard form raises ValidationError. The
 nonoverlapping claim reuses p's flag when the two span lists are equal.
 The sweep stops at the end of the n at which its last claim settled; the
 rest of that P_n reads only p's own fields. A report's elapsed time runs
@@ -60,7 +60,7 @@ from collections import Counter
 from time import perf_counter
 from typing import Callable, NamedTuple
 
-from .errors import PreconditionError, ValidationError, check_bound
+from .errors import ValidationError, check_bound
 from .involution import sigma
 from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
                          laminar, nonsingleton_spans)
@@ -180,16 +180,17 @@ def _asymmetry(n, joint: list[list[int]], scope: str) -> Counterexample | None:
 
 
 def _validated(sigma_fn: SigmaFn) -> SigmaFn:
-    """sigma_fn, refusing with PreconditionError any result that is not a
-    SetPartition in standard form."""
+    """sigma_fn, refusing with ValidationError any result that is not a
+    SetPartition in standard form; a result's own ValidationError is raised
+    again under the sigma_fn prefix."""
     def checked(p: SetPartition) -> SetPartition:
         q = sigma_fn(p)
         if not isinstance(q, SetPartition):
-            raise PreconditionError(f"sigma_fn must return a SetPartition, got {q!r}")
+            raise ValidationError(f"sigma_fn must return a SetPartition, got {q!r}")
         try:
             return q.validate()
         except ValidationError as exc:
-            raise PreconditionError(f"sigma_fn must return a SetPartition in standard form, got {q!r}: {exc}") from exc
+            raise ValidationError(f"sigma_fn must return a SetPartition in standard form, got {q!r}: {exc}") from exc
     return checked
 
 
@@ -211,7 +212,7 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma, y_by_n: list | Non
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
-        raise PreconditionError(f"sigma_fn must be callable, got {sigma_fn!r}")
+        raise ValidationError(f"sigma_fn must be callable, got {sigma_fn!r}")
     if sigma_fn is not sigma:
         sigma_fn = _validated(sigma_fn)
     t0 = perf_counter()

@@ -25,7 +25,6 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from partinv import (
-    PreconditionError,
     SetPartition,
     ValidationError,
     aux_r,
@@ -291,7 +290,7 @@ def sigma_inverse_by_sets(q: SetPartition) -> SetPartition:
     below s out of it; a non-singleton first block with first entry r
     pulls out the entries below r."""
     if stat_x(q) <= stat_y(q):
-        raise PreconditionError("sigma_inverse_by_sets needs X > Y")
+        raise ValueError("sigma_inverse_by_sets needs X > Y")
     first = q.blocks[0]
     one = block_with_one(q)
     if len(first) == 1:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partinv
+import partinv.errors as errors
 import partinv.partitions as partitions
 import partinv.patterns as patterns
 import partinv.recurrence as recurrence
@@ -84,6 +85,17 @@ def test_every_public_function_is_placed():
               if inspect.isfunction(getattr(partinv, name))}
     assert public == TRUSTED | {name for name in BOUNDARY if "." not in name}
     assert not TRUSTED & BOUNDARY.keys()
+
+
+def test_three_kinds_of_error():
+    # text, a value of the wrong type or shape, a size out of range
+    kinds = {"PartinvError", "ParseError", "ValidationError", "BoundError"}
+    exported = {name for name in partinv.__all__
+                if inspect.isclass(getattr(partinv, name)) and issubclass(getattr(partinv, name), Exception)}
+    assert exported == kinds
+    defined = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, Exception) and value.__module__ == errors.__name__}
+    assert defined == kinds
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY))

@@ -15,7 +15,6 @@ import partinv.patterns as patterns
 import partinv.recurrence as recurrence
 from partinv import (
     BoundError,
-    DomainError,
     ParseError,
     SetPartition,
     ValidationError,
@@ -374,19 +373,19 @@ class TestEnumeration:
             gen(1200, max_n=1200)
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: enumerate_all(2.5), BoundError),
-    (lambda: enumerate_all(True), BoundError),
-    (lambda: enumerate_nonoverlapping(3.0), BoundError),
-    (lambda: v_compute(3.0, 1), DomainError),
-    (lambda: v_compute(3, True), DomainError),
-    (lambda: v_table(2.5), BoundError),
-    (lambda: bessel(True), BoundError),
-    (lambda: avoider_last_entry_distribution(3.0), BoundError),
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_all(2.5),
+    lambda: enumerate_all(True),
+    lambda: enumerate_nonoverlapping(3.0),
+    lambda: v_compute(3.0, 1),
+    lambda: v_compute(3, True),
+    lambda: v_table(2.5),
+    lambda: bessel(True),
+    lambda: avoider_last_entry_distribution(3.0),
 ], ids=["enumerate_all-float", "enumerate_all-bool", "enumerate_nonoverlapping", "v_compute-n",
         "v_compute-k", "v_table", "bessel", "avoider_last_entry_distribution"])
-def test_sizes_must_be_integers(call, error):
-    with pytest.raises(error):
+def test_sizes_must_be_integers(call):
+    with pytest.raises(BoundError):
         call()
 
 

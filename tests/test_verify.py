@@ -17,9 +17,8 @@ import partinv.verify as verify
 from partinv import (
     ALL_CHECKS,
     BoundError,
-    PartinvError,
-    PreconditionError,
     SetPartition,
+    ValidationError,
     check_avoiders_match_v,
     check_equidistribution,
     check_involution,
@@ -301,7 +300,7 @@ def grows_one_image(p):
 #: a claim not listed passes. A claim that meets a raise of the map records
 #: the exception's type and text.
 NO_IMAGE = (ArithmeticError, "no image for 3/421")
-NOT_STANDARD = (PreconditionError, "sigma_fn must return a SetPartition in standard form, got "
+NOT_STANDARD = (ValidationError, "sigma_fn must return a SetPartition in standard form, got "
                 "SetPartition(blocks=((1, 2, 3, 4),)): block (1, 2, 3, 4) is not strictly decreasing")
 FROZEN = {
     "sigma": {},
@@ -621,7 +620,7 @@ class TestDepthGuard:
     @pytest.mark.parametrize("sigma_fn", [None, 5, "sigma"])
     @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
     def test_sigma_fn_that_cannot_be_called_is_refused_up_front(self, no_work, check, sigma_fn):
-        with pytest.raises(PartinvError, match="sigma_fn must be callable"):
+        with pytest.raises(ValidationError, match="sigma_fn must be callable"):
             check(6, sigma_fn=sigma_fn)
 
 
@@ -645,7 +644,7 @@ class TestSigmaResult:
             "blocks-not-iterable", "list-blocks"])
     @pytest.mark.parametrize("check", [check_involution, check_spans, check_nonoverlapping])
     def test_result_that_is_not_a_partition_is_refused(self, check, sigma_fn):
-        with pytest.raises(PreconditionError, match="sigma_fn must return a SetPartition"):
+        with pytest.raises(ValidationError, match="sigma_fn must return a SetPartition"):
             check(3, sigma_fn=sigma_fn)
 
 

@@ -269,6 +269,15 @@ MUTANTS = (
     Mutant("y-check-enumerates-last-tallied-n", "verify.py", "_y_matches_v",
            "n <= len(tallied)", "n < len(tallied)",
            (f"{Y_FROM_THE_SWEEP}::test_enumerates_only_past_the_sweep",)),
+    # the two below still raise a PartinvError with the same message, of the other kind;
+    # the edit imports the class it raises, which its module does not
+    Mutant("v-compute-cell-error-class", "recurrence.py", "v_compute",
+           "raise BoundError(", "from .errors import ValidationError\n        raise ValidationError(",
+           (f"{RECURRENCE}::TestVCompute::test_domain",)),
+    Mutant("sigma-result-error-class", "verify.py", "_validated",
+           'raise ValidationError(f"sigma_fn must return a SetPartition, got',
+           'from .errors import BoundError\n            raise BoundError(f"sigma_fn must return a SetPartition, got',
+           (SIGMA_RESULT,)),
 )
 
 

@@ -50,10 +50,12 @@ later n runs the full pass alone, and so does a sweep without it.
 
 The Y check needs the Y distribution over the nonoverlapping partitions
 of [n], which is the Y marginal of the sweep's nonoverlapping joint. So
-run_all hands it, for each n the sweep finished, that marginal from the
-pass that completed n (the full pass, if the paired pass fell back), and
-the check enumerates nonoverlapping partitions only for the n past them.
-check_y_matches_v on its own enumerates them for every n.
+the sweep runs it too, when asked, after its loop: for each n the loop
+finished it reads that marginal from the pass that completed n (the full
+pass, if the paired pass fell back), and it enumerates nonoverlapping
+partitions only for the n past them. Its report's time starts when the Y
+check starts. check_y_matches_v on its own is a sweep of no P_n claim,
+and so enumerates them for every n.
 """
 
 from collections import Counter
@@ -101,7 +103,8 @@ class CheckReport(NamedTuple):
     counterexample: ok and status ("pass" or "fail") are read off that
     field, not stored beside it. elapsed (seconds) runs from the start of
     the sweep the check ran in until its claim was settled, so a claim
-    that shares a sweep also counts the time of the claims beside it."""
+    that shares a sweep also counts the time of the claims beside it; the
+    Y and avoider checks time from their own start."""
 
     check_name: str
     n_range: tuple[int, int]
@@ -199,16 +202,16 @@ class _Unpaired(Exception):
     n is checked again by the full pass."""
 
 
-def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma, y_by_n: list | None = None) -> dict[str, CheckReport]:
+def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
     """Check the named claims of SWEPT, each to its own depth, in one pass
     over P_1, P_2, ... that stops at the end of the n at which the last
     claim settled. X, Y, the spans and the nonoverlapping flag of every
     partition are read and both joints tallied; sigma_fn is called, and
     its image read, only while the involution, spans or nonoverlapping
-    claim is live. Given a list y_by_n, the sweep appends to it, for each
-    n it finishes, the Y distribution over the nonoverlapping partitions of
-    [n] (a dict Y -> count of its nonzero counts), read off that n's
-    completed pass."""
+    claim is live. When depths names y_matches_v too, the sweep runs the Y
+    check after its loop: the Y distribution of each n the loop finished is
+    the Y marginal of that n's nonoverlapping tally, from its completed
+    pass, and nonoverlapping partitions are enumerated only past them."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -217,6 +220,7 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma, y_by_n: list | Non
         sigma_fn = _validated(sigma_fn)
     t0 = perf_counter()
     reports = {}
+    tallied = []  # the Y distribution over the nonoverlapping partitions of each finished n
 
     def settle(name, c=None):
         if paired and c is not None:
@@ -275,11 +279,15 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma, y_by_n: list | Non
                     raise
             else:
                 break
-        if y_by_n is not None:
-            y_by_n.append({y: total for y, total in enumerate(map(sum, zip(*joint_nov))) if total})
+        tallied.append({y: total for y, total in enumerate(map(sum, zip(*joint_nov))) if total})
         # a claim still live at its depth has passed
         inv, spn, nvl, eqd = (live and (n < depths[name] or settle(name))
                               for name, live in zip(SWEPT, (inv, spn, nvl, eqd)))
+    if depth := depths.get("y_matches_v"):  # check_bound has refused every depth below 1
+        reports["y_matches_v"] = _matches_v(
+            "y_matches_v", depth, map(lambda n: tallied[n - 1] if n <= len(tallied) else
+                                      Counter(stat_y(p) for p in enumerate_nonoverlapping(n)), range(1, depth + 1)),
+            "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
     return reports
 
 
@@ -323,22 +331,13 @@ def _matches_v(name: str, n_max: int, distributions, item: str, claim: str) -> C
     return _report(name, n_max, t0)
 
 
-def _y_matches_v(n_max: int, tallied: list[dict[int, int]]) -> CheckReport:
-    """check_y_matches_v, with the Y distribution of each n that tallied
-    covers read from tallied[n - 1], as _sweep hands it over, and that of
-    each later n counted over enumerate_nonoverlapping(n)."""
-    check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
-    return _matches_v("y_matches_v", n_max, map(lambda n: tallied[n - 1] if n <= len(tallied) else
-                      Counter(stat_y(p) for p in enumerate_nonoverlapping(n)), range(1, n_max + 1)),
-                      "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
-
-
 def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
     """Y on nonoverlapping partitions of [n] has distribution v[n][k]. On
-    its own the check counts Y over enumerate_nonoverlapping(n) for each n;
-    run_all reads the distributions for the n its sweep finished from the
-    sweep's nonoverlapping tally, and enumerates only past them."""
-    return _y_matches_v(n_max, [])
+    its own the check is a sweep of no P_n claim, so it counts Y over
+    enumerate_nonoverlapping(n) for each n; in run_all's sweep it reads the
+    distributions for the n the sweep finished from the sweep's
+    nonoverlapping tally, and enumerates only past them."""
+    return _sweep({"y_matches_v": n_max})["y_matches_v"]
 
 
 def check_avoiders_match_v(n_max: int = DEFAULT_LIMITS["avoiders_match_v"]) -> CheckReport:
@@ -365,11 +364,10 @@ ALL_CHECKS = (
 
 def run_all(n_max_override: int | None = None) -> list[CheckReport]:
     """Run every check at its default depth, or all at the given depth;
-    the four claims over all of P_n share one sweep, which runs first and
-    so refuses a depth past the enumeration guard before any work, and
-    hands the Y check its nonoverlapping tally."""
+    the four claims over all of P_n and the Y check share one sweep, which
+    runs first and so refuses a depth of any of them past the enumeration
+    guard before any work, and which hands the Y check its nonoverlapping
+    tally."""
     depths = {name: DEFAULT_LIMITS[name] if n_max_override is None else n_max_override for name, _ in ALL_CHECKS}
-    tallied = []
-    reports = _sweep({name: depths[name] for name in SWEPT}, y_by_n=tallied)
-    reports["y_matches_v"] = _y_matches_v(depths["y_matches_v"], tallied)
+    reports = _sweep({name: depths[name] for name in (*SWEPT, "y_matches_v")})
     return [reports[name] if name in reports else fn(depths[name]) for name, fn in ALL_CHECKS]

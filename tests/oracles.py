@@ -142,6 +142,14 @@ def _spans(p: SetPartition) -> list[tuple[int, int]]:
     return sorted((b[-1], b[0]) for b in p.blocks if len(b) > 1)
 
 
+def nonnesting(p: SetPartition) -> bool:
+    """No two non-singleton spans of p nest, lo < lo' < hi' < hi. In the
+    spans sorted by lo, such a pair is a hi that falls, so p is nonnesting
+    exactly when the his rise too; block endpoints are distinct, so none tie."""
+    his = [hi for _, hi in _spans(p)]
+    return his == sorted(his)
+
+
 def spans_by_loop(n_max: int, sigma_fn) -> Counterexample | None:
     """The span claim on its own: the sorted non-singleton spans of every p
     of [1..n_max] against those of sigma_fn(p)."""

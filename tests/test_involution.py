@@ -14,6 +14,7 @@ from partinv import (
     aux_r,
     aux_s,
     enumerate_all,
+    enumerate_nonoverlapping,
     format_partition,
     is_nonoverlapping,
     parse,
@@ -21,7 +22,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
-from oracles import set_partitions, sigma_by_sets, sigma_inverse_by_sets
+from oracles import nonnesting, set_partitions, sigma_by_sets, sigma_inverse_by_sets
 
 FORWARD_EXAMPLES = [
     ("3/4/7/852/961", "6/7/852/9431"),
@@ -121,6 +122,28 @@ def test_agrees_with_set_algebra_oracle():
             assert sigma(p) == sigma_by_sets(p), format_partition(p)
             if stat_x(p) > stat_y(p):
                 assert sigma(p) == sigma_inverse_by_sets(p), format_partition(p)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_nonnesting_class(n):
+    """The nonnesting partitions, a second class counted by the Bessel
+    numbers: sigma keeps it, and the (X, Y) joint over it equals the joint
+    over the nonoverlapping partitions cell for cell."""
+    nonnesting_ps = [p for p in enumerate_all(n) if nonnesting(p)]
+    for p in nonnesting_ps:
+        assert nonnesting(sigma(p)), format_partition(p)
+    assert Counter((stat_x(p), stat_y(p)) for p in nonnesting_ps) == \
+        Counter((stat_x(p), stat_y(p)) for p in enumerate_nonoverlapping(n))
+
+
+def test_nonnesting_and_nonoverlapping_classes_differ():
+    # so the equal joints above are a fact about two classes, not one class read twice;
+    # n: (partitions in both classes, partitions in each)
+    for n, (shared, each) in {4: (13, 14), 6: (89, 143)}.items():
+        nonnesting_ps = {p for p in enumerate_all(n) if nonnesting(p)}
+        nonoverlapping_ps = set(enumerate_nonoverlapping(n))
+        assert (len(nonnesting_ps & nonoverlapping_ps), len(nonnesting_ps), len(nonoverlapping_ps)) == \
+            (shared, each, each)
 
 
 @settings(max_examples=250)

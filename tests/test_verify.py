@@ -159,8 +159,8 @@ def test_run_all_uses_per_check_defaults(monkeypatch):
     assert [r.n_range[1] for r in reports] == [3, 4, 5, 3, 4, 5]
 
 
-@pytest.mark.parametrize("n_max_override, depth", [(None, 10), (4, 4)])
-def test_run_all_sweeps_every_claim_to_one_depth(monkeypatch, n_max_override, depth):
+@pytest.mark.parametrize("n_max_override, depth, y_depth", [(None, 10, 11), (4, 4, 4)])
+def test_run_all_sweeps_every_claim_to_one_depth(monkeypatch, n_max_override, depth, y_depth):
     # all four claims are then live at every n of run_all's sweep, so no gate on a live claim skips a read there
     calls = []
     sweep = verify._sweep
@@ -172,8 +172,8 @@ def test_run_all_sweeps_every_claim_to_one_depth(monkeypatch, n_max_override, de
     monkeypatch.setattr(verify, "_sweep", recording)
     assert all(r.ok for r in run_all(n_max_override))
     [(args, kwargs)] = calls
-    # the one keyword is the list the sweep hands its Y tallies back in
-    assert args == (dict.fromkeys(SWEPT, depth),) and list(kwargs) == ["y_by_n"]
+    # the Y check is the one sweep's too, at its own depth
+    assert args == ({**dict.fromkeys(SWEPT, depth), "y_matches_v": y_depth},) and kwargs == {}
 
 
 class TestMutationSensitivity:
@@ -509,10 +509,19 @@ class TestYFromTheSweep:
     # each map past sigma fails a claim, so the n it fails at is handed over from the full pass
     @pytest.mark.parametrize("map_name, n_max", [("sigma", 10)] + [
         (name, 6) for name in ("identity", "skip_transfer", "all_singletons", "upper_identity", "grows_one_image")])
-    def test_tally_matches_the_enumerated_distribution(self, map_name, n_max):
-        tallied = []
-        verify._sweep(dict.fromkeys(SWEPT, n_max), MAPS[map_name], y_by_n=tallied)
-        assert tallied == [Counter(stat_y(p) for p in enumerate_nonoverlapping(n)) for n in range(1, n_max + 1)]
+    def test_tally_matches_the_enumerated_distribution(self, monkeypatch, map_name, n_max):
+        handed = []
+        matches_v = verify._matches_v
+
+        def recording(name, depth, distributions, *args):
+            if name == "y_matches_v":
+                distributions = list(distributions)
+                handed.extend(distributions[:depth])
+            return matches_v(name, depth, distributions, *args)
+
+        monkeypatch.setattr(verify, "_matches_v", recording)
+        verify._sweep({**dict.fromkeys(SWEPT, n_max), "y_matches_v": n_max}, MAPS[map_name])
+        assert handed == [Counter(stat_y(p) for p in enumerate_nonoverlapping(n)) for n in range(1, n_max + 1)]
 
     @pytest.mark.parametrize("n_max_override, enumerated_n", [(None, [11]), (6, [])])
     def test_enumerates_only_past_the_sweep(self, enumerated, n_max_override, enumerated_n):
@@ -610,6 +619,13 @@ class TestDepthGuard:
     def test_avoider_check_runs_past_the_enumeration_depths(self, n_max):
         # the O(n^3) count is not bounded by the n! scan it replaced
         assert check_avoiders_match_v(n_max).ok
+
+    def test_run_all_checks_the_y_depth_before_any_work(self, no_work, monkeypatch):
+        # a sweep to 3 would enumerate before a Y check run after it could refuse 15
+        monkeypatch.setattr(verify, "DEFAULT_LIMITS", {**dict.fromkeys(SWEPT, 3), "y_matches_v": 15,
+                                                       "avoiders_match_v": 3})
+        with pytest.raises(BoundError, match="check depth 15 exceeds the enumeration guard 14"):
+            run_all()
 
     @pytest.mark.parametrize("n_max", [10, 12, 14])
     def test_depth_within_the_enumeration_guard_reaches_the_work(self, no_work, n_max):

@@ -262,11 +262,11 @@ MUTANTS = (
            "map(sum, zip(*joint_nov))", "map(sum, zip(*joint_all))",
            (f"{Y_FROM_THE_SWEEP}::test_tally_matches_the_enumerated_distribution",)),
     # at n = 1 the check reads the last tallied n
-    Mutant("y-check-reads-tally-one-n-early", "verify.py", "_y_matches_v",
+    Mutant("y-check-reads-tally-one-n-early", "verify.py", "_sweep",
            "lambda n: tallied[n - 1]", "lambda n: tallied[n - 2]",
            (f"{Y_FROM_THE_SWEEP}::test_same_counterexample_as_the_standalone_check",)),
     # changes only cost: the last tallied n is enumerated again
-    Mutant("y-check-enumerates-last-tallied-n", "verify.py", "_y_matches_v",
+    Mutant("y-check-enumerates-last-tallied-n", "verify.py", "_sweep",
            "n <= len(tallied)", "n < len(tallied)",
            (f"{Y_FROM_THE_SWEEP}::test_enumerates_only_past_the_sweep",)),
     # the two below still raise a PartinvError with the same message, of the other kind;

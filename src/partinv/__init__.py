@@ -15,12 +15,7 @@ from .partitions import (
     normalize,
     parse,
 )
-from .patterns import (
-    avoider_last_entry_distribution,
-    contains_12adj_3,
-    contains_1_23adj,
-    is_avoider,
-)
+from .patterns import avoider_last_entry_distribution, is_avoider
 from .recurrence import bessel, v_compute, v_table
 from .stats import aux_r, aux_s, stat_x, stat_y
 from .verify import (
@@ -58,8 +53,6 @@ __all__ = [
     "check_nonoverlapping",
     "check_spans",
     "check_y_matches_v",
-    "contains_12adj_3",
-    "contains_1_23adj",
     "enumerate_all",
     "enumerate_nonoverlapping",
     "format_partition",

@@ -194,12 +194,21 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # later 3.12 and 3.13 releases join the choices with str, not repr; this keeps repr on every release
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {', '.join(map(repr, action.choices))})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # max_help_position=16 holds the subcommand help where 3.10-3.12 put it; 3.13 moves it to column 18
-    parser = argparse.ArgumentParser(prog="partinv",
-                                     description="Set-partition statistics, the X/Y-swapping involution, "
-                                                 "the v-triangle, and brute-force verification.",
-                                     formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=16))
+    parser = _Parser(prog="partinv",
+                     description="Set-partition statistics, the X/Y-swapping involution, "
+                                 "the v-triangle, and brute-force verification.",
+                     formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=16))
+    # add_subparsers builds each subcommand parser from type(parser), so from _Parser too
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def common(p, func, max_n_help=None, max_n=None):

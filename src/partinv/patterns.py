@@ -1,5 +1,5 @@
 """Permutations avoiding the two vincular patterns behind the v-triangle:
-the pattern predicates, and the count of avoiders by last entry.
+the avoider predicate, and the count of avoiders by last entry.
 
 Vincular convention: letters under a common overline must sit in adjacent
 positions of the host permutation; the remaining letter may sit anywhere
@@ -11,29 +11,35 @@ letters still count (123 contains both patterns).
     1_23 (last two adjacent): positions i, j, j+1 with i < j and
         p(i) < p(j) < p(j+1)
 
-The count lists no permutation. It grows avoiders by an append rule:
-append a last entry k to an avoider of length m and shift up by one every
-older entry >= k. Deleting the last entry of an avoider and closing the
-gap gives an avoider, so each avoider of length m + 1 comes from exactly
-one of length m. The new entry completes an occurrence only as the 3 of
-12_3, under an ascent whose top is below k, or as the 3 of 1_23, when the
-old last entry l is below k and is not the minimum, 1. So with b the
-smallest ascent top (m + 1 when there is no ascent), the appends that
-keep an avoider are
+Both the predicate and the count rest on one append rule: append a last
+entry k to an avoider of length m and shift up by one every older entry
+>= k. Deleting the last entry of an avoider and closing the gap gives an
+avoider, so each avoider of length m + 1 comes from exactly one of length
+m. The new entry completes an occurrence only as the 3 of 12_3, under an
+ascent whose top is below k, or as the 3 of 1_23, when the old last entry
+l is below k and is not the minimum, 1. So with b the smallest ascent top
+(m + 1 when there is no ascent), the appends that keep an avoider are
 
     k <= l           giving (k, b + 1): a descent, every old top shifted;
     2 <= k <= b      when l = 1, giving (k, k): a new ascent with top k.
 
 (l <= b always: a last entry above the top of an ascent that ends before
-it completes 12_3, and an ascent that ends at it has top l.) The count
-tallies avoiders by the state (l, b) and takes O(n^3) big-integer
-additions, not the n! * n steps of a scan.
+it completes 12_3, and an ascent that ends at it has top l.)
+
+The predicate reads the rule along one permutation: p is an avoider when
+each entry, appended to the prefix before it, is an allowed append. Only
+an ascent a < b can break the rule, and it does when a is not the least
+entry so far (a 1_23) or b is above the least earlier ascent top (a
+12_3); a pass that keeps the running minimum and that top decides p in
+O(n). The count lists no permutation: it tallies avoiders by the state
+(l, b) and takes O(n^3) big-integer additions, not the n! * n steps of a
+scan.
 
 Boundary: every public function here checks its input from outside.
-is_avoider, contains_12adj_3 and contains_1_23adj refuse anything that is
-not a permutation of 1..n, text, bytes, sets and mappings included, with
-ValidationError; avoider_last_entry_distribution refuses a bad n or max_n
-with BoundError before its count starts.
+is_avoider refuses anything that is not a permutation of 1..n, text,
+bytes, sets and mappings included, with ValidationError;
+avoider_last_entry_distribution refuses a bad n or max_n with BoundError
+before its count starts.
 """
 
 from collections.abc import Set
@@ -68,49 +74,22 @@ def _permutation(p) -> tuple[int, ...]:
     return perm
 
 
-def contains_12adj_3(p: Sequence[int]) -> bool:
-    """Some adjacent ascent is followed, two or more places later, by a
-    larger value."""
-    return _contains_12adj_3(_permutation(p))
-
-
-def contains_1_23adj(p: Sequence[int]) -> bool:
-    """Some adjacent ascent is preceded, anywhere earlier, by a smaller
-    value."""
-    return _contains_1_23adj(_permutation(p))
-
-
 def is_avoider(p: Sequence[int]) -> bool:
     """Neither pattern occurs."""
     return _is_avoider(_permutation(p))
 
 
-def _contains_12adj_3(p: tuple[int, ...]) -> bool:
-    n = len(p)
-    suffix_max = 0
-    # scan ascents right to left so the suffix maximum is available
-    for i in range(n - 3, -1, -1):
-        suffix_max = max(suffix_max, p[i + 2])
-        if p[i] < p[i + 1] < suffix_max:
-            return True
-    return False
-
-
-def _contains_1_23adj(p: tuple[int, ...]) -> bool:
-    n = len(p)
-    if n < 3:
-        return False
-    prefix_min = p[0]
-    for j in range(1, n - 1):
-        if prefix_min < p[j] < p[j + 1]:
-            return True
-        if p[j] < prefix_min:
-            prefix_min = p[j]
-    return False
-
-
 def _is_avoider(p: tuple[int, ...]) -> bool:
-    return not _contains_12adj_3(p) and not _contains_1_23adj(p)
+    """The append rule of the module docstring along p: low is the least
+    entry so far, top the least ascent top (len(p) + 1 while there is none)."""
+    low = top = len(p) + 1
+    for a, b in zip(p, p[1:]):
+        low = min(low, a)
+        if a < b:
+            if a > low or b > top:
+                return False
+            top = b
+    return True
 
 
 def _suffix_sums(values: list[int]) -> list[int]:

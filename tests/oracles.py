@@ -13,12 +13,14 @@ every partition, the CLI's v-triangle rendered whole before a byte is
 written), and the fast paths must equal them item for item. The
 open-block scan reads a partition element by element, as a word and as
 a transfer model that counts the (X, Y) joint without listing any
-partition.
+partition; on the permutation side, the append rule of patterns.py,
+run on a state of its own, counts the avoiders by st and last entry,
+the same joint reached without partitions.
 """
 
 import json
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -424,6 +426,54 @@ def avoiders_depth_first(n_max: int) -> dict[int, list[tuple[int, ...]]]:
         for k in range(1, reach + 1):
             stack.append(tuple(e + (e >= k) for e in p) + (k,))
     return listed
+
+
+def stat_st(p: tuple[int, ...]) -> int:
+    """The least of max(p(i), p(i + 1)) over the left-to-right minima p(i)
+    of p, with p(n + 1) = 0. In an avoider the entries after each
+    left-to-right minimum decrease (an ascent among them is a 1_23 whose 1
+    is that minimum), so st is the least maximum of the segments that p
+    falls into when cut before each left-to-right minimum: the blocks of
+    the partition Claesson (2001) maps p to, whose least block maximum is X.
+    Named like stat_x and stat_y, since st names hypothesis's strategies
+    in this module."""
+    low = best = len(p) + 1
+    for e, after in zip(p, (*p[1:], 0)):
+        if e < low:
+            low = e
+            best = min(best, max(e, after))
+    return best
+
+
+def st_last_joint(n_max: int) -> dict[int, Counter]:
+    """joint[m][s, k] = the number of avoiders of [m] with st s and last
+    entry k, for 1 <= m <= n_max, counted by the append rule of
+    patterns.py without listing a permutation. The state (l, b, s) adds s
+    to the count's (l, b): while l != 1, s is st; when l = 1, s is the
+    least segment maximum before the final segment [1], or m + 1, above
+    every entry, when there is none.
+    From [1], in state (1, 2, 2), an append k gives
+        k = 1:                (1, b + 1, st + 1), every old segment shifted
+                              (st is 1 when l = 1, else s);
+        2 <= k <= l:          (k, b + 1, s + [s >= k]), k joins the final segment;
+        l = 1 and 2 <= k <= b: (k, k, min(s, k)), k tops the final segment [1].
+    It loops over k, so it takes O(n^5) steps to reach n_max."""
+    joint = {}
+    states = {(1, 2, 2): 1}
+    for m in range(1, n_max + 1):
+        joint[m] = Counter()
+        after = defaultdict(int)
+        for (l, b, s), count in states.items():
+            least = 1 if l == 1 else s  # st of the avoider
+            joint[m][least, l] += count
+            after[1, b + 1, least + 1] += count
+            for k in range(2, l + 1):
+                after[k, b + 1, s + (s >= k)] += count
+            if l == 1:
+                for k in range(2, b + 1):
+                    after[k, k, min(s, k)] += count
+        states = after
+    return joint
 
 
 def preimage_map(n: int, sigma_fn=sigma) -> dict[SetPartition, list[SetPartition]]:

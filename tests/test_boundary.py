@@ -27,8 +27,6 @@ BOUNDARY = {
     "SetPartition.from_blocks": (partinv.SetPartition.from_blocks, {"blocks": [[2, 1]]}),
     "SetPartition.from_json": (partinv.SetPartition.from_json, {"obj": {"blocks": [[1]]}}),
     "is_avoider": (partinv.is_avoider, {"p": (1, 2)}),
-    "contains_12adj_3": (partinv.contains_12adj_3, {"p": (1, 2)}),
-    "contains_1_23adj": (partinv.contains_1_23adj, {"p": (1, 2)}),
     "enumerate_all": (partinv.enumerate_all, {"n": 3, "max_n": 10}),
     "enumerate_nonoverlapping": (partinv.enumerate_nonoverlapping, {"n": 3, "max_n": 10}),
     "avoider_last_entry_distribution": (partinv.avoider_last_entry_distribution, {"n": 3, "max_n": 9}),
@@ -55,8 +53,6 @@ def _empty_permutation(kwargs):
 MAY_ACCEPT = {
     "parse": lambda kwargs: isinstance(kwargs["text"], str),
     "is_avoider": _empty_permutation,
-    "contains_12adj_3": _empty_permutation,
-    "contains_1_23adj": _empty_permutation,
 }
 
 _scalar = st.one_of(

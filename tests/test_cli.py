@@ -20,6 +20,7 @@ import partinv.cli as cli
 from partinv import SetPartition, format_partition, parse, v_table
 from partinv.verify import CheckReport, Counterexample
 from oracles import set_partitions, table_output
+from test_cli_corpus import CORPUS, replay
 
 NONOVERLAPPING_9_SHA256 = "3f6a6ec5035a50fdca76a4fbbffc6bef840914967c6d195807780947404bf2c2"
 ALL_9_SHA256 = "8edfc596b218161eb93af89069c673fc768965a2ae598c441ade79167ea960c8"
@@ -379,6 +380,21 @@ class TestErrorPaths:
         default = argparse.HelpFormatter("partinv")._max_help_position
         assert default != 16
         assert all(p._get_formatter()._max_help_position == default for p in sub.choices.values())
+
+    def test_invalid_choice_keeps_its_quotes_on_later_releases(self, monkeypatch):
+        # later 3.12 and 3.13 releases join argparse's choices with str, not repr;
+        # the five cases that would show it must still replay to their digests
+        def later_check_value(self, action, value):
+            if action.choices is not None and value not in action.choices:
+                args = {"value": value, "choices": ", ".join(map(str, action.choices))}
+                raise argparse.ArgumentError(action, "invalid choice: %(value)r (choose from %(choices)s)" % args)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_check_value", later_check_value)
+        frozen = json.loads(CORPUS.read_text())
+        for argv in (("distribution", "5", "--stat", "z", "--format", "text"),
+                     ("distribution", "5", "--stat", "z", "--format", "json"),
+                     ("enumerate", "3", "--format", "TEXT"), ("enumerate", "3", "--format", "JSON"), ("nosuch",)):
+            assert replay(argv) == frozen[" ".join(argv)], argv
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "nosuch")

@@ -1,4 +1,4 @@
-"""Vincular pattern predicates and the avoider last-entry distribution."""
+"""The avoider predicate and the avoider last-entry distribution."""
 
 import collections
 import types
@@ -12,24 +12,34 @@ from partinv import (
     ValidationError,
     avoider_last_entry_distribution,
     bessel,
-    contains_12adj_3,
-    contains_1_23adj,
     is_avoider,
     v_compute,
 )
-from oracles import avoiders_by_scan, avoiders_depth_first, naive_contains_1_23adj, naive_contains_12adj_3
+from oracles import (
+    avoiders_by_scan,
+    avoiders_depth_first,
+    finish_table,
+    naive_contains_1_23adj,
+    naive_contains_12adj_3,
+    st_last_joint,
+    stat_st,
+    transfer_joint,
+)
 
 
 class TestPredicates:
+    """is_avoider reads the count's append rule, so the all-pairs scans of
+    tests/oracles.py are its independent anchor."""
+
     def test_first_pattern(self):
-        assert contains_12adj_3((1, 2, 3))
-        assert not contains_12adj_3((1, 3, 2))
-        assert not contains_12adj_3((2, 1))
+        # 2 3 _ 4: an occurrence of 12_3 and none of 1_23
+        assert (naive_contains_12adj_3((2, 3, 1, 4)), naive_contains_1_23adj((2, 3, 1, 4))) == (True, False)
+        assert not is_avoider((2, 3, 1, 4))
 
     def test_second_pattern(self):
-        assert contains_1_23adj((1, 2, 3))
-        assert not contains_1_23adj((2, 1, 3))
-        assert not contains_1_23adj((1,))
+        # 1 _ 2 3: an occurrence of 1_23 and none of 12_3
+        assert (naive_contains_12adj_3((1, 4, 2, 3)), naive_contains_1_23adj((1, 4, 2, 3))) == (False, True)
+        assert not is_avoider((1, 4, 2, 3))
 
     def test_avoider(self):
         assert is_avoider((2, 3, 1))
@@ -38,14 +48,13 @@ class TestPredicates:
 
     def test_adjacency_is_a_lower_bound(self):
         # all three letters adjacent still counts for either pattern
-        assert contains_12adj_3((1, 2, 3))
-        assert contains_1_23adj((1, 2, 3))
+        assert (naive_contains_12adj_3((1, 2, 3)), naive_contains_1_23adj((1, 2, 3))) == (True, True)
+        assert not is_avoider((1, 2, 3))
 
     def test_agree_with_all_pairs_scan(self):
-        for n in range(1, 8):
+        for n in range(1, 9):
             for p in permutations(range(1, n + 1)):
-                assert contains_12adj_3(p) == naive_contains_12adj_3(p)
-                assert contains_1_23adj(p) == naive_contains_1_23adj(p)
+                assert is_avoider(p) == (not naive_contains_12adj_3(p) and not naive_contains_1_23adj(p)), p
 
 
 #: The last eleven iterate, but not as a sequence of entries: "" would read
@@ -59,15 +68,14 @@ JUNK = [None, 5, [1, "a", 3], "123", [1.0, 2.0], [True], [2, True], [1, 1], [1, 
 
 
 @pytest.mark.parametrize("junk", JUNK, ids=repr)
-@pytest.mark.parametrize("fn", [is_avoider, contains_12adj_3, contains_1_23adj],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [is_avoider], ids=lambda fn: fn.__name__)
 def test_non_permutation_is_refused(fn, junk):
     with pytest.raises(ValidationError):
         fn(junk)
 
 
 def test_empty_permutation_is_accepted():
-    assert is_avoider(()) and not contains_12adj_3([]) and not contains_1_23adj(())
+    assert is_avoider(()) and is_avoider([])
 
 
 class TestDistribution:
@@ -139,3 +147,19 @@ class TestCount:
     def test_listing_counts_by_last_entry(self, listed):
         for n, avoiders in listed.items():
             assert avoider_last_entry_distribution(n) == by_last_entry(avoiders, n)
+
+
+def test_st_and_last_entry_have_the_nonoverlapping_xy_joint():
+    """(st, last entry) over the avoiders, counted by the append rule, is the
+    permutation side of the (X, Y) joint over nonoverlapping partitions: it
+    equals a tally of the listed avoiders, and the transfer model's joint,
+    which shares no code with it, and so is symmetric."""
+    depth = 30
+    joint = st_last_joint(depth)
+    listed = avoiders_depth_first(9)
+    for n in range(1, 10):
+        assert joint[n] == Counter((stat_st(p), p[-1]) for p in listed[n]), n
+    finish = finish_table(depth - 1, True)
+    for n in range(1, depth + 1):
+        assert joint[n] == transfer_joint(n, finish, True), n
+        assert all(joint[n][k, s] == count for (s, k), count in joint[n].items()), n

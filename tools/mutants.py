@@ -90,6 +90,8 @@ ONE_DOOR = f"{RECURRENCE}::TestOneDoor"
 ORACLE_60 = f"{RECURRENCE}::test_matches_oracle_cell_for_cell_to_60"
 HELP_COLUMN = "tests/test_cli.py::TestErrorPaths::test_help_column_is_held_at_16_on_the_top_level_only"
 Y_FROM_THE_SWEEP = "tests/test_verify.py::TestYFromTheSweep"
+AVOIDER_PREDICATE = "tests/test_patterns.py::TestPredicates::test_agree_with_all_pairs_scan"
+LATER_CHOICES = "tests/test_cli.py::TestErrorPaths::test_invalid_choice_keeps_its_quotes_on_later_releases"
 
 MUTANTS = (
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
@@ -187,6 +189,9 @@ MUTANTS = (
            'print(f"{k} {dist[k]}")', 'print(f"{k}\\t{dist[k]}")', (CLI_CORPUS,)),
     Mutant("help-column-left-to-argparse", "cli.py", "build_parser",
            "HelpFormatter(prog, max_help_position=16)", "HelpFormatter(prog)", (HELP_COLUMN,)),
+    # every parser falls back to argparse's own check, which later 3.12 and 3.13 releases word with str
+    Mutant("invalid-choice-left-to-argparse", "cli.py", "build_parser",
+           "parser = _Parser(", "parser = argparse.ArgumentParser(", (LATER_CHOICES,)),
     Mutant("usage-error-keeps-argparse-code", "cli.py", "main",
            "return 1 if exc.code else 0", "return exc.code", (CLI_CORPUS,)),
     Mutant("handler-not-registered", "cli.py", "common",
@@ -215,6 +220,14 @@ MUTANTS = (
     # the count of [n] reads the state of length n + 1
     Mutant("distribution-reads-one-length-late", "patterns.py", "avoider_last_entry_distribution",
            "n - 1, None", "n, None", AVOIDER_COUNT),
+    # (1, 4, 2, 3), a 1_23 alone, passes
+    Mutant("avoider-pass-drops-1-23-clause", "patterns.py", "_is_avoider",
+           "if a > low or b > top:", "if b > top:", (AVOIDER_PREDICATE,)),
+    # (2, 3, 1, 4), a 12_3 alone, passes
+    Mutant("avoider-pass-never-lowers-top", "patterns.py", "_is_avoider",
+           "top = b", "pass", (AVOIDER_PREDICATE,)),
+    Mutant("avoider-pass-low-from-ascent-top", "patterns.py", "_is_avoider",
+           "low = min(low, a)", "low = min(low, b)", (AVOIDER_PREDICATE,)),
     # changes only cost: the avoider check counts afresh for each n, O(n^4) in all
     Mutant("avoider-check-counts-each-n-afresh", "patterns.py", "_last_entry_distributions",
            "map(_by_last_entry, _avoider_columns())",

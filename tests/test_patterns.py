@@ -56,6 +56,41 @@ class TestPredicates:
             for p in permutations(range(1, n + 1)):
                 assert is_avoider(p) == (not naive_contains_12adj_3(p) and not naive_contains_1_23adj(p)), p
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_avoiders_are_counted_by_bessel(self, n):
+        assert sum(map(is_avoider, permutations(range(1, n + 1)))) == bessel(n)
+
+    def test_reverse_complement_keeps_avoiders(self):
+        # the pass reads p left to right, but the class is closed under
+        # reverse-complement, which swaps 12_3 and 1_23
+        for n in range(1, 8):
+            for p in permutations(range(1, n + 1)):
+                assert is_avoider(p) == is_avoider(tuple(n + 1 - e for e in reversed(p))), p
+
+
+#: Every permutation of length <= 4 that holds a pattern, with (holds 12_3,
+#: holds 1_23) worked from the definitions; the rest of them avoid both.
+SMALL_HOLDERS = {
+    (1, 2, 3): (True, True),
+    (1, 2, 3, 4): (True, True),
+    (1, 2, 4, 3): (True, True),
+    (1, 3, 2, 4): (True, True),
+    (1, 3, 4, 2): (True, True),
+    (1, 4, 2, 3): (False, True),
+    (2, 1, 3, 4): (True, True),
+    (2, 3, 1, 4): (True, False),
+    (2, 3, 4, 1): (True, True),
+    (3, 1, 2, 4): (True, True),
+    (4, 1, 2, 3): (True, True),
+}
+
+
+@pytest.mark.parametrize("p", [p for n in range(5) for p in permutations(range(1, n + 1))], ids=repr)
+def test_small_permutations_by_hand(p):
+    held = SMALL_HOLDERS.get(p, (False, False))
+    assert (naive_contains_12adj_3(p), naive_contains_1_23adj(p)) == held
+    assert is_avoider(p) == (held == (False, False))
+
 
 #: The last eleven iterate, but not as a sequence of entries: "" would read
 #: as the empty permutation, b"\x02\x01" as (2, 1), a dict as its keys; a

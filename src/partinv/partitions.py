@@ -317,25 +317,70 @@ def _grow_nonoverlapping(prefixes, e, room):
 
 def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     """The empty prefix grown by one _grow_nonoverlapping level per
-    element 1..n - 1, so no prefix that cannot be completed is built.
-    Element n is placed in one batch per prefix: with need = {j} it joins
-    j; with need empty it joins each block whose minimum lies past the
-    largest element of every earlier block, then opens a block. A block
-    that fails lies inside an earlier one, so only a join raises hi."""
+    element 1..n - 2, so no prefix that cannot be completed is built.
+    Elements n - 1 and n are placed together, in one batch per prefix.
+
+    n - 1 joins block k, or opens a block, by _grow_nonoverlapping's rule
+    with room 1: its need g is computed as there, and k is skipped when g
+    has two members. With g = {j}, n joins j, an earlier block: g holds k
+    only when a block past k is in need, and that block stays in g. With
+    g empty, n joins each earlier block whose minimum lies past hi, the
+    largest element of every block before it (a block that fails lies
+    inside an earlier one, so only a join raises hi); then n - 1's block,
+    which needs no test, as g empty puts every earlier block below its
+    minimum; then n opens a block. Each item is cut straight from the
+    prefix's standard form, n - 1's block just before n's when they
+    differ. The rule is written out twice, for a join and for an open: as
+    one shared generator it made the Y tally over n = 11 about 8 % slower.
+    n = 2 is the batch on the empty prefix."""
     make = _make
+    if n == 1:
+        yield make((((1,),),))
+        return
     prefixes = (((), (), 0),)
-    for e in range(1, n):
+    for e in range(1, n - 1):
         prefixes = _grow_nonoverlapping(prefixes, e, n - e)
+    last = (n,)
     for blocks, std, need in prefixes:
-        if need:
-            block = blocks[need.bit_length() - 1]
+        for k, block in enumerate(blocks):
+            lo = block[-1]
+            g = need & ~(1 << k)
+            for b in range(k):
+                if blocks[b][0] >= lo:
+                    g |= 1 << b
+            if need >> (k + 1):
+                g |= 1 << k
+            if g & (g - 1):
+                continue  # two blocks in need, one element left
             j = std.index(block)
-            yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
+            head = std[:j] + std[j + 1:]
+            block = (n - 1,) + block
+            if g:
+                other = blocks[g.bit_length() - 1]
+                j = head.index(other)
+                yield make((head[:j] + head[j + 1:] + (block, last + other),))
+            else:
+                hi = 0
+                for other in blocks[:k]:
+                    if other[-1] > hi:
+                        hi = other[0]
+                        j = head.index(other)
+                        yield make((head[:j] + head[j + 1:] + (block, last + other),))
+                yield make((head + (last + block,),))
+                yield make((head + (block, last),))
+        if need & (need - 1):
+            continue
+        block = (n - 1,)
+        if need:
+            other = blocks[need.bit_length() - 1]
+            j = std.index(other)
+            yield make((std[:j] + std[j + 1:] + (block, last + other),))
         else:
             hi = 0
-            for block in blocks:
-                if block[-1] > hi:
-                    hi = block[0]
-                    j = std.index(block)
-                    yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
-            yield make((std + ((n,),),))
+            for other in blocks:
+                if other[-1] > hi:
+                    hi = other[0]
+                    j = std.index(other)
+                    yield make((std[:j] + std[j + 1:] + (block, last + other),))
+            yield make((std + (last + block,),))
+            yield make((std + (block, last),))

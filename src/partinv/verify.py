@@ -70,11 +70,12 @@ from .patterns import AVOIDER_MAX_N, _last_entry_distributions
 from .recurrence import v_table
 from .stats import stat_x, stat_y
 
-#: Per-check default depth. On a 2-core AMD EPYC VM the whole run_all()
-#: takes about 0.40 s in process at these depths: the shared sweep to
-#: n = 10 about 0.27 s, y_matches_v about 0.13 s, all of it the enumeration
-#: of n = 11 (n <= 10 is read from the sweep's tally), avoiders_match_v
-#: under 1 ms. Each further n of the sweep costs five to seven times more.
+#: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
+#: whole run_all() takes 0.78-0.94 s in process at these depths: the shared
+#: sweep to n = 10 0.55-0.61 s, y_matches_v 0.23-0.33 s, all of it the
+#: enumeration of n = 11 (n <= 10 is read from the sweep's tally),
+#: avoiders_match_v under 1 ms. Each further n of the sweep costs five to
+#: seven times more.
 DEFAULT_LIMITS = {
     "involution": 10,
     "spans": 10,

@@ -7,7 +7,8 @@ Pascal's rule instead of math.comb, bottom-up tabulation with the
 summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
-laminar scan, the joint tally keyed by (X, Y) pairs, the avoiders found
+laminar scan, the nonoverlapping generator that batched only the last
+element, the joint tally keyed by (X, Y) pairs, the avoiders found
 by testing all n! permutations, each swept claim checked on its own at
 every partition, the CLI's v-triangle rendered whole before a byte is
 written), and the fast paths must equal them item for item. The
@@ -38,6 +39,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
+from partinv.partitions import _grow_nonoverlapping
 from partinv.patterns import _is_avoider
 from partinv.verify import Counterexample
 
@@ -221,6 +223,32 @@ def nonoverlapping_by_filter(n: int) -> list[SetPartition]:
     """The nonoverlapping partitions of [n] the slow way: every partition
     of [n], in enumeration order, kept when no two block spans cross."""
     return [p for p in enumerate_by_groups(n) if naive_nonoverlapping(p)]
+
+
+def nonoverlapping_by_one_batch(n: int) -> Iterator[SetPartition]:
+    """The nonoverlapping partitions of [n] as the generator made them
+    before it placed two elements per batch: the empty prefix grown by one
+    _grow_nonoverlapping level per element 1..n - 1, then n placed in one
+    batch per prefix. With need = {j}, n joins j; with need empty, it joins
+    each block whose minimum lies past the largest element of every
+    earlier block, then opens a block. A block that fails lies inside an
+    earlier one, so only a join raises hi."""
+    prefixes = (((), (), 0),)
+    for e in range(1, n):
+        prefixes = _grow_nonoverlapping(prefixes, e, n - e)
+    for blocks, std, need in prefixes:
+        if need:
+            block = blocks[need.bit_length() - 1]
+            j = std.index(block)
+            yield SetPartition(std[:j] + std[j + 1:] + ((n,) + block,))
+        else:
+            hi = 0
+            for block in blocks:
+                if block[-1] > hi:
+                    hi = block[0]
+                    j = std.index(block)
+                    yield SetPartition(std[:j] + std[j + 1:] + ((n,) + block,))
+            yield SetPartition(std + ((n,),))
 
 
 #: the nonoverlapping partitions of [k] by size k, each a tuple of

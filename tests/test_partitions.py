@@ -38,6 +38,7 @@ from oracles import (
     naive_nonoverlapping,
     nonoverlapping_by_filter,
     nonoverlapping_by_first_return,
+    nonoverlapping_by_one_batch,
     partitions_recursive,
     span_families,
 )
@@ -336,6 +337,26 @@ class TestEnumeration:
             if n <= 8:
                 assert oracle == nonoverlapping_by_filter(n), n
             assert list(enumerate_nonoverlapping(n)) == oracle, n
+
+    def test_two_element_batch_agrees_with_one_element_batch(self):
+        # the slow path it replaced: grow to n - 1, then place n alone
+        assert [format_partition(p) for p in enumerate_nonoverlapping(1)] == ["1"]
+        assert [format_partition(p) for p in enumerate_nonoverlapping(2)] == ["21", "1/2"]
+        for n in range(1, 12):
+            assert list(enumerate_nonoverlapping(n)) == list(nonoverlapping_by_one_batch(n)), n
+
+    def test_nonoverlapping_grows_all_but_the_last_two_levels(self, monkeypatch):
+        # elements n - 1 and n are placed by the batch, never by a level
+        grown = []
+        grow = partitions._grow_nonoverlapping
+
+        def spy(prefixes, e, room):
+            grown.append((e, room))
+            return grow(prefixes, e, room)
+
+        monkeypatch.setattr(partitions, "_grow_nonoverlapping", spy)
+        assert sum(1 for _ in enumerate_nonoverlapping(11)) == bessel(11)
+        assert grown == [(e, 11 - e) for e in range(1, 10)]
 
     def test_nonoverlapping_generator_does_not_filter(self):
         for fn in (partitions._gen_nonoverlapping, partitions._grow_nonoverlapping):

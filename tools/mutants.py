@@ -54,6 +54,7 @@ class Mutant(NamedTuple):
 
 ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_grouping_oracle"
 NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_first_return_oracle"
+ONE_BATCH = "tests/test_partitions.py::TestEnumeration::test_two_element_batch_agrees_with_one_element_batch"
 TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
 N_FROM_BLOCKS = "tests/test_partitions.py::TestNamedTuple::test_n_is_read_off_the_blocks"
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
@@ -94,10 +95,28 @@ AVOIDER_PREDICATE = "tests/test_patterns.py::TestPredicates::test_agree_with_all
 LATER_CHOICES = "tests/test_cli.py::TestErrorPaths::test_invalid_choice_keeps_its_quotes_on_later_releases"
 
 MUTANTS = (
+    # the batch's join and open cases write the rule out twice, so the anchors below carry a
+    # neighbouring line that tells them apart: head when n - 1 joins a block, std when it opens one
     Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
-           "hi = block[0]", "pass", (NONOVERLAPPING_ORACLE,)),
+           "hi = other[0]\n                        j = head.index(other)",
+           "pass\n                        j = head.index(other)", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     Mutant("batch-hi-starts-at-1", "partitions.py", "_gen_nonoverlapping",
-           "hi = 0", "hi = 1", (NONOVERLAPPING_ORACLE,)),
+           "hi = 0\n            for other in blocks:", "hi = 1\n            for other in blocks:",
+           (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # n joins a block that lies inside an earlier one, and crosses it
+    Mutant("batch-joins-nested-block", "partitions.py", "_gen_nonoverlapping",
+           "if other[-1] > hi:\n                        hi = other[0]",
+           "if True:\n                        hi = other[0]", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    Mutant("batch-n-never-joins-n-minus-1-block", "partitions.py", "_gen_nonoverlapping",
+           "yield make((head + (last + block,),))", "pass", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # n then joins the later of the two blocks in need and leaves the other open
+    Mutant("batch-keeps-two-in-need", "partitions.py", "_gen_nonoverlapping",
+           "if g & (g - 1):", "if False:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # n's block before n - 1's: not standard form
+    Mutant("batch-cuts-two-blocks-in-wrong-order", "partitions.py", "_gen_nonoverlapping",
+           "j = head.index(other)\n                yield make((head[:j] + head[j + 1:] + (block, last + other),))",
+           "j = head.index(other)\n                yield make((head[:j] + head[j + 1:] + (last + other, block),))",
+           (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     Mutant("need-drops-enclosing-term", "partitions.py", "_grow_nonoverlapping",
            "g |= 1 << b", "pass", (NONOVERLAPPING_ORACLE,)),
     Mutant("need-drops-later-block-term", "partitions.py", "_grow_nonoverlapping",
@@ -112,7 +131,8 @@ MUTANTS = (
            "yield make((std + ((n,),),))", "yield (std + ((n,),),)", (TYPE_IDENTITY,)),
     # an unwrapped make(...) builds a SetPartition of k fields whose .blocks is its first block
     Mutant("batch-drops-one-tuple-comma", "partitions.py", "_gen_nonoverlapping",
-           "yield make((std + ((n,),),))", "yield make(std + ((n,),))", (TYPE_IDENTITY, NONOVERLAPPING_ORACLE)),
+           "yield make((std + (block, last),))", "yield make(std + (block, last))",
+           (TYPE_IDENTITY, NONOVERLAPPING_ORACLE)),
     Mutant("n-reads-first-block", "partitions.py", "n",
            "return self.blocks[-1][0]", "return self.blocks[0][0]", (TYPE_IDENTITY, N_FROM_BLOCKS)),
     Mutant("absorb-r-ge-s", "involution.py", "_absorb",

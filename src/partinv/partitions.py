@@ -23,9 +23,10 @@ split into entries and what parse's message calls a bad one.
 nonsingleton_spans reads the spans of the non-singleton blocks, the
 only spans the claims are about: sigma keeps every one of them, the
 nonoverlapping test (laminar) reads only those, and the verify sweep
-hands the one list to the claims about both. The CLI's stats command
-prints the span of every block, singletons included, and reads those
-off the blocks itself.
+hands the one list to the claims about both. Spans come in standard-form
+order, by increasing hi, the order the blocks are stored in; no sort is
+made. The CLI's stats command prints the span of every block,
+singletons included, and reads those off the blocks itself.
 
 Boundary: parse, normalize, SetPartition.from_blocks and
 SetPartition.from_json check outside input; the other three end in
@@ -199,33 +200,38 @@ def format_partition(p: SetPartition) -> str:
 
 
 def nonsingleton_spans(p: SetPartition) -> list[tuple[int, int]]:
-    """The spans (lo, hi) of the non-singleton blocks of p, sorted. A
-    singleton's span is a single point, which nothing here reads."""
+    """The spans (lo, hi) of the non-singleton blocks of p, in standard-form
+    order, which is by increasing hi. No two blocks share a hi, so two such
+    lists are equal exactly when they hold the same spans. A singleton's
+    span is a single point, which nothing here reads. It is a loop, as on
+    Python 3.11 a list comprehension builds a function on every call,
+    which measurably slowed the verify sweep."""
     spans = []
     for b in p.blocks:
         if len(b) > 1:
             spans.append((b[-1], b[0]))
-    spans.sort()
     return spans
 
 
 def laminar(spans: list[tuple[int, int]]) -> bool:
-    """True iff the sorted spans are pairwise disjoint or nested. Block
-    endpoints are distinct elements, so no two endpoints tie.
+    """True iff the spans, in standard-form order (by increasing hi), are
+    pairwise disjoint or nested. Block endpoints are distinct elements, so
+    no two endpoints tie.
 
-    One pass in order of lo keeps tops, the hi of every span seen so far
-    that encloses the current lo, innermost last, so the list decreases.
-    A span whose hi lies below lo is disjoint from this span and from all
-    later ones, which start further right, and is popped. The span then
-    crosses an enclosing one exactly when it ends past the innermost of
-    them; otherwise it nests inside them all and is pushed."""
-    tops = []
+    One pass in order of hi keeps outer, the spans seen so far that no
+    span seen since encloses, left to right and pairwise disjoint. Each of
+    them ends before hi, so one that starts after lo nests inside this
+    span and is popped. The span then crosses an earlier one exactly when
+    it starts inside the top: every span below the top ends before the
+    top starts, and every span popped before lies inside one still kept
+    or inside this one. Otherwise this span is pushed."""
+    outer = []
     for lo, hi in spans:
-        while tops and tops[-1] < lo:
-            tops.pop()
-        if tops and tops[-1] < hi:
+        while outer and outer[-1][0] > lo:
+            outer.pop()
+        if outer and outer[-1][1] > lo:
             return False  # lo' < lo < hi' < hi: proper crossing
-        tops.append(hi)
+        outer.append((lo, hi))
     return True
 
 
@@ -249,28 +255,26 @@ def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
 
 def _grow_all(prefixes, e):
     """Every one-element extension of each prefix of 1..e - 1, in RGS-lex
-    order. A prefix is (blocks, std): its blocks numbered by their minima,
-    as in the RGS, and the same blocks in standard form. Element e joins
-    each block in turn, which then holds the largest element and so moves
-    to the end of std, or opens a block, which goes on the end."""
-    for blocks, std in prefixes:
+    order. A prefix is its blocks numbered by their minima, as in the RGS;
+    element e joins each block in turn, then opens a block on the end."""
+    for blocks in prefixes:
         for k, block in enumerate(blocks):
-            j = std.index(block)
-            block = (e,) + block
-            yield blocks[:k] + (block,) + blocks[k + 1:], std[:j] + std[j + 1:] + (block,)
-        block = (e,)
-        yield blocks + (block,), std + (block,)
+            yield blocks[:k] + ((e,) + block,) + blocks[k + 1:]
+        yield blocks + ((e,),)
 
 
 def _gen_all(n: int) -> Iterator[SetPartition]:
     """The empty prefix grown by one _grow_all level per element 1..n - 1.
-    Element n is placed in one batch per prefix, each item cut from the
-    prefix's standard form as _grow_all cuts one, with no sort."""
+    Element n is placed in one batch per prefix: the prefix's blocks are
+    sorted into standard form once, by their first entry, the block
+    maximum, and each item is cut from that. n joins a block, which then
+    holds the largest element and so moves to the end, or opens one."""
     make = _make
-    prefixes = (((), ()),)
+    prefixes = ((),)
     for e in range(1, n):
         prefixes = _grow_all(prefixes, e)
-    for blocks, std in prefixes:
+    for blocks in prefixes:
+        std = tuple(sorted(blocks))
         for block in blocks:
             j = std.index(block)
             yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
@@ -289,15 +293,14 @@ def _grow_nonoverlapping(prefixes, e, room):
     """The one-element extensions of each prefix of 1..e - 1 that some
     nonoverlapping partition of [e + room] extends, in RGS-lex order.
 
-    A prefix is (blocks, std, need), blocks and std as in _grow_all.
-    need is the bitmask of blocks that must take a later element. When e
-    joins block k, k's need is met; every earlier block whose largest
-    element so far reaches min(k) must end after e, to enclose k; and k
-    must go on if a later block in need does, to enclose it. Opening a
-    block changes nothing. An extension is kept iff its need has at most
-    room members.
+    A prefix is (blocks, need), blocks in RGS order as in _grow_all. need
+    is the bitmask of blocks that must take a later element. When e joins
+    block k, k's need is met; every earlier block whose largest element so
+    far reaches min(k) must end after e, to enclose k; and k must go on if
+    a later block in need does, to enclose it. Opening a block changes
+    nothing. An extension is kept iff its need has at most room members.
     """
-    for blocks, std, need in prefixes:
+    for blocks, need in prefixes:
         for k, block in enumerate(blocks):
             lo = block[-1]
             g = need & ~(1 << k)
@@ -307,12 +310,9 @@ def _grow_nonoverlapping(prefixes, e, room):
             if need >> (k + 1):
                 g |= 1 << k
             if g.bit_count() <= room:
-                j = std.index(block)
-                block = (e,) + block
-                yield blocks[:k] + (block,) + blocks[k + 1:], std[:j] + std[j + 1:] + (block,), g
+                yield blocks[:k] + ((e,) + block,) + blocks[k + 1:], g
         if need.bit_count() <= room:
-            block = (e,)
-            yield blocks + (block,), std + (block,), need
+            yield blocks + ((e,),), need
 
 
 def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
@@ -328,20 +328,22 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     largest element of every block before it (a block that fails lies
     inside an earlier one, so only a join raises hi); then n - 1's block,
     which needs no test, as g empty puts every earlier block below its
-    minimum; then n opens a block. Each item is cut straight from the
-    prefix's standard form, n - 1's block just before n's when they
-    differ. The rule is written out twice, for a join and for an open: as
-    one shared generator it made the Y tally over n = 11 about 8 % slower.
-    n = 2 is the batch on the empty prefix."""
+    minimum; then n opens a block. The prefix's blocks are sorted into
+    standard form once, as in _gen_all, and each item is cut from that,
+    n - 1's block just before n's when they differ. The rule is written
+    out twice, for a join and for an open: as one shared generator it made
+    the Y tally over n = 11 about 8 % slower. n = 2 is the batch on the
+    empty prefix."""
     make = _make
     if n == 1:
         yield make((((1,),),))
         return
-    prefixes = (((), (), 0),)
+    prefixes = (((), 0),)
     for e in range(1, n - 1):
         prefixes = _grow_nonoverlapping(prefixes, e, n - e)
     last = (n,)
-    for blocks, std, need in prefixes:
+    for blocks, need in prefixes:
+        std = tuple(sorted(blocks))
         for k, block in enumerate(blocks):
             lo = block[-1]
             g = need & ~(1 << k)

@@ -24,7 +24,9 @@ p's (its spans, its X and Y, and its image, which is p again) and are
 taken from p, not computed again. An image that is merely equal to p is
 read in full. The package's sigma is trusted, as enumeration is; any
 other sigma_fn has each result validated, and one that is not a
-SetPartition in standard form raises ValidationError. The
+SetPartition in standard form raises ValidationError. Span lists come
+in standard-form order, so two are equal exactly when they hold the same
+spans, and a spans counterexample prints each sorted by lo. The
 nonoverlapping claim reuses p's flag when the two span lists are equal.
 The sweep stops at the end of the n at which its last claim settled; the
 rest of that P_n reads only p's own fields. A report's elapsed time runs
@@ -261,8 +263,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                             if c is not None:
                                 inv = settle("involution", c)
                         if spn and sp != sq:
-                            spn = settle("spans", Counterexample(
-                                n, format_partition(p), "non-singleton span multiset preserved", str(sp), str(sq)))
+                            spn = settle("spans", Counterexample(n, format_partition(p),
+                                "non-singleton span multiset preserved", str(sorted(sp)), str(sorted(sq))))
                         # equal span lists give equal flags, so p's is reused
                         if nvl and sq != sp and laminar(sq) != nov:
                             nvl = settle("nonoverlapping", Counterexample(

@@ -14,9 +14,11 @@ every partition, the CLI's v-triangle rendered whole before a byte is
 written), and the fast paths must equal them item for item. The
 open-block scan reads a partition element by element, as a word and as
 a transfer model that counts the (X, Y) joint without listing any
-partition; on the permutation side, the append rule of patterns.py,
-run on a state of its own, counts the avoiders by st and last entry,
-the same joint reached without partitions.
+partition; its word, with every close made to take the oldest open
+block, leads through Claesson's map to the avoiders. On the permutation
+side, the append rule of patterns.py, run on a state of its own, counts
+the avoiders by st and last entry, the same joint reached without
+partitions.
 """
 
 import json
@@ -232,11 +234,13 @@ def nonoverlapping_by_one_batch(n: int) -> Iterator[SetPartition]:
     batch per prefix. With need = {j}, n joins j; with need empty, it joins
     each block whose minimum lies past the largest element of every
     earlier block, then opens a block. A block that fails lies inside an
-    earlier one, so only a join raises hi."""
-    prefixes = (((), (), 0),)
+    earlier one, so only a join raises hi. Each item is cut from the
+    prefix's blocks sorted into standard form once."""
+    prefixes = (((), 0),)
     for e in range(1, n):
         prefixes = _grow_nonoverlapping(prefixes, e, n - e)
-    for blocks, std, need in prefixes:
+    for blocks, need in prefixes:
+        std = tuple(sorted(blocks))
         if need:
             block = blocks[need.bit_length() - 1]
             j = std.index(block)
@@ -574,6 +578,22 @@ def from_scan_word(word) -> SetPartition:
     return normalize(blocks)
 
 
+def stack_to_queue(p: SetPartition) -> SetPartition:
+    """The partition whose scan word is p's with every close made to take
+    the oldest open block: each ("C", i) read as ("C", 1). A nonoverlapping
+    partition closes its newest block each time, a nonnesting one its
+    oldest, so this sends the one class to the other."""
+    return from_scan_word(tuple(("C", 1) if letter[0] == "C" else letter for letter in scan_word(p)))
+
+
+def claesson_permutation(p: SetPartition) -> tuple[int, ...]:
+    """Claesson's (2001) permutation of p: the blocks of p by decreasing
+    minimum, each written as its minimum and then its other entries in
+    decreasing order. The minima are then the left-to-right minima, and
+    cutting before each of them gives the blocks back."""
+    return tuple(e for block in sorted(p.blocks, key=min, reverse=True) for e in (block[-1], *block[:-1]))
+
+
 def finish_table(r_max: int, nonoverlapping: bool) -> list[list[int]]:
     """finish[r][k] for r <= r_max and k <= r_max + 1: the ways to place r
     more elements of the open-block scan with k blocks open and leave none
@@ -662,11 +682,12 @@ def perturbed_sigmas(draw, max_n: int = 6):
 
 @st.composite
 def span_families(draw, max_spans: int = 8) -> list[tuple[int, int]]:
-    """Lo-sorted spans (lo, hi), lo < hi, no two endpoints equal: distinct
-    endpoints drawn in random order and paired off as they come, so that
-    crossing, nested and disjoint pairs all occur."""
+    """Spans (lo, hi), lo < hi, no two endpoints equal, by increasing hi, the
+    order nonsingleton_spans gives: distinct endpoints drawn in random order
+    and paired off as they come, so that crossing, nested and disjoint
+    pairs all occur."""
     ends = draw(st.lists(st.integers(1, 4 * max_spans), unique=True, max_size=2 * max_spans))
-    return sorted((min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2]))
+    return sorted(((min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])), key=lambda span: span[1])
 
 
 @st.composite

@@ -285,16 +285,23 @@ class TestSpans:
             for p in enumerate_all(n):
                 assert is_nonoverlapping(p) == naive_nonoverlapping(p)
 
+    def test_spans_come_in_standard_form_order(self):
+        # by increasing hi, as the blocks are stored, not sorted by lo
+        assert partitions.nonsingleton_spans(parse("32/41")) == [(2, 3), (1, 4)]
+        assert partitions.nonsingleton_spans(parse("31/62/7/854")) == [(1, 3), (2, 6), (4, 8)]
+        assert partitions.nonsingleton_spans(parse("1/2/3")) == []
+
     def test_stack_scan_matches_pairwise_scan_on_every_partition(self):
+        # laminar reads spans by increasing hi; the pairwise scan reads them by lo
         for n in range(1, 11):
             for p in enumerate_all(n):
                 spans = partitions.nonsingleton_spans(p)
-                assert partitions.laminar(spans) == laminar_pairwise(spans), p
+                assert partitions.laminar(spans) == laminar_pairwise(sorted(spans)), p
 
     @settings(max_examples=300, deadline=None)
     @given(span_families())
     def test_stack_scan_matches_pairwise_scan_on_drawn_spans(self, spans):
-        assert partitions.laminar(spans) == laminar_pairwise(spans)
+        assert partitions.laminar(spans) == laminar_pairwise(sorted(spans))
 
 
 class TestEnumeration:
@@ -344,6 +351,22 @@ class TestEnumeration:
         assert [format_partition(p) for p in enumerate_nonoverlapping(2)] == ["21", "1/2"]
         for n in range(1, 12):
             assert list(enumerate_nonoverlapping(n)) == list(nonoverlapping_by_one_batch(n)), n
+
+    def test_prefixes_are_their_rgs_blocks_alone(self):
+        # a prefix is its blocks numbered by their minima, as in the RGS, with
+        # no copy in standard form: decreasing tuples that cover 1..e, minima
+        # increasing; a nonoverlapping prefix adds only its need mask
+        every, nonoverlapping = [()], [((), 0)]
+        for e in range(1, 9):
+            every = list(partitions._grow_all(every, e))
+            nonoverlapping = list(partitions._grow_nonoverlapping(nonoverlapping, e, 9 - e))
+            assert all(type(need) is int for _, need in nonoverlapping)
+            for blocks in every + [blocks for blocks, _ in nonoverlapping]:
+                assert type(blocks) is tuple and all(type(block) is tuple for block in blocks), blocks
+                assert all(list(block) == sorted(block, reverse=True) for block in blocks), blocks
+                assert sorted(x for block in blocks for x in block) == list(range(1, e + 1)), blocks
+                minima = [block[-1] for block in blocks]
+                assert minima == sorted(minima), blocks
 
     def test_nonoverlapping_grows_all_but_the_last_two_levels(self, monkeypatch):
         # elements n - 1 and n are placed by the batch, never by a level

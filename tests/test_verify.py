@@ -72,6 +72,14 @@ def test_equidistribution_trivial_depth():
     assert check_equidistribution(1).ok
 
 
+def test_spans_counterexample_lists_spans_by_lo():
+    # the sweep reads 32/41's spans by hi, [(2, 3), (1, 4)]; its report sorts them by lo
+    broken = parse("32/41")
+    report = check_spans(4, sigma_fn=lambda p: parse("1/2/3/4") if p == broken else sigma(p))
+    assert report.counterexample == Counterexample(
+        4, "32/41", "non-singleton span multiset preserved", "[(1, 4), (2, 3)]", "[]")
+
+
 def test_summary_format():
     report = check_involution(4)
     assert report.summary() == f"PASS involution n=1..4 ({report.elapsed:.2f}s)"

@@ -138,8 +138,13 @@ MUTANTS = (
     Mutant("absorb-r-ge-s", "involution.py", "_absorb",
            "if r > s:", "if r >= s:", (SIGMA_ORACLE,)),
     Mutant("prefix-slice-wrong-end", "partitions.py", "_grow_all",
-           "blocks[:k] + (block,) + blocks[k + 1:]", "blocks[:k] + (block,) + blocks[:len(blocks) - k - 1]",
-           (ALL_ORACLE,)),
+           "blocks[:k] + ((e,) + block,) + blocks[k + 1:]",
+           "blocks[:k] + ((e,) + block,) + blocks[:len(blocks) - k - 1]", (ALL_ORACLE,)),
+    # the prefix's blocks left in RGS order: items come out of standard form
+    Mutant("all-batch-skips-standard-form-sort", "partitions.py", "_gen_all",
+           "std = tuple(sorted(blocks))", "std = blocks", (ALL_ORACLE,)),
+    Mutant("nonoverlapping-batch-skips-standard-form-sort", "partitions.py", "_gen_nonoverlapping",
+           "std = tuple(sorted(blocks))", "std = blocks", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     Mutant("sweep-settles-only-at-depth", "verify.py", "_sweep",
            "if c is not None:\n                        eqd =",
            "if n == depths[\"equidistribution\"]:\n                        eqd =",
@@ -178,6 +183,9 @@ MUTANTS = (
            "sq = sp if q is p else", "sq = sp if q is not p else", (FROZEN_REPORTS,)),
     Mutant("fixed-point-guard-drops-x-eq-y", "verify.py", "_involution",
            "if q is p and x == y:", "if q is p:", (IDENTITY_CAUGHT, FROZEN_REPORTS)),
+    # the spans are then printed by hi, as the sweep reads them
+    Mutant("spans-counterexample-unsorted", "verify.py", "_sweep",
+           "str(sorted(sp))", "str(sp)", ("tests/test_verify.py::test_spans_counterexample_lists_spans_by_lo",)),
     Mutant("nonoverlapping-always-reuses-flag", "verify.py", "_sweep",
            "laminar(sq) != nov", "nov != nov", (FROZEN_REPORTS,)),
     Mutant("validate-accepts-empty-block", "partitions.py", "validate",
@@ -219,7 +227,7 @@ MUTANTS = (
     Mutant("stat-y-takes-max", "stats.py", "stat_y",
            "r if r < s else s", "s if r < s else r", STAT_Y),
     Mutant("laminar-pops-once", "partitions.py", "laminar",
-           "while tops and", "if tops and", LAMINAR_ORACLE),
+           "while outer and", "if outer and", LAMINAR_ORACLE),
     Mutant("asymmetry-reads-own-cell", "verify.py", "_asymmetry",
            "joint[j][i]", "joint[i][j]", JOINT_ORACLE),
     Mutant("matches-v-drops-counterexample", "verify.py", "_matches_v",

@@ -13,7 +13,7 @@ handed to be in standard form, since validating it would cost about three
 times what sigma costs.
 """
 
-from .partitions import SetPartition, _make
+from .partitions import SetPartition
 from .stats import rs_blocks
 
 
@@ -92,5 +92,5 @@ def sigma(p: SetPartition) -> SetPartition:
     if x == y:
         return p
     if x < y:
-        return _make((_absorb(blocks, lead, j, r, s),))
-    return _make((_restore(blocks, j),))
+        return tuple.__new__(SetPartition, (_absorb(blocks, lead, j, r, s),))
+    return tuple.__new__(SetPartition, (_restore(blocks, j),))

@@ -40,7 +40,6 @@ handed; validate() re-checks one built directly.
 """
 
 import re
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NOT_ENTRIES, BoundError, ParseError, ValidationError, check_bound, is_int
@@ -122,12 +121,6 @@ class SetPartition(NamedTuple):
 
     def __str__(self) -> str:
         return format_partition(self)
-
-
-#: The trusted constructor for code that builds standard form itself:
-#: _make((blocks,)) skips the argument handling of SetPartition(blocks),
-#: one C-level call per partition built.
-_make = partial(tuple.__new__, SetPartition)
 
 
 def _iterable(value):
@@ -269,7 +262,10 @@ def _gen_all(n: int) -> Iterator[SetPartition]:
     sorted into standard form once, by their first entry, the block
     maximum, and each item is cut from that. n joins a block, which then
     holds the largest element and so moves to the end, or opens one."""
-    make = _make
+    # new(SetPartition, (blocks,)) is the trusted constructor, one C-level call per item:
+    # it skips SetPartition(blocks)'s argument handling, and a functools.partial around
+    # it cost 190-200 ns a call against 160-165 ns (2-core Xeon VM, Python 3.11)
+    new = tuple.__new__
     prefixes = ((),)
     for e in range(1, n):
         prefixes = _grow_all(prefixes, e)
@@ -277,8 +273,8 @@ def _gen_all(n: int) -> Iterator[SetPartition]:
         std = tuple(sorted(blocks))
         for block in blocks:
             j = std.index(block)
-            yield make((std[:j] + std[j + 1:] + ((n,) + block,),))
-        yield make((std + ((n,),),))
+            yield new(SetPartition, (std[:j] + std[j + 1:] + ((n,) + block,),))
+        yield new(SetPartition, (std + ((n,),),))
 
 
 def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
@@ -334,9 +330,9 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     out twice, for a join and for an open: as one shared generator it made
     the Y tally over n = 11 about 8 % slower. n = 2 is the batch on the
     empty prefix."""
-    make = _make
+    new = tuple.__new__
     if n == 1:
-        yield make((((1,),),))
+        yield new(SetPartition, (((1,),),))
         return
     prefixes = (((), 0),)
     for e in range(1, n - 1):
@@ -360,29 +356,29 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
             if g:
                 other = blocks[g.bit_length() - 1]
                 j = head.index(other)
-                yield make((head[:j] + head[j + 1:] + (block, last + other),))
+                yield new(SetPartition, (head[:j] + head[j + 1:] + (block, last + other),))
             else:
                 hi = 0
                 for other in blocks[:k]:
                     if other[-1] > hi:
                         hi = other[0]
                         j = head.index(other)
-                        yield make((head[:j] + head[j + 1:] + (block, last + other),))
-                yield make((head + (last + block,),))
-                yield make((head + (block, last),))
+                        yield new(SetPartition, (head[:j] + head[j + 1:] + (block, last + other),))
+                yield new(SetPartition, (head + (last + block,),))
+                yield new(SetPartition, (head + (block, last),))
         if need & (need - 1):
             continue
         block = (n - 1,)
         if need:
             other = blocks[need.bit_length() - 1]
             j = std.index(other)
-            yield make((std[:j] + std[j + 1:] + (block, last + other),))
+            yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
         else:
             hi = 0
             for other in blocks:
                 if other[-1] > hi:
                     hi = other[0]
                     j = std.index(other)
-                    yield make((std[:j] + std[j + 1:] + (block, last + other),))
-            yield make((std + (last + block,),))
-            yield make((std + (block, last),))
+                    yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
+            yield new(SetPartition, (std + (last + block,),))
+            yield new(SetPartition, (std + (block, last),))

@@ -73,11 +73,11 @@ from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.78-0.94 s in process at these depths: the shared
-#: sweep to n = 10 0.55-0.61 s, y_matches_v 0.23-0.33 s, all of it the
-#: enumeration of n = 11 (n <= 10 is read from the sweep's tally),
-#: avoiders_match_v under 1 ms. Each further n of the sweep costs five to
-#: seven times more.
+#: whole run_all() takes 0.72-0.84 s in process at these depths (seven
+#: runs): the shared sweep to n = 10 0.50-0.55 s, y_matches_v 0.21-0.26 s,
+#: all of it the enumeration of n = 11 (n <= 10 is read from the sweep's
+#: tally), avoiders_match_v under 1 ms. Each further n of the sweep costs
+#: five to seven times more.
 DEFAULT_LIMITS = {
     "involution": 10,
     "spans": 10,

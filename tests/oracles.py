@@ -15,15 +15,17 @@ written), and the fast paths must equal them item for item. The
 open-block scan reads a partition element by element, as a word and as
 a transfer model that counts the (X, Y) joint without listing any
 partition; its word, with every close made to take the oldest open
-block, leads through Claesson's map to the avoiders. On the permutation
-side, the append rule of patterns.py, run on a state of its own, counts
-the avoiders by st and last entry, the same joint reached without
-partitions.
+block, leads through Claesson's map to the avoiders. Ranking the words
+by the transfer model's counts gives uniform draws far past enumeration,
+in both scopes. On the permutation side, the append rule of patterns.py,
+run on a state of its own, counts the avoiders by st and last entry, the
+same joint reached without partitions.
 """
 
 import json
 import operator
 from collections import Counter, defaultdict
+from functools import cache
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -53,6 +55,16 @@ def block_with_one(p: SetPartition) -> tuple[int, ...]:
         if block[-1] == 1:
             return block
     raise ValidationError("no block contains 1")
+
+
+def y_by_definition(p: SetPartition) -> int:
+    """Y read off its definition, with no scan of the blocks in order: 1
+    where {1} is a block, else the smaller of the least non-singleton
+    maximum and 1's neighbour, the second smallest entry of its block."""
+    one_block = sorted(next(b for b in p.blocks if 1 in b))
+    if len(one_block) == 1:
+        return 1
+    return min(min(max(b) for b in p.blocks if len(b) > 1), one_block[1])
 
 
 def bell_numbers(n_max: int) -> list[int]:
@@ -637,6 +649,66 @@ def transfer_joint(n: int, finish: list[list[int]], nonoverlapping: bool) -> Cou
                     after[k2, x2, y2] += count * ways
         states = after
     return joint
+
+
+def scan_word_at(n: int, rank: int, finish: list[list[int]], nonoverlapping: bool) -> tuple:
+    """The scan word of rank 0 <= rank < finish[n][0] among those of the
+    partitions of [n], or of the nonoverlapping ones; finish is
+    finish_table(r_max, nonoverlapping) for some r_max >= n. Each element
+    takes the first letter, in the order singleton, open, join to each
+    open block oldest first, close of any open block (only the newest over
+    nonoverlapping partitions), whose words reach past the rank: a letter
+    that leaves k blocks open with r elements to place stands for
+    finish[r][k] words. Rank 0 is the all-singletons word. The order is
+    not RGS-lex."""
+    word: list = []
+    k = 0
+    for r in range(n - 1, -1, -1):
+        stay, opened = finish[r][k], finish[r][k + 1]
+        if rank < stay:
+            word.append("S")
+        elif rank < stay + opened:
+            rank -= stay
+            word.append("O")
+            k += 1
+        elif rank < (k + 1) * stay + opened:  # the k joins, stay words each
+            i, rank = divmod(rank - stay - opened, stay)
+            word.append(("J", i + 1))
+        else:
+            i, rank = divmod(rank - (k + 1) * stay - opened, finish[r][k - 1])
+            word.append(("C", k if nonoverlapping else i + 1))
+            k -= 1
+    return tuple(word)
+
+
+@cache
+def _scan_counts(max_n: int, nonoverlapping: bool) -> list[list[int]]:
+    return finish_table(max_n, nonoverlapping)
+
+
+def _uniform(draw, max_n: int, nonoverlapping: bool) -> SetPartition:
+    """n from st.integers, then a rank from a Random that hypothesis seeds:
+    its integers favour small values even over a range of 10^275, and small
+    ranks are words that open with singletons, nearly always X = Y."""
+    finish = _scan_counts(max_n, nonoverlapping)
+    n = draw(st.integers(1, max_n))
+    rank = draw(st.randoms(use_true_random=True)).randrange(finish[n][0])
+    return from_scan_word(scan_word_at(n, rank, finish, nonoverlapping))
+
+
+@st.composite
+def uniform_partitions(draw, max_n: int = 200) -> SetPartition:
+    """A partition of [n], n drawn from 1..max_n, uniform among the Bell(n):
+    a rank drawn uniformly, and the partition of its scan word. It shrinks
+    toward n = 1."""
+    return _uniform(draw, max_n, False)
+
+
+@st.composite
+def uniform_nonoverlapping(draw, max_n: int = 200) -> SetPartition:
+    """A nonoverlapping partition of [n], n drawn from 1..max_n, uniform
+    among the nonoverlapping ones, as uniform_partitions draws."""
+    return _uniform(draw, max_n, True)
 
 
 @st.composite

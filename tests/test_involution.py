@@ -75,9 +75,10 @@ class TestExamples:
 
     @pytest.mark.parametrize("blocks", [((2,), (3,)), ((2,), (3, 2), (1,))])
     def test_no_block_to_scan_for_raises_a_package_error(self, blocks):
-        # these do not validate, but where the shared scan for r's block and
-        # the block holding 1 runs off the blocks, or finds 1 in a
-        # singleton, it still raises one of the package's errors
+        # these do not validate, but where the scan for r's block and the
+        # block holding 1 (rs_blocks's, for sigma and aux_s, and stat_y's own)
+        # runs off the blocks, or finds 1 in a singleton, it still raises one
+        # of the package's errors
         for fn in (sigma, stat_y, aux_s):
             with pytest.raises(PartinvError):
                 fn(SetPartition(blocks))

@@ -1,5 +1,6 @@
 """The statistics X and Y and their auxiliaries r and s."""
 
+import partinv.stats as stats
 from partinv import (
     aux_r,
     aux_s,
@@ -8,6 +9,8 @@ from partinv import (
     stat_x,
     stat_y,
 )
+
+from oracles import y_by_definition
 
 
 class TestExamples:
@@ -75,3 +78,17 @@ def test_invariants_exhaustively():
 
             if x < y:
                 assert len(p.blocks[0]) == 1
+
+
+def test_stat_y_scans_for_itself(monkeypatch):
+    """stat_y reads r and s without calling rs_blocks, and still equals Y
+    from its definition over all of P_n, n <= 8: 1 where {1} is a block,
+    else the smaller of the least non-singleton maximum and 1's neighbour
+    in its block."""
+    def called(blocks):
+        raise AssertionError("stat_y called rs_blocks")
+
+    monkeypatch.setattr(stats, "rs_blocks", called)
+    for n in range(1, 9):
+        for p in enumerate_all(n):
+            assert stat_y(p) == y_by_definition(p), p

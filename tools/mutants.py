@@ -71,7 +71,8 @@ FROZEN_REPORTS = f"{SHARED_SWEEP}::test_same_reports_as_the_standalone_checks"
 CLI_CORPUS = "tests/test_cli_corpus.py::test_output_is_frozen"
 BLOCK_TYPES = "tests/test_partitions.py::TestConstructors::test_bytes_and_mappings_are_not_blocks"
 STAT_Y = ("tests/test_statistics.py::TestExamples::test_stat_y",
-          "tests/test_statistics.py::test_invariants_exhaustively")
+          "tests/test_statistics.py::test_invariants_exhaustively",
+          "tests/test_statistics.py::test_stat_y_scans_for_itself")
 LAMINAR_ORACLE = ("tests/test_partitions.py::TestSpans::test_matches_all_pairs_scan",
                   "tests/test_partitions.py::TestSpans::test_stack_scan_matches_pairwise_scan_on_every_partition",
                   "tests/test_partitions.py::TestSpans::test_stack_scan_matches_pairwise_scan_on_drawn_spans")
@@ -108,14 +109,16 @@ MUTANTS = (
            "if other[-1] > hi:\n                        hi = other[0]",
            "if True:\n                        hi = other[0]", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     Mutant("batch-n-never-joins-n-minus-1-block", "partitions.py", "_gen_nonoverlapping",
-           "yield make((head + (last + block,),))", "pass", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+           "yield new(SetPartition, (head + (last + block,),))", "pass", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     # n then joins the later of the two blocks in need and leaves the other open
     Mutant("batch-keeps-two-in-need", "partitions.py", "_gen_nonoverlapping",
            "if g & (g - 1):", "if False:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     # n's block before n - 1's: not standard form
     Mutant("batch-cuts-two-blocks-in-wrong-order", "partitions.py", "_gen_nonoverlapping",
-           "j = head.index(other)\n                yield make((head[:j] + head[j + 1:] + (block, last + other),))",
-           "j = head.index(other)\n                yield make((head[:j] + head[j + 1:] + (last + other, block),))",
+           "j = head.index(other)\n                yield new(SetPartition, (head[:j] + head[j + 1:] +"
+           " (block, last + other),))",
+           "j = head.index(other)\n                yield new(SetPartition, (head[:j] + head[j + 1:] +"
+           " (last + other, block),))",
            (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     Mutant("need-drops-enclosing-term", "partitions.py", "_grow_nonoverlapping",
            "g |= 1 << b", "pass", (NONOVERLAPPING_ORACLE,)),
@@ -126,17 +129,21 @@ MUTANTS = (
     Mutant("open-room-test-strict", "partitions.py", "_grow_nonoverlapping",
            "if need.bit_count() <= room:", "if need.bit_count() < room:", (NONOVERLAPPING_ORACLE,)),
     Mutant("standard-form-wrong-slice", "partitions.py", "_gen_all",
-           "yield make((std[:j] + std[j + 1:] +", "yield make((std[:j + 1] + std[j + 2:] +", (ALL_ORACLE,)),
+           "yield new(SetPartition, (std[:j] + std[j + 1:] +",
+           "yield new(SetPartition, (std[:j + 1] + std[j + 2:] +", (ALL_ORACLE,)),
     Mutant("batch-yields-bare-tuple", "partitions.py", "_gen_all",
-           "yield make((std + ((n,),),))", "yield (std + ((n,),),)", (TYPE_IDENTITY,)),
-    # an unwrapped make(...) builds a SetPartition of k fields whose .blocks is its first block
+           "yield new(SetPartition, (std + ((n,),),))", "yield (std + ((n,),),)", (TYPE_IDENTITY,)),
+    # an unwrapped new(SetPartition, ...) builds a SetPartition of k fields whose .blocks is its first block
     Mutant("batch-drops-one-tuple-comma", "partitions.py", "_gen_nonoverlapping",
-           "yield make((std + (block, last),))", "yield make(std + (block, last))",
+           "yield new(SetPartition, (std + (block, last),))", "yield new(SetPartition, std + (block, last))",
            (TYPE_IDENTITY, NONOVERLAPPING_ORACLE)),
     Mutant("n-reads-first-block", "partitions.py", "n",
            "return self.blocks[-1][0]", "return self.blocks[0][0]", (TYPE_IDENTITY, N_FROM_BLOCKS)),
     Mutant("absorb-r-ge-s", "involution.py", "_absorb",
            "if r > s:", "if r >= s:", (SIGMA_ORACLE,)),
+    Mutant("sigma-restore-yields-bare-tuple", "involution.py", "sigma",
+           "return tuple.__new__(SetPartition, (_restore(blocks, j),))", "return (_restore(blocks, j),)",
+           (TYPE_IDENTITY,)),
     Mutant("prefix-slice-wrong-end", "partitions.py", "_grow_all",
            "blocks[:k] + ((e,) + block,) + blocks[k + 1:]",
            "blocks[:k] + ((e,) + block,) + blocks[:len(blocks) - k - 1]", (ALL_ORACLE,)),
@@ -226,6 +233,12 @@ MUTANTS = (
            "p.set_defaults(func=func)", "pass", (CLI_CORPUS,)),
     Mutant("stat-y-takes-max", "stats.py", "stat_y",
            "r if r < s else s", "s if r < s else r", STAT_Y),
+    # 2/3/41: r read off {3}
+    Mutant("stat-y-skips-one-singleton-at-most", "stats.py", "stat_y",
+           "while len(blocks[lead]) == 1:", "if len(blocks[lead]) == 1:", STAT_Y),
+    # 3/54/76/821: s read off 76, the block after r's
+    Mutant("stat-y-looks-for-1-one-block-on", "stats.py", "stat_y",
+           "while blocks[j][-1] != 1:", "if blocks[j][-1] != 1:", STAT_Y),
     Mutant("laminar-pops-once", "partitions.py", "laminar",
            "while outer and", "if outer and", LAMINAR_ORACLE),
     Mutant("asymmetry-reads-own-cell", "verify.py", "_asymmetry",

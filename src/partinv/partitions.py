@@ -21,12 +21,15 @@ such a decimal one character long. The form decides only how a block is
 split into entries and what parse's message calls a bad one.
 
 nonsingleton_spans reads the spans of the non-singleton blocks, the
-only spans the claims are about: sigma keeps every one of them, the
-nonoverlapping test (laminar) reads only those, and the verify sweep
-hands the one list to the claims about both. Spans come in standard-form
-order, by increasing hi, the order the blocks are stored in; no sort is
-made. The CLI's stats command prints the span of every block,
-singletons included, and reads those off the blocks itself.
+only spans the claims are about: sigma keeps every one of them, and the
+nonoverlapping test (laminar) reads only those. The verify sweep reads
+the lists of p and of its image only where sigma moves p, and hands them
+to the claims about both; it takes p's nonoverlapping flag from
+enumerate_nonoverlapping, walked in lockstep with enumerate_all, and
+calls laminar only on an image whose list differs from p's. Spans come
+in standard-form order, by increasing hi, the order the blocks are
+stored in; no sort is made. The CLI's stats command prints the span of
+every block, singletons included, and reads those off the blocks itself.
 
 Boundary: parse, normalize, SetPartition.from_blocks and
 SetPartition.from_json check outside input; the other three end in

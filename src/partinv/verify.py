@@ -15,19 +15,24 @@ that deliberately broken variants can be shown to trip them.
 The four claims over all of P_n (SWEPT) are checked in one sweep that
 enumerates each partition once while any of them is live; a failed claim
 drops out and the others go on. Its one read rule: of every partition p
-it reads X, Y, the spans of p's non-singleton blocks and whether p is
-nonoverlapping, and tallies both (X, Y) joints; only the image q =
-sigma_fn(p), q's fields and the checks that read them are gated, and run
-while the involution, spans or nonoverlapping claim is live. sigma_fn is
-taken to be a function: when it returns p itself, the image's fields are
-p's (its spans, its X and Y, and its image, which is p again) and are
-taken from p, not computed again. An image that is merely equal to p is
-read in full. The package's sigma is trusted, as enumeration is; any
-other sigma_fn has each result validated, and one that is not a
-SetPartition in standard form raises ValidationError. Span lists come
-in standard-form order, so two are equal exactly when they hold the same
-spans, and a spans counterexample prints each sorted by lo. The
-nonoverlapping claim reuses p's flag when the two span lists are equal.
+it reads X and Y and whether p is nonoverlapping, and tallies both (X, Y)
+joints. The flag is read off enumerate_nonoverlapping(n), walked in
+lockstep with enumerate_all(n) once per pass: the nonoverlapping
+partitions of [n] come in the same order, so p is one exactly when it
+equals the next of them. Only the image q = sigma_fn(p), q's fields and
+the checks that read them are gated, and run while the involution, spans
+or nonoverlapping claim is live. sigma_fn is taken to be a function: when
+it returns p itself, the image's fields are p's (its X and Y, its spans
+and its image, which is p again), so X and Y are not computed again and
+no spans are read, as both span claims hold there. Where q is not p, the
+spans of p's and q's non-singleton blocks are read, and q's flag is
+computed, with laminar, only where the two span lists differ: equal lists
+give equal flags. An image that is merely equal to p is read in full. The
+package's sigma is trusted, as enumeration is; any other sigma_fn has
+each result validated, and one that is not a SetPartition in standard
+form raises ValidationError. Span lists come in standard-form order, so
+two are equal exactly when they hold the same spans, and a spans
+counterexample prints each sorted by lo.
 The sweep stops at the end of the n at which its last claim settled; the
 rest of that P_n reads only p's own fields. A report's elapsed time runs
 from the start of its sweep until its claim was settled.
@@ -73,11 +78,11 @@ from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.72-0.84 s in process at these depths (seven
-#: runs): the shared sweep to n = 10 0.50-0.55 s, y_matches_v 0.21-0.26 s,
-#: all of it the enumeration of n = 11 (n <= 10 is read from the sweep's
-#: tally), avoiders_match_v under 1 ms. Each further n of the sweep costs
-#: five to seven times more.
+#: whole run_all() takes 0.68-0.73 s in process at these depths (quartiles
+#: of 14 runs, median 0.71 s): the shared sweep to n = 10 0.46-0.50 s,
+#: y_matches_v 0.21-0.22 s, all of it the enumeration of n = 11 (n <= 10
+#: is read from the sweep's tally), avoiders_match_v under 1 ms. Each
+#: further n of the sweep costs five to six times more.
 DEFAULT_LIMITS = {
     "involution": 10,
     "spans": 10,
@@ -208,13 +213,15 @@ class _Unpaired(Exception):
 def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, CheckReport]:
     """Check the named claims of SWEPT, each to its own depth, in one pass
     over P_1, P_2, ... that stops at the end of the n at which the last
-    claim settled. X, Y, the spans and the nonoverlapping flag of every
-    partition are read and both joints tallied; sigma_fn is called, and
-    its image read, only while the involution, spans or nonoverlapping
-    claim is live. When depths names y_matches_v too, the sweep runs the Y
-    check after its loop: the Y distribution of each n the loop finished is
-    the Y marginal of that n's nonoverlapping tally, from its completed
-    pass, and nonoverlapping partitions are enumerated only past them."""
+    claim settled. X, Y and the nonoverlapping flag of every partition are
+    read, the flag off enumerate_nonoverlapping walked in lockstep, and
+    both joints tallied; sigma_fn is called, and its image read, only while
+    the involution, spans or nonoverlapping claim is live, and the spans
+    only where the image is not p itself. When depths names y_matches_v
+    too, the sweep runs the Y check after its loop: the Y distribution of
+    each n the loop finished is the Y marginal of that n's nonoverlapping
+    tally, from its completed pass, and the Y check enumerates
+    nonoverlapping partitions only past them."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -243,33 +250,38 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
             joint_all = [[0] * (n + 1) for _ in range(n + 1)]
             joint_nov = [[0] * (n + 1) for _ in range(n + 1)]
             sides = 0  # X < Y partitions with an image in P_n less X > Y ones, in the paired pass
+            # the nonoverlapping partitions of [n] are a subsequence of enumerate_all(n), in its
+            # order, so p is nonoverlapping exactly when it is the next of them
+            nonoverlapping = enumerate_nonoverlapping(n)
+            nxt = next(nonoverlapping, None)
             try:
                 for p in enumerate_all(n):
                     x, y = stat_x(p), stat_y(p)
-                    sp = nonsingleton_spans(p)
-                    nov = laminar(sp)
                     joint_all[x][y] += 1
+                    nov = p == nxt
                     if nov:
                         joint_nov[x][y] += 1
+                        nxt = next(nonoverlapping, None)
                     if paired and x > y:
                         sides -= 1  # each claim at p is its X < Y partner's claim read backwards
                     elif inv or spn or nvl:
                         q = sigma_fn(p)
                         if paired and x < y:
                             sides += q.n == n  # an image outside P_n pairs p with no partition of [n]
-                        sq = sp if q is p else nonsingleton_spans(q)
                         if inv:
                             c = _involution(n, p, x, y, q, sigma_fn)
                             if c is not None:
                                 inv = settle("involution", c)
-                        if spn and sp != sq:
-                            spn = settle("spans", Counterexample(n, format_partition(p),
-                                "non-singleton span multiset preserved", str(sorted(sp)), str(sorted(sq))))
-                        # equal span lists give equal flags, so p's is reused
-                        if nvl and sq != sp and laminar(sq) != nov:
-                            nvl = settle("nonoverlapping", Counterexample(
-                                n, format_partition(p), "nonoverlapping predicate preserved",
-                                f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))
+                        if q is not p:  # a fixed point's spans are p's, so both span claims hold there
+                            sp, sq = nonsingleton_spans(p), nonsingleton_spans(q)
+                            if spn and sp != sq:
+                                spn = settle("spans", Counterexample(n, format_partition(p),
+                                    "non-singleton span multiset preserved", str(sorted(sp)), str(sorted(sq))))
+                            # equal span lists give equal flags, so p's is kept
+                            if nvl and sq != sp and laminar(sq) != nov:
+                                nvl = settle("nonoverlapping", Counterexample(
+                                    n, format_partition(p), "nonoverlapping predicate preserved",
+                                    f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))
                 if sides:
                     raise _Unpaired  # some X > Y partition is no counted X < Y partition's image
                 if eqd:

@@ -26,13 +26,14 @@ from partinv import (
     check_spans,
     check_y_matches_v,
     enumerate_all,
-    enumerate_nonoverlapping,
+    is_nonoverlapping,
     parse,
     run_all,
     sigma,
     stat_x,
     stat_y,
 )
+from partinv.partitions import laminar, nonsingleton_spans
 from partinv.verify import Counterexample
 from oracles import (asymmetry_by_counter, equidistribution_by_loop, involution_by_loop, nonoverlapping_by_loop,
                      perturbed_sigmas, skip_transfer_mutant, spans_by_loop, xy_multisets)
@@ -413,15 +414,32 @@ class TestSharedSweep:
             assert swept[name].counterexample == standalone(name, 6, sigma).counterexample
 
     def test_crossing_lower_side_trips_the_nonoverlapping_tally(self, monkeypatch):
-        # sigma keeps spans, so only the spans read off p can break the
-        # nonoverlapping side: here every X < Y partition reads as crossing
-        spans = verify.nonsingleton_spans
-        monkeypatch.setattr(verify, "nonsingleton_spans",
-                            lambda p: [(1, 3), (2, 4)] if stat_x(p) < stat_y(p) else spans(p))
+        # the nonoverlapping flag comes from the lockstep with enumerate_nonoverlapping,
+        # so only that walk can break the nonoverlapping side: here it skips every
+        # X < Y partition, which then reads as crossing
+        nonoverlapping = verify.enumerate_nonoverlapping
+        monkeypatch.setattr(verify, "enumerate_nonoverlapping",
+                            lambda n: (p for p in nonoverlapping(n) if stat_x(p) >= stat_y(p)))
         swept = verify._sweep({"equidistribution": 6})
         assert swept["equidistribution"].counterexample == Counterexample(
             3, "joint cells (X=3, Y=2) vs (X=2, Y=3) over nonoverlapping partitions of [3]",
             "symmetric joint distribution", "1 = 1", "1 != 0")
+
+    # identity fails the paired pass at n = 3, so its full pass walks a second enumeration
+    @pytest.mark.parametrize("map_name", ["sigma", "identity"])
+    def test_nonoverlapping_joint_matches_the_laminar_filter(self, monkeypatch, map_name):
+        joints = {}
+        asymmetry = verify._asymmetry
+
+        def recording(n, joint, scope):
+            if scope == "nonoverlapping":
+                joints[n] = Counter({(x, y): c for x, row in enumerate(joint) for y, c in enumerate(row) if c})
+            return asymmetry(n, joint, scope)
+
+        monkeypatch.setattr(verify, "_asymmetry", recording)
+        assert verify._sweep(dict.fromkeys(SWEPT, 9), MAPS[map_name])["equidistribution"].ok
+        assert joints == {n: Counter((stat_x(p), stat_y(p)) for p in enumerate_all(n) if laminar(nonsingleton_spans(p)))
+                          for n in range(1, 10)}
 
     @settings(max_examples=300, deadline=None)
     @given(xy_multisets(), st.sampled_from(["all", "nonoverlapping"]))
@@ -496,23 +514,25 @@ class TestSharedSweep:
         assert len(sites) == 1
 
 
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The n of each call to verify.enumerate_nonoverlapping, in order."""
+    calls = []
+    enumerate_nonoverlapping = verify.enumerate_nonoverlapping
+
+    def recording(n):
+        calls.append(n)
+        return enumerate_nonoverlapping(n)
+
+    monkeypatch.setattr(verify, "enumerate_nonoverlapping", recording)
+    return calls
+
+
 class TestYFromTheSweep:
     """run_all's Y check reads the sweep's nonoverlapping tally for each n
     the sweep finished, and enumerates nonoverlapping partitions only past
-    them."""
-
-    @pytest.fixture
-    def enumerated(self, monkeypatch):
-        """The n of each call to verify.enumerate_nonoverlapping, in order."""
-        calls = []
-        enumerate_nonoverlapping = verify.enumerate_nonoverlapping
-
-        def recording(n):
-            calls.append(n)
-            return enumerate_nonoverlapping(n)
-
-        monkeypatch.setattr(verify, "enumerate_nonoverlapping", recording)
-        return calls
+    them. The sweep itself walks one enumeration of them per pass, in
+    lockstep with enumerate_all."""
 
     # each map past sigma fails a claim, so the n it fails at is handed over from the full pass
     @pytest.mark.parametrize("map_name, n_max", [("sigma", 10)] + [
@@ -529,18 +549,21 @@ class TestYFromTheSweep:
 
         monkeypatch.setattr(verify, "_matches_v", recording)
         verify._sweep({**dict.fromkeys(SWEPT, n_max), "y_matches_v": n_max}, MAPS[map_name])
-        assert handed == [Counter(stat_y(p) for p in enumerate_nonoverlapping(n)) for n in range(1, n_max + 1)]
+        # the slow path: the laminar test of every partition of [n]
+        assert handed == [Counter(stat_y(p) for p in enumerate_all(n) if is_nonoverlapping(p))
+                          for n in range(1, n_max + 1)]
 
-    @pytest.mark.parametrize("n_max_override, enumerated_n", [(None, [11]), (6, [])])
-    def test_enumerates_only_past_the_sweep(self, enumerated, n_max_override, enumerated_n):
+    # the sweep's one walk per n (under sigma every n passes its paired pass), then the Y check's
+    @pytest.mark.parametrize("n_max_override, swept_n, past", [(None, 10, [11]), (6, 6, [])])
+    def test_enumerates_only_past_the_sweep(self, enumerated, n_max_override, swept_n, past):
         assert all(r.ok for r in run_all(n_max_override))
-        assert enumerated == enumerated_n
+        assert enumerated == [*range(1, swept_n + 1), *past]
 
     def test_enumerates_from_where_the_sweep_stopped(self, monkeypatch, enumerated):
         monkeypatch.setattr(verify, "DEFAULT_LIMITS", {**dict.fromkeys(SWEPT, 3), "y_matches_v": 6,
                                                        "avoiders_match_v": 3})
         report = run_all()[4]
-        assert enumerated == [4, 5, 6]
+        assert enumerated == [1, 2, 3, 4, 5, 6]
         assert report._replace(elapsed=0) == check_y_matches_v(6)._replace(elapsed=0)
 
     def test_same_counterexample_as_the_standalone_check(self, monkeypatch):
@@ -676,14 +699,14 @@ class TestOneReading:
     """p's own fields are read once for every partition; the map is called,
     and its image read, only while a claim that reads the image is live."""
 
-    @pytest.mark.parametrize("run, image_side", [
-        (lambda: [check_involution(6)], (LOWER_TO_6, LOWER_TO_6, LOWER_TO_6, 0)),
-        (lambda: [check_spans(6)], (0, 0, MOVED_TO_6, 0)),
-        (lambda: [check_nonoverlapping(6)], (0, 0, MOVED_TO_6, 0)),
-        (lambda: [check_equidistribution(6)], (0, 0, 0, 0)),
-        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), (LOWER_TO_6, LOWER_TO_6, LOWER_TO_6, 0)),
+    @pytest.mark.parametrize("run, image_xy, moved", [
+        (lambda: [check_involution(6)], LOWER_TO_6, LOWER_TO_6),
+        (lambda: [check_spans(6)], 0, MOVED_TO_6),
+        (lambda: [check_nonoverlapping(6)], 0, MOVED_TO_6),
+        (lambda: [check_equidistribution(6)], 0, 0),
+        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), LOWER_TO_6, LOWER_TO_6),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
-    def test_each_field_is_read_once_per_side(self, monkeypatch, run, image_side):
+    def test_each_field_is_read_once_per_side(self, monkeypatch, enumerated, run, image_xy, moved):
         names = ("stat_x", "stat_y", "nonsingleton_spans", "laminar")
         calls = Counter()
 
@@ -696,11 +719,22 @@ class TestOneReading:
         for name in names:
             counted(name, getattr(verify, name))
         assert all(r.ok for r in run())
-        # p and its image are the two sides. Every pass reads each field of p
-        # once. The image side is read only under the involution claim (X and
-        # Y, in _involution) and the span claims (its spans), and the full pass
-        # reads it only where sigma moves p. The paired pass, which runs while
-        # the involution claim is live, reads it only for the X < Y partitions,
-        # whose images are the X > Y ones. No pass reads it with laminar: sigma
-        # keeps the span list, so p's flag is the image's.
-        assert [calls[name] for name in names] == [PARTITIONS_TO_6 + k for k in image_side]
+        # p and its image are the two sides. Every pass reads X and Y of p
+        # once, and takes p's nonoverlapping flag from the one enumeration of
+        # the nonoverlapping partitions it walks. The image's X and Y are read
+        # only under the involution claim, in _involution, and only where sigma
+        # moves p. The spans are read, of p and of its image, only where sigma
+        # moves p: the full pass meets every moved partition, and the paired
+        # pass, which runs while the involution claim is live, meets only the
+        # X < Y partitions, whose images are the X > Y ones. No pass calls
+        # laminar: sigma keeps the span list, so p's flag is the image's.
+        assert [calls[name] for name in names] == [PARTITIONS_TO_6 + image_xy, PARTITIONS_TO_6 + image_xy,
+                                                   2 * moved, 0]
+        assert enumerated == list(range(1, 7))
+
+    def test_a_fallen_back_n_enumerates_once_per_pass(self, enumerated):
+        # identity fails the paired pass at n = 3, and the full pass checks n = 3
+        # again; with the involution claim settled, n = 4..6 run the full pass alone
+        swept = verify._sweep({"involution": 6, "equidistribution": 6}, lambda p: p)
+        assert swept["involution"].counterexample.n == 3
+        assert enumerated == [1, 2, 3, 3, 4, 5, 6]

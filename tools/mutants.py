@@ -186,8 +186,9 @@ MUTANTS = (
            (f"{ONE_DOOR}::test_past_the_guard_names_no_max_n",)),
     Mutant("outside-sigma-fn-trusted", "verify.py", "_sweep",
            "sigma_fn = _validated(sigma_fn)", "pass", (SIGMA_RESULT,)),
+    # the spans are then read only at fixed points, where they cannot differ
     Mutant("fixed-point-test-inverted", "verify.py", "_sweep",
-           "sq = sp if q is p else", "sq = sp if q is not p else", (FROZEN_REPORTS,)),
+           "if q is not p:", "if q is p:", (FROZEN_REPORTS,)),
     Mutant("fixed-point-guard-drops-x-eq-y", "verify.py", "_involution",
            "if q is p and x == y:", "if q is p:", (IDENTITY_CAUGHT, FROZEN_REPORTS)),
     # the spans are then printed by hi, as the sweep reads them
@@ -294,6 +295,10 @@ MUTANTS = (
     Mutant("nonoverlapping-tally-never-counts", "verify.py", "_sweep",
            "joint_nov[x][y] += 1", "joint_nov[x][y] += 0",
            (f"{SHARED_SWEEP}::test_crossing_lower_side_trips_the_nonoverlapping_tally",)),
+    # only the first nonoverlapping partition of each n, the one-block one, is flagged
+    Mutant("lockstep-never-advances", "verify.py", "_sweep",
+           "joint_nov[x][y] += 1\n                        nxt = next(nonoverlapping, None)", "joint_nov[x][y] += 1",
+           (f"{SHARED_SWEEP}::test_nonoverlapping_joint_matches_the_laminar_filter",)),
     # a missing key reads as 1, which a row cell of 1, such as v[n][n], accepts
     Mutant("matches-v-missing-cell-reads-one", "verify.py", "_matches_v",
            "if dist.get(k, 0) != expected:", "if dist.get(k, 1) != expected:",

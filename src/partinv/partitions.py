@@ -23,13 +23,14 @@ split into entries and what parse's message calls a bad one.
 nonsingleton_spans reads the spans of the non-singleton blocks, the
 only spans the claims are about: sigma keeps every one of them, and the
 nonoverlapping test (laminar) reads only those. The verify sweep reads
-the lists of p and of its image only where sigma moves p, and hands them
-to the claims about both; it takes p's nonoverlapping flag from
-enumerate_nonoverlapping, walked in lockstep with enumerate_all, and
-calls laminar only on an image whose list differs from p's. Spans come
-in standard-form order, by increasing hi, the order the blocks are
-stored in; no sort is made. The CLI's stats command prints the span of
-every block, singletons included, and reads those off the blocks itself.
+the lists of p and of its image only where sigma moves p and a span
+claim is live, and hands them to the claims about both; it takes p's
+nonoverlapping flag from enumerate_nonoverlapping, walked in lockstep
+with enumerate_all while a claim reads it, and calls laminar only on an
+image whose list differs from p's. Spans come in standard-form order, by
+increasing hi, the order the blocks are stored in; no sort is made. The
+CLI's stats command prints the span of every block, singletons included,
+and reads those off the blocks itself.
 
 Boundary: parse, normalize, SetPartition.from_blocks and
 SetPartition.from_json check outside input; the other three end in
@@ -260,24 +261,47 @@ def _grow_all(prefixes, e):
 
 
 def _gen_all(n: int) -> Iterator[SetPartition]:
-    """The empty prefix grown by one _grow_all level per element 1..n - 1.
-    Element n is placed in one batch per prefix: the prefix's blocks are
-    sorted into standard form once, by their first entry, the block
-    maximum, and each item is cut from that. n joins a block, which then
-    holds the largest element and so moves to the end, or opens one."""
+    """The empty prefix grown by one _grow_all level per element 1..n - 2.
+    Elements n - 1 and n are placed together, in one batch per prefix: the
+    prefix's blocks are sorted into standard form once, by their first
+    entry, the block maximum, and each item is cut from that.
+
+    n - 1 joins each block old in RGS order, which then moves to the end,
+    and head is the rest; then n joins each block in RGS order: old, which
+    it keeps at the end, or another, which moves past it. Then n opens a
+    block. Last, n - 1 opens a block and n does the same over the blocks,
+    n - 1's, and a block of its own. n = 1 is yielded directly; n = 2 is
+    the batch on the empty prefix."""
     # new(SetPartition, (blocks,)) is the trusted constructor, one C-level call per item:
     # it skips SetPartition(blocks)'s argument handling, and a functools.partial around
     # it cost 190-200 ns a call against 160-165 ns (2-core Xeon VM, Python 3.11)
     new = tuple.__new__
+    if n == 1:
+        yield new(SetPartition, (((1,),),))
+        return
     prefixes = ((),)
-    for e in range(1, n):
+    for e in range(1, n - 1):
         prefixes = _grow_all(prefixes, e)
+    last = (n,)
     for blocks in prefixes:
         std = tuple(sorted(blocks))
-        for block in blocks:
-            j = std.index(block)
-            yield new(SetPartition, (std[:j] + std[j + 1:] + ((n,) + block,),))
-        yield new(SetPartition, (std + ((n,),),))
+        for old in blocks:
+            j = std.index(old)
+            head = std[:j] + std[j + 1:]
+            block = (n - 1,) + old
+            for other in blocks:
+                if other is old:
+                    yield new(SetPartition, (head + (last + block,),))
+                else:
+                    j = head.index(other)
+                    yield new(SetPartition, (head[:j] + head[j + 1:] + (block, last + other),))
+            yield new(SetPartition, (head + (block, last),))
+        block = (n - 1,)
+        for other in blocks:
+            j = std.index(other)
+            yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
+        yield new(SetPartition, (std + (last + block,),))
+        yield new(SetPartition, (std + (block, last),))
 
 
 def enumerate_nonoverlapping(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[SetPartition]:
@@ -319,20 +343,24 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     element 1..n - 2, so no prefix that cannot be completed is built.
     Elements n - 1 and n are placed together, in one batch per prefix.
 
-    n - 1 joins block k, or opens a block, by _grow_nonoverlapping's rule
-    with room 1: its need g is computed as there, and k is skipped when g
-    has two members. With g = {j}, n joins j, an earlier block: g holds k
-    only when a block past k is in need, and that block stays in g. With
-    g empty, n joins each earlier block whose minimum lies past hi, the
-    largest element of every block before it (a block that fails lies
-    inside an earlier one, so only a join raises hi); then n - 1's block,
-    which needs no test, as g empty puts every earlier block below its
-    minimum; then n opens a block. The prefix's blocks are sorted into
-    standard form once, as in _gen_all, and each item is cut from that,
-    n - 1's block just before n's when they differ. The rule is written
-    out twice, for a join and for an open: as one shared generator it made
-    the Y tally over n = 11 about 8 % slower. n = 2 is the batch on the
-    empty prefix."""
+    A prefix keeps at most two blocks in need. With two, there is one
+    completion: n - 1 closes the later block and n the earlier one, which
+    must enclose it; it is yielded directly. Otherwise n - 1 joins block
+    k, or opens a block, by _grow_nonoverlapping's rule with room 1: its
+    need g is computed as there, and k is skipped when g has two members.
+    k starts at the block in need, top, if there is one: a block below it
+    would have to enclose top as well, and so would need n too. From top
+    on, no block past k is in need, so k never needs to go on for one.
+    With g = {j}, n joins j, an earlier block. With g empty, n joins each
+    earlier block whose minimum lies past hi, the largest element of
+    every block before it (a block that fails lies inside an earlier one,
+    so only a join raises hi); then n - 1's block, which needs no test,
+    as g empty puts every earlier block below its minimum; then n opens a
+    block. The prefix's blocks are sorted into standard form once, as in
+    _gen_all, and each item is cut from that, n - 1's block just before
+    n's when they differ. The rule is written out twice, for a join and
+    for an open: as one shared generator it made the Y tally over n = 11
+    about 8 % slower. n = 2 is the batch on the empty prefix."""
     new = tuple.__new__
     if n == 1:
         yield new(SetPartition, (((1,),),))
@@ -343,14 +371,22 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     last = (n,)
     for blocks, need in prefixes:
         std = tuple(sorted(blocks))
-        for k, block in enumerate(blocks):
+        top = need.bit_length() - 1
+        if need & (need - 1):
+            # two blocks in need: n - 1 closes the later, which the earlier encloses
+            block, other = blocks[top], blocks[(need ^ (1 << top)).bit_length() - 1]
+            j = std.index(block)
+            head = std[:j] + std[j + 1:]
+            j = head.index(other)
+            yield new(SetPartition, (head[:j] + head[j + 1:] + ((n - 1,) + block, last + other),))
+            continue
+        for k in range(max(top, 0), len(blocks)):
+            block = blocks[k]
             lo = block[-1]
             g = need & ~(1 << k)
             for b in range(k):
                 if blocks[b][0] >= lo:
                     g |= 1 << b
-            if need >> (k + 1):
-                g |= 1 << k
             if g & (g - 1):
                 continue  # two blocks in need, one element left
             j = std.index(block)
@@ -369,11 +405,9 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
                         yield new(SetPartition, (head[:j] + head[j + 1:] + (block, last + other),))
                 yield new(SetPartition, (head + (last + block,),))
                 yield new(SetPartition, (head + (block, last),))
-        if need & (need - 1):
-            continue
         block = (n - 1,)
         if need:
-            other = blocks[need.bit_length() - 1]
+            other = blocks[top]
             j = std.index(other)
             yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
         else:

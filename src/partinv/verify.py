@@ -19,20 +19,25 @@ it reads X and Y and whether p is nonoverlapping, and tallies both (X, Y)
 joints. The flag is read off enumerate_nonoverlapping(n), walked in
 lockstep with enumerate_all(n) once per pass: the nonoverlapping
 partitions of [n] come in the same order, so p is one exactly when it
-equals the next of them. Only the image q = sigma_fn(p), q's fields and
-the checks that read them are gated, and run while the involution, spans
-or nonoverlapping claim is live. sigma_fn is taken to be a function: when
-it returns p itself, the image's fields are p's (its X and Y, its spans
-and its image, which is p again), so X and Y are not computed again and
-no spans are read, as both span claims hold there. Where q is not p, the
-spans of p's and q's non-singleton blocks are read, and q's flag is
-computed, with laminar, only where the two span lists differ: equal lists
-give equal flags. An image that is merely equal to p is read in full. The
-package's sigma is trusted, as enumeration is; any other sigma_fn has
-each result validated, and one that is not a SetPartition in standard
-form raises ValidationError. Span lists come in standard-form order, so
-two are equal exactly when they hold the same spans, and a spans
-counterexample prints each sorted by lo.
+equals the next of them. Only the nonoverlapping claim, the
+equidistribution claim and the Y check read the flag or the
+nonoverlapping joint, so the walk is made only while one of them is
+live or asked for; otherwise no p is flagged. The image
+q = sigma_fn(p), q's fields and the checks that read them are gated too,
+and run while the involution, spans or nonoverlapping claim is live.
+sigma_fn is taken to be a function: when it returns p itself, the
+image's fields are p's (its X and Y, its spans and its image, which is p
+again), so X and Y are not computed again and no spans are read, as both
+span claims hold there. Where q is not p and a span claim (spans or
+nonoverlapping) is live, the spans of p's and q's non-singleton blocks
+are read, and q's flag is computed, with laminar, only where the two
+span lists differ: equal lists give equal flags. An image that is merely
+equal to p is read in full. The package's sigma is trusted, as
+enumeration is; any other sigma_fn has each result validated, and one
+that is not a SetPartition in standard form raises ValidationError. Span
+lists come in standard-form order, so two are equal exactly when they
+hold the same spans, and a spans counterexample prints each sorted by
+lo.
 The sweep stops at the end of the n at which its last claim settled; the
 rest of that P_n reads only p's own fields. A report's elapsed time runs
 from the start of its sweep until its claim was settled.
@@ -78,9 +83,9 @@ from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.68-0.73 s in process at these depths (quartiles
-#: of 14 runs, median 0.71 s): the shared sweep to n = 10 0.46-0.50 s,
-#: y_matches_v 0.21-0.22 s, all of it the enumeration of n = 11 (n <= 10
+#: whole run_all() takes 0.64-0.69 s in process at these depths (quartiles
+#: of 28 runs, median 0.67 s): the shared sweep to n = 10 0.43-0.46 s,
+#: y_matches_v 0.20-0.22 s, all of it the enumeration of n = 11 (n <= 10
 #: is read from the sweep's tally), avoiders_match_v under 1 ms. Each
 #: further n of the sweep costs five to six times more.
 DEFAULT_LIMITS = {
@@ -214,10 +219,11 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     """Check the named claims of SWEPT, each to its own depth, in one pass
     over P_1, P_2, ... that stops at the end of the n at which the last
     claim settled. X, Y and the nonoverlapping flag of every partition are
-    read, the flag off enumerate_nonoverlapping walked in lockstep, and
-    both joints tallied; sigma_fn is called, and its image read, only while
-    the involution, spans or nonoverlapping claim is live, and the spans
-    only where the image is not p itself. When depths names y_matches_v
+    read, the flag off enumerate_nonoverlapping walked in lockstep while a
+    claim that reads it is live, and both joints tallied; sigma_fn is
+    called, and its image read, only while the involution, spans or
+    nonoverlapping claim is live, and the spans only while a span claim is
+    and where the image is not p itself. When depths names y_matches_v
     too, the sweep runs the Y check after its loop: the Y distribution of
     each n the loop finished is the Y marginal of that n's nonoverlapping
     tally, from its completed pass, and the Y check enumerates
@@ -251,8 +257,10 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
             joint_nov = [[0] * (n + 1) for _ in range(n + 1)]
             sides = 0  # X < Y partitions with an image in P_n less X > Y ones, in the paired pass
             # the nonoverlapping partitions of [n] are a subsequence of enumerate_all(n), in its
-            # order, so p is nonoverlapping exactly when it is the next of them
-            nonoverlapping = enumerate_nonoverlapping(n)
+            # order, so p is nonoverlapping exactly when it is the next of them; they are walked
+            # only for the claims that read the flag or the nonoverlapping tally
+            walk = nvl or eqd or "y_matches_v" in depths
+            nonoverlapping = enumerate_nonoverlapping(n) if walk else iter(())
             nxt = next(nonoverlapping, None)
             try:
                 for p in enumerate_all(n):
@@ -272,7 +280,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                             c = _involution(n, p, x, y, q, sigma_fn)
                             if c is not None:
                                 inv = settle("involution", c)
-                        if q is not p:  # a fixed point's spans are p's, so both span claims hold there
+                        # only the span claims read spans; a fixed point's spans are p's, so both hold there
+                        if (spn or nvl) and q is not p:
                             sp, sq = nonsingleton_spans(p), nonsingleton_spans(q)
                             if spn and sp != sq:
                                 spn = settle("spans", Counterexample(n, format_partition(p),

@@ -7,9 +7,9 @@ Pascal's rule instead of math.comb, bottom-up tabulation with the
 summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
-laminar scan, the nonoverlapping generator that batched only the last
-element, the joint tally keyed by (X, Y) pairs, the avoiders found
-by testing all n! permutations, each swept claim checked on its own at
+laminar scan, the two generators that batched only the last element,
+the joint tally keyed by (X, Y) pairs, the avoiders found by testing
+all n! permutations, each swept claim checked on its own at
 every partition, the CLI's v-triangle rendered whole before a byte is
 written), and the fast paths must equal them item for item. The
 open-block scan reads a partition element by element, as a word and as
@@ -43,7 +43,7 @@ from partinv import (
     stat_x,
     stat_y,
 )
-from partinv.partitions import _grow_nonoverlapping
+from partinv.partitions import _grow_all, _grow_nonoverlapping
 from partinv.patterns import _is_avoider
 from partinv.verify import Counterexample
 
@@ -237,6 +237,24 @@ def nonoverlapping_by_filter(n: int) -> list[SetPartition]:
     """The nonoverlapping partitions of [n] the slow way: every partition
     of [n], in enumeration order, kept when no two block spans cross."""
     return [p for p in enumerate_by_groups(n) if naive_nonoverlapping(p)]
+
+
+def all_by_one_batch(n: int) -> Iterator[SetPartition]:
+    """Every partition of [n] as the generator made them before it placed
+    two elements per batch: the empty prefix grown by one _grow_all level
+    per element 1..n - 1, then n placed in one batch per prefix. n joins
+    each block, which then holds the largest element and so moves to the
+    end, then opens a block. Each item is cut from the prefix's blocks
+    sorted into standard form once."""
+    prefixes = ((),)
+    for e in range(1, n):
+        prefixes = _grow_all(prefixes, e)
+    for blocks in prefixes:
+        std = tuple(sorted(blocks))
+        for block in blocks:
+            j = std.index(block)
+            yield SetPartition(std[:j] + std[j + 1:] + ((n,) + block,))
+        yield SetPartition(std + ((n,),))
 
 
 def nonoverlapping_by_one_batch(n: int) -> Iterator[SetPartition]:

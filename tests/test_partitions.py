@@ -31,6 +31,7 @@ from partinv import (
     v_table,
 )
 from oracles import (
+    all_by_one_batch,
     as_set_of_sets,
     bell_numbers,
     enumerate_by_groups,
@@ -352,6 +353,31 @@ class TestEnumeration:
         for n in range(1, 12):
             assert list(enumerate_nonoverlapping(n)) == list(nonoverlapping_by_one_batch(n)), n
 
+    def test_all_two_element_batch_agrees_with_one_element_batch(self):
+        # the slow path it replaced: grow to n - 1, then place n alone
+        assert [format_partition(p) for p in enumerate_all(2)] == ["21", "1/2"]
+        for n in range(1, 11):
+            assert list(enumerate_all(n)) == list(all_by_one_batch(n)), n
+
+    def test_two_blocks_in_need_leave_one_completion(self, monkeypatch):
+        # n - 1 closes the later block in need and n the earlier, which encloses it;
+        # each such prefix is handed to the batch alone, as the only prefix of every level
+        grow = partitions._grow_nonoverlapping
+        met = 0
+        for n in range(3, 12):
+            prefixes = [((), 0)]
+            for e in range(1, n - 1):
+                prefixes = list(grow(prefixes, e, n - e))
+            for blocks, need in prefixes:
+                if need.bit_count() == 2:
+                    met += 1
+                    monkeypatch.setattr(partitions, "_grow_nonoverlapping", lambda *_: [(blocks, need)])
+                    (p,) = partitions._gen_nonoverlapping(n)
+                    assert naive_nonoverlapping(p), p
+                    head = [b[1:] if b[0] >= n - 1 else b for b in p.blocks]
+                    assert sorted(head) == sorted(blocks) and p.blocks[-2][0] == n - 1, p
+        assert met == 4 + 62 + 603 + 4785
+
     def test_prefixes_are_their_rgs_blocks_alone(self):
         # a prefix is its blocks numbered by their minima, as in the RGS, with
         # no copy in standard form: decreasing tuples that cover 1..e, minima
@@ -367,6 +393,21 @@ class TestEnumeration:
                 assert sorted(x for block in blocks for x in block) == list(range(1, e + 1)), blocks
                 minima = [block[-1] for block in blocks]
                 assert minima == sorted(minima), blocks
+
+    def test_all_grows_all_but_the_last_two_levels(self, monkeypatch):
+        # elements n - 1 and n are placed by the batch, never by a level
+        grown = []
+        grow = partitions._grow_all
+
+        def spy(prefixes, e):
+            grown.append(e)
+            return grow(prefixes, e)
+
+        monkeypatch.setattr(partitions, "_grow_all", spy)
+        for n in (1, 2, 10):
+            grown.clear()
+            assert sum(1 for _ in enumerate_all(n)) == BELL[n]
+            assert grown == list(range(1, n - 1)), n
 
     def test_nonoverlapping_grows_all_but_the_last_two_levels(self, monkeypatch):
         # elements n - 1 and n are placed by the batch, never by a level

@@ -699,14 +699,14 @@ class TestOneReading:
     """p's own fields are read once for every partition; the map is called,
     and its image read, only while a claim that reads the image is live."""
 
-    @pytest.mark.parametrize("run, image_xy, moved", [
-        (lambda: [check_involution(6)], LOWER_TO_6, LOWER_TO_6),
-        (lambda: [check_spans(6)], 0, MOVED_TO_6),
-        (lambda: [check_nonoverlapping(6)], 0, MOVED_TO_6),
-        (lambda: [check_equidistribution(6)], 0, 0),
-        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), LOWER_TO_6, LOWER_TO_6),
+    @pytest.mark.parametrize("run, image_xy, moved, walked", [
+        (lambda: [check_involution(6)], LOWER_TO_6, 0, []),
+        (lambda: [check_spans(6)], 0, MOVED_TO_6, []),
+        (lambda: [check_nonoverlapping(6)], 0, MOVED_TO_6, list(range(1, 7))),
+        (lambda: [check_equidistribution(6)], 0, 0, list(range(1, 7))),
+        (lambda: verify._sweep(dict.fromkeys(SWEPT, 6)).values(), LOWER_TO_6, LOWER_TO_6, list(range(1, 7))),
     ], ids=["involution", "spans", "nonoverlapping", "equidistribution", "all-four"])
-    def test_each_field_is_read_once_per_side(self, monkeypatch, enumerated, run, image_xy, moved):
+    def test_each_field_is_read_once_per_side(self, monkeypatch, enumerated, run, image_xy, moved, walked):
         names = ("stat_x", "stat_y", "nonsingleton_spans", "laminar")
         calls = Counter()
 
@@ -720,17 +720,20 @@ class TestOneReading:
             counted(name, getattr(verify, name))
         assert all(r.ok for r in run())
         # p and its image are the two sides. Every pass reads X and Y of p
-        # once, and takes p's nonoverlapping flag from the one enumeration of
-        # the nonoverlapping partitions it walks. The image's X and Y are read
-        # only under the involution claim, in _involution, and only where sigma
-        # moves p. The spans are read, of p and of its image, only where sigma
-        # moves p: the full pass meets every moved partition, and the paired
-        # pass, which runs while the involution claim is live, meets only the
-        # X < Y partitions, whose images are the X > Y ones. No pass calls
-        # laminar: sigma keeps the span list, so p's flag is the image's.
+        # once. p's nonoverlapping flag comes from the one enumeration of the
+        # nonoverlapping partitions each pass walks, and only the
+        # nonoverlapping and equidistribution claims read it, so only they
+        # walk. The image's X and Y are read only under the involution claim,
+        # in _involution, and only where sigma moves p. The spans are read, of
+        # p and of its image, only under the spans and nonoverlapping claims,
+        # and only where sigma moves p: the full pass meets every moved
+        # partition, and the paired pass, which runs while the involution
+        # claim is live, meets only the X < Y partitions, whose images are the
+        # X > Y ones. No pass calls laminar: sigma keeps the span list, so p's
+        # flag is the image's.
         assert [calls[name] for name in names] == [PARTITIONS_TO_6 + image_xy, PARTITIONS_TO_6 + image_xy,
                                                    2 * moved, 0]
-        assert enumerated == list(range(1, 7))
+        assert enumerated == walked
 
     def test_a_fallen_back_n_enumerates_once_per_pass(self, enumerated):
         # identity fails the paired pass at n = 3, and the full pass checks n = 3

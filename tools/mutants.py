@@ -55,6 +55,8 @@ class Mutant(NamedTuple):
 ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_grouping_oracle"
 NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_first_return_oracle"
 ONE_BATCH = "tests/test_partitions.py::TestEnumeration::test_two_element_batch_agrees_with_one_element_batch"
+ALL_ONE_BATCH = "tests/test_partitions.py::TestEnumeration::test_all_two_element_batch_agrees_with_one_element_batch"
+ONE_COMPLETION = "tests/test_partitions.py::TestEnumeration::test_two_blocks_in_need_leave_one_completion"
 TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
 N_FROM_BLOCKS = "tests/test_partitions.py::TestNamedTuple::test_n_is_read_off_the_blocks"
 SIGMA_ORACLE = "tests/test_involution.py::test_agrees_with_set_algebra_oracle"
@@ -92,6 +94,7 @@ ONE_DOOR = f"{RECURRENCE}::TestOneDoor"
 ORACLE_60 = f"{RECURRENCE}::test_matches_oracle_cell_for_cell_to_60"
 HELP_COLUMN = "tests/test_cli.py::TestErrorPaths::test_help_column_is_held_at_16_on_the_top_level_only"
 Y_FROM_THE_SWEEP = "tests/test_verify.py::TestYFromTheSweep"
+ONE_READING = "tests/test_verify.py::TestOneReading::test_each_field_is_read_once_per_side"
 AVOIDER_PREDICATE = "tests/test_patterns.py::TestPredicates::test_agree_with_all_pairs_scan"
 LATER_CHOICES = "tests/test_cli.py::TestErrorPaths::test_invalid_choice_keeps_its_quotes_on_later_releases"
 
@@ -113,6 +116,13 @@ MUTANTS = (
     # n then joins the later of the two blocks in need and leaves the other open
     Mutant("batch-keeps-two-in-need", "partitions.py", "_gen_nonoverlapping",
            "if g & (g - 1):", "if False:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # n - 1 then joins a block below the one in need, which would have to enclose it too
+    Mutant("batch-starts-below-top-need", "partitions.py", "_gen_nonoverlapping",
+           "range(max(top, 0), len(blocks))", "range(0, len(blocks))", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # n - 1 closes the earlier of two blocks in need and n the later, which crosses it
+    Mutant("two-in-need-swaps-blocks", "partitions.py", "_gen_nonoverlapping",
+           "block, other = blocks[top],", "other, block = blocks[top],",
+           (NONOVERLAPPING_ORACLE, ONE_BATCH, ONE_COMPLETION)),
     # n's block before n - 1's: not standard form
     Mutant("batch-cuts-two-blocks-in-wrong-order", "partitions.py", "_gen_nonoverlapping",
            "j = head.index(other)\n                yield new(SetPartition, (head[:j] + head[j + 1:] +"
@@ -132,7 +142,9 @@ MUTANTS = (
            "yield new(SetPartition, (std[:j] + std[j + 1:] +",
            "yield new(SetPartition, (std[:j + 1] + std[j + 2:] +", (ALL_ORACLE,)),
     Mutant("batch-yields-bare-tuple", "partitions.py", "_gen_all",
-           "yield new(SetPartition, (std + ((n,),),))", "yield (std + ((n,),),)", (TYPE_IDENTITY,)),
+           "yield new(SetPartition, (std + (block, last),))", "yield (std + (block, last),)", (TYPE_IDENTITY,)),
+    Mutant("all-batch-n-never-joins-n-minus-1-block", "partitions.py", "_gen_all",
+           "yield new(SetPartition, (head + (last + block,),))", "pass", (ALL_ORACLE, ALL_ONE_BATCH)),
     # an unwrapped new(SetPartition, ...) builds a SetPartition of k fields whose .blocks is its first block
     Mutant("batch-drops-one-tuple-comma", "partitions.py", "_gen_nonoverlapping",
            "yield new(SetPartition, (std + (block, last),))", "yield new(SetPartition, std + (block, last))",
@@ -188,7 +200,14 @@ MUTANTS = (
            "sigma_fn = _validated(sigma_fn)", "pass", (SIGMA_RESULT,)),
     # the spans are then read only at fixed points, where they cannot differ
     Mutant("fixed-point-test-inverted", "verify.py", "_sweep",
-           "if q is not p:", "if q is p:", (FROZEN_REPORTS,)),
+           "and q is not p:", "and q is p:", (FROZEN_REPORTS,)),
+    # changes only cost: the spans are read under the involution claim alone too
+    Mutant("spans-read-without-a-span-claim", "verify.py", "_sweep",
+           "if (spn or nvl) and q is not p:", "if q is not p:", (ONE_READING,)),
+    # changes only cost: the nonoverlapping partitions are walked under the involution or spans claim alone too
+    Mutant("nonoverlapping-walked-without-a-reader", "verify.py", "_sweep",
+           "enumerate_nonoverlapping(n) if walk else iter(())", "enumerate_nonoverlapping(n)",
+           (ONE_READING,)),
     Mutant("fixed-point-guard-drops-x-eq-y", "verify.py", "_involution",
            "if q is p and x == y:", "if q is p:", (IDENTITY_CAUGHT, FROZEN_REPORTS)),
     # the spans are then printed by hi, as the sweep reads them

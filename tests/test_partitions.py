@@ -40,6 +40,7 @@ from oracles import (
     nonoverlapping_by_filter,
     nonoverlapping_by_first_return,
     nonoverlapping_by_one_batch,
+    nonoverlapping_by_reach_batch,
     partitions_recursive,
     span_families,
 )
@@ -377,6 +378,38 @@ class TestEnumeration:
                     head = [b[1:] if b[0] >= n - 1 else b for b in p.blocks]
                     assert sorted(head) == sorted(blocks) and p.blocks[-2][0] == n - 1, p
         assert met == 4 + 62 + 603 + 4785
+
+    def test_stack_batch_agrees_with_reach_loop_batch(self):
+        # the slow path the stack pass replaced: a loop over every earlier block per candidate
+        for n in range(1, 12):
+            assert list(enumerate_nonoverlapping(n)) == list(nonoverlapping_by_reach_batch(n)), n
+
+    def test_stack_holds_exactly_the_reaching_blocks(self):
+        # the claim the batch's stack pass rests on, replayed on block numbers: at each k the
+        # stack, with the pinned (n,) read as top, is the earlier blocks that reach min(k), and
+        # top once k is past it; and no block before top reaches min(top)
+        visits = 0
+        for n in range(2, 12):
+            prefixes = [((), 0)]
+            for e in range(1, n - 1):
+                prefixes = list(partitions._grow_nonoverlapping(prefixes, e, n - e))
+            for blocks, need in prefixes:
+                if need & (need - 1):
+                    continue
+                top = need.bit_length() - 1
+                reach = [n if b == top else block[0] for b, block in enumerate(blocks)]
+                stack = []
+                for k, block in enumerate(blocks):
+                    lo = block[-1]
+                    while stack and reach[stack[-1]] < lo:
+                        stack.pop()
+                    reaching = {b for b in range(k) if blocks[b][0] > lo}
+                    assert set(stack) == reaching | ({top} if 0 <= top < k else set()), (blocks, need, k)
+                    if k == top:
+                        assert not reaching, (blocks, need)
+                    stack.append(k)
+                visits += len(blocks) if n == 11 else 0
+        assert visits == 71745
 
     def test_prefixes_are_their_rgs_blocks_alone(self):
         # a prefix is its blocks numbered by their minima, as in the RGS, with

@@ -9,7 +9,10 @@ entry and X the statistic st."""
 
 from collections import Counter
 
-from partinv import bessel, enumerate_all, enumerate_nonoverlapping, is_nonoverlapping, stat_x, stat_y, v_table
+import pytest
+
+from partinv import (ValidationError, bessel, enumerate_all, enumerate_nonoverlapping, is_nonoverlapping, stat_x,
+                     stat_y, v_table)
 
 from oracles import (avoiders_depth_first, bell_numbers, claesson_permutation, finish_table, from_scan_word,
                      nonnesting, scan_word, stack_to_queue, stat_st, transfer_joint)
@@ -28,6 +31,16 @@ def test_scan_word_round_trips_and_closes_the_newest_block_iff_nonoverlapping():
                     newest &= letter[1] == k
                     k -= 1
             assert newest == is_nonoverlapping(p), p
+
+
+def test_scan_word_builds_standard_form_and_refuses_an_open_block():
+    # from_scan_word skips validate(), so its output is checked here once
+    for n in range(1, 9):
+        for p in enumerate_all(n):
+            assert from_scan_word(scan_word(p)).validate() == p
+    for word in (("O",), ("O", "O", ("C", 2)), ("S", "O", ("J", 1))):
+        with pytest.raises(ValidationError, match="open"):
+            from_scan_word(word)
 
 
 def test_transfer_model_matches_enumeration_and_the_triangle():

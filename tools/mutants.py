@@ -56,6 +56,7 @@ ALL_ORACLE = "tests/test_partitions.py::TestEnumeration::test_agrees_with_groupi
 NONOVERLAPPING_ORACLE = "tests/test_partitions.py::TestEnumeration::test_nonoverlapping_agrees_with_first_return_oracle"
 ONE_BATCH = "tests/test_partitions.py::TestEnumeration::test_two_element_batch_agrees_with_one_element_batch"
 ALL_ONE_BATCH = "tests/test_partitions.py::TestEnumeration::test_all_two_element_batch_agrees_with_one_element_batch"
+REACH_BATCH = "tests/test_partitions.py::TestEnumeration::test_stack_batch_agrees_with_reach_loop_batch"
 ONE_COMPLETION = "tests/test_partitions.py::TestEnumeration::test_two_blocks_in_need_leave_one_completion"
 TYPE_IDENTITY = "tests/test_partitions.py::TestNamedTuple::test_every_fast_path_builds_a_set_partition"
 N_FROM_BLOCKS = "tests/test_partitions.py::TestNamedTuple::test_n_is_read_off_the_blocks"
@@ -100,36 +101,41 @@ AVOIDER_PREDICATE = "tests/test_patterns.py::TestPredicates::test_agree_with_all
 LATER_CHOICES = "tests/test_cli.py::TestErrorPaths::test_invalid_choice_keeps_its_quotes_on_later_releases"
 
 MUTANTS = (
-    # the batch's join and open cases write the rule out twice, so the anchors below carry a
-    # neighbouring line that tells them apart: head when n - 1 joins a block, std when it opens one
-    Mutant("batch-never-raises-hi", "partitions.py", "_gen_nonoverlapping",
-           "hi = other[0]\n                        j = head.index(other)",
-           "pass\n                        j = head.index(other)", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
-    Mutant("batch-hi-starts-at-1", "partitions.py", "_gen_nonoverlapping",
-           "hi = 0\n            for other in blocks:", "hi = 1\n            for other in blocks:",
-           (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # the batch's join and open cases write their yields out twice, so an anchor that could
+    # match both carries a neighbouring line that tells them apart: head or grown when n - 1
+    # joins a block, std when it opens one
+
     # n joins a block that lies inside an earlier one, and crosses it
     Mutant("batch-joins-nested-block", "partitions.py", "_gen_nonoverlapping",
-           "if other[-1] > hi:\n                        hi = other[0]",
-           "if True:\n                        hi = other[0]", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+           "if not stack:", "if True:", (NONOVERLAPPING_ORACLE, REACH_BATCH)),
+    # the open case's own copy: n joins every block once n - 1 opens one
+    Mutant("open-joins-nested-block", "partitions.py", "_gen_nonoverlapping",
+           "for other in roots:\n                j = std.index(other)",
+           "for other in blocks:\n                j = std.index(other)", (NONOVERLAPPING_ORACLE, REACH_BATCH)),
+    # no block is popped, so every earlier block reads as reaching min(k)
+    Mutant("batch-never-pops", "partitions.py", "_gen_nonoverlapping",
+           "while stack and stack[-1][0] < lo:", "while False:", (NONOVERLAPPING_ORACLE, REACH_BATCH)),
+    # the block in need is pushed as itself, so a later block past its maximum pops it
+    Mutant("batch-pins-top-as-itself", "partitions.py", "_gen_nonoverlapping",
+           "stack.append(last if k == top else block)", "stack.append(block)", (NONOVERLAPPING_ORACLE, REACH_BATCH)),
     Mutant("batch-n-never-joins-n-minus-1-block", "partitions.py", "_gen_nonoverlapping",
-           "yield new(SetPartition, (head + (last + block,),))", "pass", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
-    # n then joins the later of the two blocks in need and leaves the other open
+           "yield new(SetPartition, (head + (last + grown,),))", "pass", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # n then joins one of two blocks in need and leaves the other open
     Mutant("batch-keeps-two-in-need", "partitions.py", "_gen_nonoverlapping",
-           "if g & (g - 1):", "if False:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+           "if len(stack) < 2 and", "if len(stack) < 3 and", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     # n - 1 then joins a block below the one in need, which would have to enclose it too
     Mutant("batch-starts-below-top-need", "partitions.py", "_gen_nonoverlapping",
-           "range(max(top, 0), len(blocks))", "range(0, len(blocks))", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+           "if len(stack) < 2 and k >= top:", "if len(stack) < 2:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     # n - 1 closes the earlier of two blocks in need and n the later, which crosses it
     Mutant("two-in-need-swaps-blocks", "partitions.py", "_gen_nonoverlapping",
            "block, other = blocks[top],", "other, block = blocks[top],",
            (NONOVERLAPPING_ORACLE, ONE_BATCH, ONE_COMPLETION)),
     # n's block before n - 1's: not standard form
     Mutant("batch-cuts-two-blocks-in-wrong-order", "partitions.py", "_gen_nonoverlapping",
-           "j = head.index(other)\n                yield new(SetPartition, (head[:j] + head[j + 1:] +"
-           " (block, last + other),))",
-           "j = head.index(other)\n                yield new(SetPartition, (head[:j] + head[j + 1:] +"
-           " (last + other, block),))",
+           "j = head.index(other)\n                    yield new(SetPartition, (head[:j] + head[j + 1:] +"
+           " (grown, last + other),))",
+           "j = head.index(other)\n                    yield new(SetPartition, (head[:j] + head[j + 1:] +"
+           " (last + other, grown),))",
            (NONOVERLAPPING_ORACLE, ONE_BATCH)),
     Mutant("need-drops-enclosing-term", "partitions.py", "_grow_nonoverlapping",
            "g |= 1 << b", "pass", (NONOVERLAPPING_ORACLE,)),

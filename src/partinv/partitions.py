@@ -368,7 +368,8 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     twice, for a join and for an open, as one shared generator made the
     Y tally over n = 11 about 8 % slower; the reach test is written once,
     as the open case reads the roots the pass collected. n = 2 is the
-    batch on the empty prefix."""
+    batch on the empty prefix. _y_nonoverlapping walks the same
+    completions in the same order to read Y alone, in a loop of its own."""
     new = tuple.__new__
     if n == 1:
         yield new(SetPartition, (((1,),),))
@@ -422,3 +423,83 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
                 yield new(SetPartition, (std[:j] + std[j + 1:] + (block, last + other),))
             yield new(SetPartition, (std + (last + block,),))
             yield new(SetPartition, (std + (block, last),))
+
+
+def _y_nonoverlapping(n: int) -> Iterator[int]:
+    """Y of each nonoverlapping partition of [n], in the order of
+    enumerate_nonoverlapping, read without building the partition. It
+    grows the prefixes _gen_nonoverlapping grows and walks each last-level
+    prefix's completions as that batch does: the two-in-need case, the
+    stack pass, the roots, and n - 1 opening a block. The two loops stay
+    apart, as a generator shared with the item path would branch on its
+    caller, and sharing one cost that path 8 %.
+
+    n - 1 and n exceed every prefix entry, so Y is read off the prefix,
+    the block a that n - 1 joins (None when it opens one) and the block b
+    that n joins (a when it joins n - 1's block, last when it opens one).
+    s is the second entry of 1's block in the prefix, else n - 1 or n when
+    that element joins {1}; where neither does, 1 is a singleton and
+    Y = 1. r is the smallest maximum among the prefix's non-singleton
+    blocks other than a; with none, n - 1 when a is a prefix block and n
+    when it is not. Y = min(r, s). Where n joins a block too, r reads it
+    as before the join, which cannot move min(r, s): a non-singleton block
+    other than a that now reaches n is 1's block or lies right of it, so
+    its maximum was at least s already; and n joins a's block only where
+    s <= n - 1, so the fallback's n - 1 stands for n there. n <= 2 has an
+    empty prefix and is yielded directly."""
+    if n <= 2:
+        yield from range(n, 0, -1)  # 21, then 1/2
+        return
+
+    def y(a, b):
+        if len(one) > 1:
+            s = one[-2]
+        elif a is one:
+            s = n - 1
+        elif b is one:
+            s = n
+        else:
+            return 1
+        for block in ns:
+            if block is not a:
+                r = block[0]
+                break
+        else:
+            r = n - 1 if a is not None else n
+        return r if r < s else s
+
+    prefixes = (((), 0),)
+    for e in range(1, n - 1):
+        prefixes = _grow_nonoverlapping(prefixes, e, n - e)
+    last = (n,)
+    for blocks, need in prefixes:
+        one = blocks[0]
+        ns = sorted([block for block in blocks if len(block) > 1])  # by maximum
+        top = need.bit_length() - 1
+        if need & (need - 1):
+            yield y(blocks[top], blocks[(need ^ (1 << top)).bit_length() - 1])
+            continue
+        stack = []
+        roots = []
+        for k, block in enumerate(blocks):
+            lo = block[-1]
+            while stack and stack[-1][0] < lo:
+                stack.pop()
+            if len(stack) < 2 and k >= top:
+                if stack:
+                    yield y(block, blocks[top] if need else stack[0])
+                else:
+                    for other in roots:
+                        yield y(block, other)
+                    yield y(block, block)
+                    yield y(block, last)
+            if not stack:
+                roots.append(block)
+            stack.append(last if k == top else block)
+        if need:
+            yield y(None, blocks[top])
+        else:
+            for other in roots:
+                yield y(None, other)
+            yield y(None, None)
+            yield y(None, last)

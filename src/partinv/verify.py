@@ -64,10 +64,12 @@ The Y check needs the Y distribution over the nonoverlapping partitions
 of [n], which is the Y marginal of the sweep's nonoverlapping joint. So
 the sweep runs it too, when asked, after its loop: for each n the loop
 finished it reads that marginal from the pass that completed n (the full
-pass, if the paired pass fell back), and it enumerates nonoverlapping
-partitions only for the n past them. Its report's time starts when the Y
-check starts. check_y_matches_v on its own is a sweep of no P_n claim,
-and so enumerates them for every n.
+pass, if the paired pass fell back). For each n past them it counts Y
+with partitions._y_nonoverlapping, which walks the completions of
+enumerate_nonoverlapping's batch and reads Y off each prefix and the
+blocks n - 1 and n join, building no partition. Its report's time starts
+when the Y check starts. check_y_matches_v on its own is a sweep of no
+P_n claim, and so counts every n that way.
 """
 
 from collections import Counter
@@ -76,17 +78,17 @@ from typing import Callable, NamedTuple
 
 from .errors import ValidationError, check_bound
 from .involution import sigma
-from .partitions import (DEFAULT_MAX_N, SetPartition, enumerate_all, enumerate_nonoverlapping, format_partition,
-                         laminar, nonsingleton_spans)
+from .partitions import (DEFAULT_MAX_N, SetPartition, _y_nonoverlapping, enumerate_all, enumerate_nonoverlapping,
+                         format_partition, laminar, nonsingleton_spans)
 from .patterns import AVOIDER_MAX_N, _last_entry_distributions
 from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.68-0.77 s in process at these depths (quartiles
-#: of 28 runs, median 0.70 s): the shared sweep to n = 10 0.45-0.51 s,
-#: y_matches_v 0.20-0.25 s, all of it the enumeration of n = 11 (n <= 10
-#: is read from the sweep's tally), avoiders_match_v under 1 ms. Each
+#: whole run_all() takes 0.61-0.77 s in process at these depths (quartiles
+#: of 20 runs, median 0.69 s): the shared sweep to n = 10 0.51-0.63 s,
+#: y_matches_v 0.10-0.12 s, all of it the Y count over n = 11 (n <= 10 is
+#: read from the sweep's tally), avoiders_match_v under 1 ms. Each
 #: further n of the sweep costs five to six times more.
 DEFAULT_LIMITS = {
     "involution": 10,
@@ -229,8 +231,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     When depths names y_matches_v too, the sweep runs the Y check after
     its loop: the Y distribution of each n the loop finished is the Y
     marginal of that n's nonoverlapping tally, from its completed pass,
-    and the Y check enumerates nonoverlapping partitions only past
-    them."""
+    and past them the Y check counts Y with partitions._y_nonoverlapping,
+    which builds no partition."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -314,8 +316,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                               for name, live in zip(SWEPT, (inv, spn, nvl, eqd)))
     if depth := depths.get("y_matches_v"):  # check_bound has refused every depth below 1
         reports["y_matches_v"] = _matches_v(
-            "y_matches_v", depth, map(lambda n: tallied[n - 1] if n <= len(tallied) else
-                                      Counter(stat_y(p) for p in enumerate_nonoverlapping(n)), range(1, depth + 1)),
+            "y_matches_v", depth, map(lambda n: tallied[n - 1] if n <= len(tallied) else Counter(_y_nonoverlapping(n)),
+                                      range(1, depth + 1)),
             "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
     return reports
 
@@ -362,10 +364,12 @@ def _matches_v(name: str, n_max: int, distributions, item: str, claim: str) -> C
 
 def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
     """Y on nonoverlapping partitions of [n] has distribution v[n][k]. On
-    its own the check is a sweep of no P_n claim, so it counts Y over
-    enumerate_nonoverlapping(n) for each n; in run_all's sweep it reads the
-    distributions for the n the sweep finished from the sweep's
-    nonoverlapping tally, and enumerates only past them."""
+    its own the check is a sweep of no P_n claim, so it counts Y for each
+    n with partitions._y_nonoverlapping, which walks every completion of
+    enumerate_nonoverlapping(n)'s batch without building the partition;
+    in run_all's sweep it reads the distributions for the n the sweep
+    finished from the sweep's nonoverlapping tally, and counts only past
+    them."""
     return _sweep({"y_matches_v": n_max})["y_matches_v"]
 
 

@@ -4,6 +4,7 @@ enumeration."""
 import ast
 import inspect
 import types
+from collections import Counter
 from decimal import Decimal
 from itertools import islice
 
@@ -27,6 +28,7 @@ from partinv import (
     normalize,
     parse,
     sigma,
+    stat_y,
     v_compute,
     v_table,
 )
@@ -35,6 +37,7 @@ from oracles import (
     as_set_of_sets,
     bell_numbers,
     enumerate_by_groups,
+    finish_table,
     laminar_pairwise,
     naive_nonoverlapping,
     nonoverlapping_by_filter,
@@ -43,6 +46,7 @@ from oracles import (
     nonoverlapping_by_reach_batch,
     partitions_recursive,
     span_families,
+    transfer_joint,
 )
 
 BELL = bell_numbers(12)
@@ -307,6 +311,12 @@ class TestSpans:
 
 
 class TestEnumeration:
+    @pytest.fixture(scope="class")
+    def listing(self):
+        """enumerate_nonoverlapping(n) as a list, for every n <= 11, drained
+        once for the tests that compare it with an oracle."""
+        return {n: list(enumerate_nonoverlapping(n)) for n in range(1, 12)}
+
     def test_order_is_deterministic_and_lexicographic(self):
         got = [format_partition(p) for p in enumerate_all(3)]
         assert got == ["321", "21/3", "2/31", "1/32", "1/2/3"]
@@ -338,21 +348,21 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_nonoverlapping(3)) == 5
         assert sum(1 for _ in enumerate_nonoverlapping(7)) == 509
 
-    def test_nonoverlapping_agrees_with_first_return_oracle(self):
+    def test_nonoverlapping_agrees_with_first_return_oracle(self, listing):
         # same partitions in the same order, so CLI output and verify
         # counterexamples cannot move; the filter checks the oracle
         for n in range(1, 12):
             oracle = nonoverlapping_by_first_return(n)
             if n <= 8:
                 assert oracle == nonoverlapping_by_filter(n), n
-            assert list(enumerate_nonoverlapping(n)) == oracle, n
+            assert listing[n] == oracle, n
 
-    def test_two_element_batch_agrees_with_one_element_batch(self):
+    def test_two_element_batch_agrees_with_one_element_batch(self, listing):
         # the slow path it replaced: grow to n - 1, then place n alone
-        assert [format_partition(p) for p in enumerate_nonoverlapping(1)] == ["1"]
-        assert [format_partition(p) for p in enumerate_nonoverlapping(2)] == ["21", "1/2"]
+        assert [format_partition(p) for p in listing[1]] == ["1"]
+        assert [format_partition(p) for p in listing[2]] == ["21", "1/2"]
         for n in range(1, 12):
-            assert list(enumerate_nonoverlapping(n)) == list(nonoverlapping_by_one_batch(n)), n
+            assert listing[n] == list(nonoverlapping_by_one_batch(n)), n
 
     def test_all_two_element_batch_agrees_with_one_element_batch(self):
         # the slow path it replaced: grow to n - 1, then place n alone
@@ -379,10 +389,25 @@ class TestEnumeration:
                     assert sorted(head) == sorted(blocks) and p.blocks[-2][0] == n - 1, p
         assert met == 4 + 62 + 603 + 4785
 
-    def test_stack_batch_agrees_with_reach_loop_batch(self):
+    def test_stack_batch_agrees_with_reach_loop_batch(self, listing):
         # the slow path the stack pass replaced: a loop over every earlier block per candidate
         for n in range(1, 12):
-            assert list(enumerate_nonoverlapping(n)) == list(nonoverlapping_by_reach_batch(n)), n
+            assert listing[n] == list(nonoverlapping_by_reach_batch(n)), n
+
+    def test_y_pass_reads_the_y_of_each_listed_partition(self, listing):
+        # item for item, so a rule error that only moves counts between two values of Y
+        # (s read as n where n - 1 joins {1}, and n - 1 where n does) is caught too
+        for n in range(1, 12):
+            assert list(partitions._y_nonoverlapping(n)) == [stat_y(p) for p in listing[n]], n
+
+    def test_y_pass_counts_the_open_block_marginal(self):
+        # one size past the listing: the Y marginal of the open-block count, which lists nothing
+        finish = finish_table(11, True)
+        for n in range(1, 13):
+            marginal = Counter()
+            for (_, y), count in transfer_joint(n, finish, True).items():
+                marginal[y] += count
+            assert Counter(partitions._y_nonoverlapping(n)) == marginal, n
 
     def test_stack_holds_exactly_the_reaching_blocks(self):
         # the claim the batch's stack pass rests on, replayed on block numbers: at each k the

@@ -528,11 +528,26 @@ def enumerated(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """The n of each call to verify._y_nonoverlapping, the Y check's pass past the sweep, in order."""
+    calls = []
+    y_nonoverlapping = verify._y_nonoverlapping
+
+    def recording(n):
+        calls.append(n)
+        return y_nonoverlapping(n)
+
+    monkeypatch.setattr(verify, "_y_nonoverlapping", recording)
+    return calls
+
+
 class TestYFromTheSweep:
     """run_all's Y check reads the sweep's nonoverlapping tally for each n
-    the sweep finished, and enumerates nonoverlapping partitions only past
-    them. The sweep itself walks one enumeration of them per pass, in
-    lockstep with enumerate_all."""
+    the sweep finished, and counts Y with _y_nonoverlapping, which builds
+    no partition, only past them. The sweep itself walks one enumeration
+    of the nonoverlapping partitions per pass, in lockstep with
+    enumerate_all."""
 
     # each map past sigma fails a claim, so the n it fails at is handed over from the full pass
     @pytest.mark.parametrize("map_name, n_max", [("sigma", 10)] + [
@@ -553,23 +568,29 @@ class TestYFromTheSweep:
         assert handed == [Counter(stat_y(p) for p in enumerate_all(n) if is_nonoverlapping(p))
                           for n in range(1, n_max + 1)]
 
-    # the sweep's one walk per n (under sigma every n passes its paired pass), then the Y check's
+    # the sweep's one walk per n (under sigma every n passes its paired pass), then the Y check's pass
     @pytest.mark.parametrize("n_max_override, swept_n, past", [(None, 10, [11]), (6, 6, [])])
-    def test_enumerates_only_past_the_sweep(self, enumerated, n_max_override, swept_n, past):
+    def test_enumerates_only_past_the_sweep(self, enumerated, counted, n_max_override, swept_n, past):
         assert all(r.ok for r in run_all(n_max_override))
-        assert enumerated == [*range(1, swept_n + 1), *past]
+        assert enumerated == list(range(1, swept_n + 1))
+        assert counted == past
 
-    def test_enumerates_from_where_the_sweep_stopped(self, monkeypatch, enumerated):
+    def test_enumerates_from_where_the_sweep_stopped(self, monkeypatch, enumerated, counted):
         monkeypatch.setattr(verify, "DEFAULT_LIMITS", {**dict.fromkeys(SWEPT, 3), "y_matches_v": 6,
                                                        "avoiders_match_v": 3})
         report = run_all()[4]
-        assert enumerated == [1, 2, 3, 4, 5, 6]
+        assert (enumerated, counted) == ([1, 2, 3], [4, 5, 6])
         assert report._replace(elapsed=0) == check_y_matches_v(6)._replace(elapsed=0)
 
     def test_same_counterexample_as_the_standalone_check(self, monkeypatch):
-        # Y stays in 1..n, with its values 2 and 3 swapped from n = 4 on
-        y = verify.stat_y
-        monkeypatch.setattr(verify, "stat_y", lambda p: {2: 3, 3: 2}.get(y(p), y(p)) if p.n >= 4 else y(p))
+        # Y stays in 1..n, with its values 2 and 3 swapped from n = 4 on, both in the sweep's
+        # tally and in the pass that counts Y past it (the standalone check's only source)
+        def swapped(y, n):
+            return {2: 3, 3: 2}.get(y, y) if n >= 4 else y
+
+        y, y_nonoverlapping = verify.stat_y, verify._y_nonoverlapping
+        monkeypatch.setattr(verify, "stat_y", lambda p: swapped(y(p), p.n))
+        monkeypatch.setattr(verify, "_y_nonoverlapping", lambda n: (swapped(v, n) for v in y_nonoverlapping(n)))
         report = run_all(6)[4]
         assert report.counterexample == check_y_matches_v(6).counterexample == Counterexample(
             4, "Y=2 over nonoverlapping partitions of [4]", "Y-distribution matches the v-triangle", "5", "3")
@@ -625,7 +646,7 @@ class TestDepthGuard:
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the depth was checked")
-        for name in ("enumerate_all", "enumerate_nonoverlapping", "_last_entry_distributions"):
+        for name in ("enumerate_all", "enumerate_nonoverlapping", "_y_nonoverlapping", "_last_entry_distributions"):
             monkeypatch.setattr(verify, name, refuse)
 
     @pytest.mark.parametrize("n_max", [0, -3, 2.5, True, "5"])

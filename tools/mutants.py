@@ -99,6 +99,8 @@ ONE_READING = "tests/test_verify.py::TestOneReading::test_each_field_is_read_onc
 SPANS_BY_LO = "tests/test_verify.py::test_spans_counterexample_lists_spans_by_lo"
 AVOIDER_PREDICATE = "tests/test_patterns.py::TestPredicates::test_agree_with_all_pairs_scan"
 LATER_CHOICES = "tests/test_cli.py::TestErrorPaths::test_invalid_choice_keeps_its_quotes_on_later_releases"
+Y_PASS_ITEMS = "tests/test_partitions.py::TestEnumeration::test_y_pass_reads_the_y_of_each_listed_partition"
+Y_PASS_MARGINAL = "tests/test_partitions.py::TestEnumeration::test_y_pass_counts_the_open_block_marginal"
 
 MUTANTS = (
     # the batch's join and open cases write their yields out twice, so an anchor that could
@@ -126,6 +128,20 @@ MUTANTS = (
     # n - 1 then joins a block below the one in need, which would have to enclose it too
     Mutant("batch-starts-below-top-need", "partitions.py", "_gen_nonoverlapping",
            "if len(stack) < 2 and k >= top:", "if len(stack) < 2:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
+    # the Y pass past the sweep; the first moves counts between Y = n - 1 and Y = n in equal
+    # numbers, so only the item-for-item test sees it
+    Mutant("y-pass-swaps-s-of-a-join-to-one", "partitions.py", "_y_nonoverlapping",
+           "s = n - 1\n        elif b is one:\n            s = n\n",
+           "s = n\n        elif b is one:\n            s = n - 1\n", (Y_PASS_ITEMS,)),
+    Mutant("y-pass-swaps-r-fallback", "partitions.py", "_y_nonoverlapping",
+           "r = n - 1 if a is not None else n", "r = n if a is not None else n - 1",
+           (Y_PASS_ITEMS, Y_PASS_MARGINAL)),
+    # r reads the block n - 1 joins at its maximum before the join
+    Mutant("y-pass-keeps-a-in-r", "partitions.py", "_y_nonoverlapping",
+           "if block is not a:", "if True:", (Y_PASS_ITEMS, Y_PASS_MARGINAL)),
+    # the pass then counts completions that leave a block in need open
+    Mutant("y-pass-keeps-two-in-need", "partitions.py", "_y_nonoverlapping",
+           "if len(stack) < 2 and", "if len(stack) < 3 and", (Y_PASS_ITEMS, Y_PASS_MARGINAL)),
     # n - 1 closes the earlier of two blocks in need and n the later, which crosses it
     Mutant("two-in-need-swaps-blocks", "partitions.py", "_gen_nonoverlapping",
            "block, other = blocks[top],", "other, block = blocks[top],",
@@ -357,7 +373,7 @@ MUTANTS = (
     Mutant("y-check-reads-tally-one-n-early", "verify.py", "_sweep",
            "lambda n: tallied[n - 1]", "lambda n: tallied[n - 2]",
            (f"{Y_FROM_THE_SWEEP}::test_same_counterexample_as_the_standalone_check",)),
-    # changes only cost: the last tallied n is enumerated again
+    # changes only cost: the pass counts Y over the last tallied n again
     Mutant("y-check-enumerates-last-tallied-n", "verify.py", "_sweep",
            "n <= len(tallied)", "n < len(tallied)",
            (f"{Y_FROM_THE_SWEEP}::test_enumerates_only_past_the_sweep",)),

@@ -368,8 +368,9 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
     twice, for a join and for an open, as one shared generator made the
     Y tally over n = 11 about 8 % slower; the reach test is written once,
     as the open case reads the roots the pass collected. n = 2 is the
-    batch on the empty prefix. _y_nonoverlapping walks the same
-    completions in the same order to read Y alone, in a loop of its own."""
+    batch on the empty prefix. _y_counts_nonoverlapping runs the same
+    pass to count Y over these completions, a class at a time, in a loop
+    of its own."""
     new = tuple.__new__
     if n == 1:
         yield new(SetPartition, (((1,),),))
@@ -425,81 +426,89 @@ def _gen_nonoverlapping(n: int) -> Iterator[SetPartition]:
             yield new(SetPartition, (std + (block, last),))
 
 
-def _y_nonoverlapping(n: int) -> Iterator[int]:
-    """Y of each nonoverlapping partition of [n], in the order of
-    enumerate_nonoverlapping, read without building the partition. It
-    grows the prefixes _gen_nonoverlapping grows and walks each last-level
-    prefix's completions as that batch does: the two-in-need case, the
-    stack pass, the roots, and n - 1 opening a block. The two loops stay
-    apart, as a generator shared with the item path would branch on its
-    caller, and sharing one cost that path 8 %.
+def _y_counts_nonoverlapping(n: int) -> dict[int, int]:
+    """The Y distribution over the nonoverlapping partitions of [n],
+    {y: count}, counted without listing them. It grows the prefixes
+    _gen_nonoverlapping grows and runs the same stack pass over each
+    last-level prefix, but adds each class of completions to the count at
+    once, by its number of completions:
 
-    n - 1 and n exceed every prefix entry, so Y is read off the prefix,
-    the block a that n - 1 joins (None when it opens one) and the block b
-    that n joins (a when it joins n - 1's block, last when it opens one).
-    s is the second entry of 1's block in the prefix, else n - 1 or n when
-    that element joins {1}; where neither does, 1 is a singleton and
-    Y = 1. r is the smallest maximum among the prefix's non-singleton
-    blocks other than a; with none, n - 1 when a is a prefix block and n
-    when it is not. Y = min(r, s). Where n joins a block too, r reads it
-    as before the join, which cannot move min(r, s): a non-singleton block
-    other than a that now reaches n is 1's block or lies right of it, so
-    its maximum was at least s already; and n joins a's block only where
-    s <= n - 1, so the fallback's n - 1 stands for n there. n <= 2 has an
-    empty prefix and is yielded directly."""
+        two blocks in need                             1
+        n - 1 joins a block, one block on the stack    1 (n joins that block)
+        n - 1 joins a block, empty stack               roots + 2
+        n - 1 opens a block, a block in need           1 (n joins top)
+        n - 1 opens a block, no block in need          roots + 2
+
+    roots counts the roots so far; n joins one of them, n - 1's block or a
+    block of its own. The stack holds block maxima, top's pinned at n.
+
+    Y = min(r, s), r the least maximum of a non-singleton block and s the
+    second entry of 1's block, or 1 where {1} is a block. n - 1 and n
+    exceed every prefix entry, so Y is read off the prefix: m0 and m1 are
+    the two least maxima of its non-singleton blocks, n - 1 for each that
+    is missing. Where 1's block is not a singleton, Y = min(m0, s) in
+    every completion but those where n - 1 joins m0's block, which then
+    ends past m1; there Y = min(m1, s). A join by n cannot move Y:
+    a non-singleton block that n - 1 does not join and n does is 1's
+    block or lies right of it, so its maximum was at least s already.
+    Where 1's block is {1}, Y = 1 unless n - 1 or n joins it. n - 1 joins
+    it as the pass's first candidate, which only a prefix with no block in
+    need has; then Y = m0 for both completions. n joins it, the first
+    root, in one completion of each later candidate with an empty stack,
+    where Y = m0, or m1 if n - 1 joined m0's block; and in one where n - 1
+    opens a block, where Y = m0, or n with no non-singleton block. n <= 2
+    has an empty prefix and is counted directly."""
     if n <= 2:
-        yield from range(n, 0, -1)  # 21, then 1/2
-        return
-
-    def y(a, b):
-        if len(one) > 1:
-            s = one[-2]
-        elif a is one:
-            s = n - 1
-        elif b is one:
-            s = n
-        else:
-            return 1
-        for block in ns:
-            if block is not a:
-                r = block[0]
-                break
-        else:
-            r = n - 1 if a is not None else n
-        return r if r < s else s
-
+        return dict.fromkeys(range(1, n + 1), 1)  # 21, then 1/2
+    counts = [0] * (n + 1)
     prefixes = (((), 0),)
     for e in range(1, n - 1):
         prefixes = _grow_nonoverlapping(prefixes, e, n - e)
-    last = (n,)
     for blocks, need in prefixes:
-        one = blocks[0]
-        ns = sorted([block for block in blocks if len(block) > 1])  # by maximum
+        m0 = m1 = n - 1
+        for block in blocks:
+            if len(block) > 1:
+                hi = block[0]
+                if hi < m1:
+                    if hi < m0:
+                        m0, m1 = hi, m0
+                    else:
+                        m1 = hi
         top = need.bit_length() - 1
         if need & (need - 1):
-            yield y(blocks[top], blocks[(need ^ (1 << top)).bit_length() - 1])
-            continue
-        stack = []
-        roots = []
-        for k, block in enumerate(blocks):
-            lo = block[-1]
-            while stack and stack[-1][0] < lo:
-                stack.pop()
-            if len(stack) < 2 and k >= top:
-                if stack:
-                    yield y(block, blocks[top] if need else stack[0])
-                else:
-                    for other in roots:
-                        yield y(block, other)
-                    yield y(block, block)
-                    yield y(block, last)
-            if not stack:
-                roots.append(block)
-            stack.append(last if k == top else block)
-        if need:
-            yield y(None, blocks[top])
+            # n - 1 closes the later block in need and n the earlier, neither of them {1}
+            total, at_m0, to_one = 1, blocks[top][0] == m0, 0
         else:
-            for other in roots:
-                yield y(None, other)
-            yield y(None, None)
-            yield y(None, last)
+            total = at_m0 = to_one = roots = 0  # at_m0: the completions where n - 1 joins m0's block
+            stack = []
+            for k, block in enumerate(blocks):
+                lo = block[-1]
+                while stack and stack[-1] < lo:
+                    stack.pop()
+                if len(stack) < 2 and k >= top:
+                    w = 1 if stack else roots + 2
+                    total += w
+                    if block[0] == m0:
+                        at_m0 = w
+                    if roots and not stack:
+                        to_one += 1  # n joins the first root, 1's block, in one of these
+                if not stack:
+                    roots += 1
+                stack.append(n if k == top else block[0])
+            total += 1 if need else roots + 2
+        one = blocks[0]
+        if len(one) > 1:
+            s = one[-2]
+            counts[m0 if m0 < s else s] += total - at_m0
+            counts[m1 if m1 < s else s] += at_m0
+        else:
+            hit = at_m0 > 1  # m0's block is a later candidate with an empty stack
+            counts[m1] += hit
+            counts[m0] += to_one - hit
+            rest = total - to_one
+            if not need:
+                counts[m0] += 2
+                counts[m0 if m0 < n - 1 else n] += 1
+                rest -= 3
+            counts[1] += rest
+    return {y: count for y, count in enumerate(counts) if count}

@@ -64,31 +64,32 @@ The Y check needs the Y distribution over the nonoverlapping partitions
 of [n], which is the Y marginal of the sweep's nonoverlapping joint. So
 the sweep runs it too, when asked, after its loop: for each n the loop
 finished it reads that marginal from the pass that completed n (the full
-pass, if the paired pass fell back). For each n past them it counts Y
-with partitions._y_nonoverlapping, which walks the completions of
-enumerate_nonoverlapping's batch and reads Y off each prefix and the
-blocks n - 1 and n join, building no partition. Its report's time starts
-when the Y check starts. check_y_matches_v on its own is a sweep of no
-P_n claim, and so counts every n that way.
+pass, if the paired pass fell back). For each n past them it reads the
+count of partitions._y_counts_nonoverlapping, which runs the stack pass
+of enumerate_nonoverlapping's batch over each last-level prefix and adds
+each class of completions to the count at once, by its number of
+completions and with Y read off the prefix, so no partition is built
+and no Y is read per partition. Its report's time starts when the Y
+check starts. check_y_matches_v on its own is a sweep of no P_n claim,
+and so counts every n that way.
 """
 
-from collections import Counter
 from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError, check_bound
 from .involution import sigma
-from .partitions import (DEFAULT_MAX_N, SetPartition, _y_nonoverlapping, enumerate_all, enumerate_nonoverlapping,
+from .partitions import (DEFAULT_MAX_N, SetPartition, _y_counts_nonoverlapping, enumerate_all, enumerate_nonoverlapping,
                          format_partition, laminar, nonsingleton_spans)
 from .patterns import AVOIDER_MAX_N, _last_entry_distributions
 from .recurrence import v_table
 from .stats import stat_x, stat_y
 
 #: Per-check default depth. On a 2-core Intel Xeon VM (Python 3.11) the
-#: whole run_all() takes 0.61-0.77 s in process at these depths (quartiles
-#: of 20 runs, median 0.69 s): the shared sweep to n = 10 0.51-0.63 s,
-#: y_matches_v 0.10-0.12 s, all of it the Y count over n = 11 (n <= 10 is
-#: read from the sweep's tally), avoiders_match_v under 1 ms. Each
+#: whole run_all() takes 0.51-0.58 s in process at these depths (quartiles
+#: of 20 runs, median 0.52 s): the shared sweep to n = 10 0.46-0.53 s,
+#: y_matches_v 0.051-0.054 s, all of it the Y count over n = 11 (n <= 10
+#: is read from the sweep's tally), avoiders_match_v under 1 ms. Each
 #: further n of the sweep costs five to six times more.
 DEFAULT_LIMITS = {
     "involution": 10,
@@ -231,8 +232,8 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
     When depths names y_matches_v too, the sweep runs the Y check after
     its loop: the Y distribution of each n the loop finished is the Y
     marginal of that n's nonoverlapping tally, from its completed pass,
-    and past them the Y check counts Y with partitions._y_nonoverlapping,
-    which builds no partition."""
+    and past them the Y check reads partitions._y_counts_nonoverlapping,
+    which counts each class of the batch's completions at once."""
     for n_max in depths.values():
         check_bound(n_max, DEFAULT_MAX_N, "enumeration", "check depth")
     if not callable(sigma_fn):
@@ -316,7 +317,7 @@ def _sweep(depths: dict[str, int], sigma_fn: SigmaFn = sigma) -> dict[str, Check
                               for name, live in zip(SWEPT, (inv, spn, nvl, eqd)))
     if depth := depths.get("y_matches_v"):  # check_bound has refused every depth below 1
         reports["y_matches_v"] = _matches_v(
-            "y_matches_v", depth, map(lambda n: tallied[n - 1] if n <= len(tallied) else Counter(_y_nonoverlapping(n)),
+            "y_matches_v", depth, map(lambda n: tallied[n - 1] if n <= len(tallied) else _y_counts_nonoverlapping(n),
                                       range(1, depth + 1)),
             "Y={k} over nonoverlapping partitions of [{n}]", "Y-distribution matches the v-triangle")
     return reports
@@ -364,12 +365,12 @@ def _matches_v(name: str, n_max: int, distributions, item: str, claim: str) -> C
 
 def check_y_matches_v(n_max: int = DEFAULT_LIMITS["y_matches_v"]) -> CheckReport:
     """Y on nonoverlapping partitions of [n] has distribution v[n][k]. On
-    its own the check is a sweep of no P_n claim, so it counts Y for each
-    n with partitions._y_nonoverlapping, which walks every completion of
-    enumerate_nonoverlapping(n)'s batch without building the partition;
-    in run_all's sweep it reads the distributions for the n the sweep
-    finished from the sweep's nonoverlapping tally, and counts only past
-    them."""
+    its own the check is a sweep of no P_n claim, so it reads the Y count
+    of partitions._y_counts_nonoverlapping for each n, which adds each
+    class of enumerate_nonoverlapping(n)'s batch at once, by its number of
+    completions; in run_all's sweep it reads the distributions for the n
+    the sweep finished from the sweep's nonoverlapping tally, and counts
+    only past them."""
     return _sweep({"y_matches_v": n_max})["y_matches_v"]
 
 

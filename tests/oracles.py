@@ -9,8 +9,8 @@ than repetition. The slow paths that fast ones replaced live on here too
 (grouping every labeling afresh, sigma through set algebra, the pairwise
 laminar scan, the two generators that batched only the last element,
 the nonoverlapping batch that found each candidate's enclosing blocks
-by a loop over every earlier block, the joint tally keyed by (X, Y)
-pairs, the avoiders found by testing all n! permutations, each swept
+by a loop over every earlier block, the Y pass that read Y off each of
+its completions, the joint tally keyed by (X, Y) pairs, the avoiders found by testing all n! permutations, each swept
 claim checked on its own at every partition, the CLI's v-triangle
 rendered whole before a byte is written), and the fast paths must equal them item for item. The
 open-block scan reads a partition element by element, as a word and as
@@ -350,6 +350,85 @@ def nonoverlapping_by_reach_batch(n: int) -> Iterator[SetPartition]:
                     yield SetPartition(std[:j] + std[j + 1:] + (block, last + other))
             yield SetPartition(std + (last + block,))
             yield SetPartition(std + (block, last))
+
+
+def y_nonoverlapping_per_item(n: int) -> Iterator[int]:
+    """Y of each nonoverlapping partition of [n], in the order of
+    enumerate_nonoverlapping, read without building the partition: the
+    per-item pass the Y check used before it counted each completion class
+    at once. It grows the prefixes the generator grows and walks each
+    last-level prefix's completions as its batch does: the two-in-need
+    case, the stack pass, the roots, and n - 1 opening a block.
+
+    n - 1 and n exceed every prefix entry, so Y is read off the prefix,
+    the block a that n - 1 joins (None when it opens one) and the block b
+    that n joins (a when it joins n - 1's block, last when it opens one).
+    s is the second entry of 1's block in the prefix, else n - 1 or n when
+    that element joins {1}; where neither does, 1 is a singleton and
+    Y = 1. r is the smallest maximum among the prefix's non-singleton
+    blocks other than a; with none, n - 1 when a is a prefix block and n
+    when it is not. Y = min(r, s). Where n joins a block too, r reads it
+    as before the join, which cannot move min(r, s): a non-singleton block
+    other than a that now reaches n is 1's block or lies right of it, so
+    its maximum was at least s already; and n joins a's block only where
+    s <= n - 1, so the fallback's n - 1 stands for n there. n <= 2 has an
+    empty prefix and is yielded directly."""
+    if n <= 2:
+        yield from range(n, 0, -1)  # 21, then 1/2
+        return
+
+    def y(a, b):
+        if len(one) > 1:
+            s = one[-2]
+        elif a is one:
+            s = n - 1
+        elif b is one:
+            s = n
+        else:
+            return 1
+        for block in ns:
+            if block is not a:
+                r = block[0]
+                break
+        else:
+            r = n - 1 if a is not None else n
+        return r if r < s else s
+
+    prefixes = (((), 0),)
+    for e in range(1, n - 1):
+        prefixes = _grow_nonoverlapping(prefixes, e, n - e)
+    last = (n,)
+    for blocks, need in prefixes:
+        one = blocks[0]
+        ns = sorted([block for block in blocks if len(block) > 1])  # by maximum
+        top = need.bit_length() - 1
+        if need & (need - 1):
+            yield y(blocks[top], blocks[(need ^ (1 << top)).bit_length() - 1])
+            continue
+        stack = []
+        roots = []
+        for k, block in enumerate(blocks):
+            lo = block[-1]
+            while stack and stack[-1][0] < lo:
+                stack.pop()
+            if len(stack) < 2 and k >= top:
+                if stack:
+                    yield y(block, blocks[top] if need else stack[0])
+                else:
+                    for other in roots:
+                        yield y(block, other)
+                    yield y(block, block)
+                    yield y(block, last)
+            if not stack:
+                roots.append(block)
+            stack.append(last if k == top else block)
+        if need:
+            yield y(None, blocks[top])
+        else:
+            for other in roots:
+                yield y(None, other)
+            yield y(None, None)
+            yield y(None, last)
 
 
 #: the nonoverlapping partitions of [k] by size k, each a tuple of

@@ -32,6 +32,7 @@ from partinv import (
     v_compute,
     v_table,
 )
+import oracles
 from oracles import (
     all_by_one_batch,
     as_set_of_sets,
@@ -47,6 +48,7 @@ from oracles import (
     partitions_recursive,
     span_families,
     transfer_joint,
+    y_nonoverlapping_per_item,
 )
 
 BELL = bell_numbers(12)
@@ -395,19 +397,37 @@ class TestEnumeration:
             assert listing[n] == list(nonoverlapping_by_reach_batch(n)), n
 
     def test_y_pass_reads_the_y_of_each_listed_partition(self, listing):
-        # item for item, so a rule error that only moves counts between two values of Y
-        # (s read as n where n - 1 joins {1}, and n - 1 where n does) is caught too
+        # the per-item pass the count replaced, item for item, so a rule error that only moves
+        # counts between two values of Y (s read as n where n - 1 joins {1}, and n - 1 where n
+        # does) is caught too
         for n in range(1, 12):
-            assert list(partitions._y_nonoverlapping(n)) == [stat_y(p) for p in listing[n]], n
+            assert list(y_nonoverlapping_per_item(n)) == [stat_y(p) for p in listing[n]], n
 
-    def test_y_pass_counts_the_open_block_marginal(self):
+    def test_y_count_matches_the_per_item_pass_on_each_prefix(self, monkeypatch):
+        # each last-level prefix is handed to both passes alone, as the only prefix of every
+        # level, so a class counted with the wrong weight or the wrong Y shows at its prefix
+        grow = partitions._grow_nonoverlapping
+        for n in range(3, 11):
+            prefixes = [((), 0)]
+            for e in range(1, n - 1):
+                prefixes = list(grow(prefixes, e, n - e))
+            completions = 0
+            for blocks, need in prefixes:
+                for module in (partitions, oracles):
+                    monkeypatch.setattr(module, "_grow_nonoverlapping", lambda *_: [(blocks, need)])
+                expected = Counter(y_nonoverlapping_per_item(n))
+                assert partitions._y_counts_nonoverlapping(n) == expected, (n, blocks, need)
+                completions += expected.total()
+            assert completions == bessel(n), n  # the prefixes handed over are all of them
+
+    def test_y_count_matches_the_per_item_pass_and_the_open_block_marginal(self):
         # one size past the listing: the Y marginal of the open-block count, which lists nothing
         finish = finish_table(11, True)
         for n in range(1, 13):
             marginal = Counter()
             for (_, y), count in transfer_joint(n, finish, True).items():
                 marginal[y] += count
-            assert Counter(partitions._y_nonoverlapping(n)) == marginal, n
+            assert partitions._y_counts_nonoverlapping(n) == Counter(y_nonoverlapping_per_item(n)) == marginal, n
 
     def test_stack_holds_exactly_the_reaching_blocks(self):
         # the claim the batch's stack pass rests on, replayed on block numbers: at each k the

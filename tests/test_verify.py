@@ -530,24 +530,24 @@ def enumerated(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The n of each call to verify._y_nonoverlapping, the Y check's pass past the sweep, in order."""
+    """The n of each call to verify._y_counts_nonoverlapping, the Y check's count past the sweep, in order."""
     calls = []
-    y_nonoverlapping = verify._y_nonoverlapping
+    y_counts = verify._y_counts_nonoverlapping
 
     def recording(n):
         calls.append(n)
-        return y_nonoverlapping(n)
+        return y_counts(n)
 
-    monkeypatch.setattr(verify, "_y_nonoverlapping", recording)
+    monkeypatch.setattr(verify, "_y_counts_nonoverlapping", recording)
     return calls
 
 
 class TestYFromTheSweep:
     """run_all's Y check reads the sweep's nonoverlapping tally for each n
-    the sweep finished, and counts Y with _y_nonoverlapping, which builds
-    no partition, only past them. The sweep itself walks one enumeration
-    of the nonoverlapping partitions per pass, in lockstep with
-    enumerate_all."""
+    the sweep finished, and counts Y with _y_counts_nonoverlapping, which
+    builds no partition, only past them. The sweep itself walks one
+    enumeration of the nonoverlapping partitions per pass, in lockstep
+    with enumerate_all."""
 
     # each map past sigma fails a claim, so the n it fails at is handed over from the full pass
     @pytest.mark.parametrize("map_name, n_max", [("sigma", 10)] + [
@@ -584,13 +584,14 @@ class TestYFromTheSweep:
 
     def test_same_counterexample_as_the_standalone_check(self, monkeypatch):
         # Y stays in 1..n, with its values 2 and 3 swapped from n = 4 on, both in the sweep's
-        # tally and in the pass that counts Y past it (the standalone check's only source)
+        # tally and in the count past it (the standalone check's only source), whose keys swap
         def swapped(y, n):
             return {2: 3, 3: 2}.get(y, y) if n >= 4 else y
 
-        y, y_nonoverlapping = verify.stat_y, verify._y_nonoverlapping
+        y, y_counts = verify.stat_y, verify._y_counts_nonoverlapping
         monkeypatch.setattr(verify, "stat_y", lambda p: swapped(y(p), p.n))
-        monkeypatch.setattr(verify, "_y_nonoverlapping", lambda n: (swapped(v, n) for v in y_nonoverlapping(n)))
+        monkeypatch.setattr(verify, "_y_counts_nonoverlapping",
+                            lambda n: {swapped(k, n): count for k, count in y_counts(n).items()})
         report = run_all(6)[4]
         assert report.counterexample == check_y_matches_v(6).counterexample == Counterexample(
             4, "Y=2 over nonoverlapping partitions of [4]", "Y-distribution matches the v-triangle", "5", "3")
@@ -646,7 +647,8 @@ class TestDepthGuard:
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the depth was checked")
-        for name in ("enumerate_all", "enumerate_nonoverlapping", "_y_nonoverlapping", "_last_entry_distributions"):
+        for name in ("enumerate_all", "enumerate_nonoverlapping", "_y_counts_nonoverlapping",
+                     "_last_entry_distributions"):
             monkeypatch.setattr(verify, name, refuse)
 
     @pytest.mark.parametrize("n_max", [0, -3, 2.5, True, "5"])

@@ -99,8 +99,9 @@ ONE_READING = "tests/test_verify.py::TestOneReading::test_each_field_is_read_onc
 SPANS_BY_LO = "tests/test_verify.py::test_spans_counterexample_lists_spans_by_lo"
 AVOIDER_PREDICATE = "tests/test_patterns.py::TestPredicates::test_agree_with_all_pairs_scan"
 LATER_CHOICES = "tests/test_cli.py::TestErrorPaths::test_invalid_choice_keeps_its_quotes_on_later_releases"
-Y_PASS_ITEMS = "tests/test_partitions.py::TestEnumeration::test_y_pass_reads_the_y_of_each_listed_partition"
-Y_PASS_MARGINAL = "tests/test_partitions.py::TestEnumeration::test_y_pass_counts_the_open_block_marginal"
+Y_PASS_PREFIXES = "tests/test_partitions.py::TestEnumeration::test_y_count_matches_the_per_item_pass_on_each_prefix"
+Y_PASS_WHOLE = ("tests/test_partitions.py::TestEnumeration::"
+                "test_y_count_matches_the_per_item_pass_and_the_open_block_marginal")
 
 MUTANTS = (
     # the batch's join and open cases write their yields out twice, so an anchor that could
@@ -128,20 +129,25 @@ MUTANTS = (
     # n - 1 then joins a block below the one in need, which would have to enclose it too
     Mutant("batch-starts-below-top-need", "partitions.py", "_gen_nonoverlapping",
            "if len(stack) < 2 and k >= top:", "if len(stack) < 2:", (NONOVERLAPPING_ORACLE, ONE_BATCH)),
-    # the Y pass past the sweep; the first moves counts between Y = n - 1 and Y = n in equal
-    # numbers, so only the item-for-item test sees it
-    Mutant("y-pass-swaps-s-of-a-join-to-one", "partitions.py", "_y_nonoverlapping",
-           "s = n - 1\n        elif b is one:\n            s = n\n",
-           "s = n\n        elif b is one:\n            s = n - 1\n", (Y_PASS_ITEMS,)),
-    Mutant("y-pass-swaps-r-fallback", "partitions.py", "_y_nonoverlapping",
-           "r = n - 1 if a is not None else n", "r = n if a is not None else n - 1",
-           (Y_PASS_ITEMS, Y_PASS_MARGINAL)),
-    # r reads the block n - 1 joins at its maximum before the join
-    Mutant("y-pass-keeps-a-in-r", "partitions.py", "_y_nonoverlapping",
-           "if block is not a:", "if True:", (Y_PASS_ITEMS, Y_PASS_MARGINAL)),
-    # the pass then counts completions that leave a block in need open
-    Mutant("y-pass-keeps-two-in-need", "partitions.py", "_y_nonoverlapping",
-           "if len(stack) < 2 and", "if len(stack) < 3 and", (Y_PASS_ITEMS, Y_PASS_MARGINAL)),
+    # the Y count past the sweep
+    # with no non-singleton block, Y where n - 1 joins {1} reads n, the fallback where n - 1
+    # opens a block, and that reads n - 1
+    Mutant("y-pass-swaps-r-fallback", "partitions.py", "_y_counts_nonoverlapping",
+           "counts[m0] += 2\n                counts[m0 if m0 < n - 1 else n] += 1",
+           "counts[m0 if m0 < n - 1 else n] += 2\n                counts[m0] += 1",
+           (Y_PASS_PREFIXES, Y_PASS_WHOLE)),
+    # r reads the block n - 1 joins at its maximum before the join: m1 is m0 again
+    Mutant("y-pass-keeps-a-in-r", "partitions.py", "_y_counts_nonoverlapping",
+           "m0, m1 = hi, m0", "m0 = m1 = hi", (Y_PASS_PREFIXES, Y_PASS_WHOLE)),
+    # the count then takes in completions that leave a block in need open
+    Mutant("y-pass-keeps-two-in-need", "partitions.py", "_y_counts_nonoverlapping",
+           "if len(stack) < 2 and", "if len(stack) < 3 and", (Y_PASS_PREFIXES, Y_PASS_WHOLE)),
+    # a candidate with an empty stack loses the completion in which n opens a block
+    Mutant("y-pass-drops-own-block-of-n", "partitions.py", "_y_counts_nonoverlapping",
+           "w = 1 if stack else roots + 2", "w = 1 if stack else roots + 1", (Y_PASS_PREFIXES, Y_PASS_WHOLE)),
+    # the completions where n - 1 joins m0's block are counted at m0, as all the others
+    Mutant("y-pass-drops-m0-exception", "partitions.py", "_y_counts_nonoverlapping",
+           "at_m0 = w", "pass", (Y_PASS_PREFIXES, Y_PASS_WHOLE)),
     # n - 1 closes the earlier of two blocks in need and n the later, which crosses it
     Mutant("two-in-need-swaps-blocks", "partitions.py", "_gen_nonoverlapping",
            "block, other = blocks[top],", "other, block = blocks[top],",
